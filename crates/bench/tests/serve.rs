@@ -136,7 +136,11 @@ fn sigterm_mid_job_shuts_down_gracefully_and_the_restart_resumes() {
     // A release build chews through 300 users before the signal can
     // land; debug is ~25x slower. Size the job per profile so at least
     // one shard commits while several still remain to be interrupted.
-    let users = if cfg!(debug_assertions) { "300" } else { "12000" };
+    let users = if cfg!(debug_assertions) {
+        "300"
+    } else {
+        "12000"
+    };
 
     let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .args([
@@ -167,8 +171,21 @@ fn sigterm_mid_job_shuts_down_gracefully_and_the_restart_resumes() {
     );
 
     let server_args = [
-        "--port", "0", "--cache-dir", "cache", "--days", "1", "--fcc", "20", "--users", users,
-        "--threads", "1", "--shards", "6", "--quiet",
+        "--port",
+        "0",
+        "--cache-dir",
+        "cache",
+        "--days",
+        "1",
+        "--fcc",
+        "20",
+        "--users",
+        users,
+        "--threads",
+        "1",
+        "--shards",
+        "6",
+        "--quiet",
     ];
     let (mut guard, addr) = start_server(&dir, &server_args);
 

@@ -649,10 +649,9 @@ fn accept_result(
     // in-memory merge stands, so the run itself still completes.
     if let Err(reason) = persist(index, payload) {
         let mut state = shared.state.lock().expect("federation state");
-        state
-            .report
-            .reasons
-            .push(format!("shard {shard}: checkpoint persist failed: {reason}"));
+        state.report.reasons.push(format!(
+            "shard {shard}: checkpoint persist failed: {reason}"
+        ));
     }
     Accepted::Merged
 }

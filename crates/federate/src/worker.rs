@@ -427,9 +427,15 @@ mod tests {
         })
         .join();
         assert!(panicked.is_err(), "the poisoning thread must panic");
-        assert!(writer.lock().is_err(), "the mutex must actually be poisoned");
+        assert!(
+            writer.lock().is_err(),
+            "the mutex must actually be poisoned"
+        );
 
-        let beat = Message::Heartbeat { worker: 1, shard: 0 };
+        let beat = Message::Heartbeat {
+            worker: 1,
+            shard: 0,
+        };
         assert!(
             send(&writer, &beat).is_ok(),
             "send must recover the poisoned guard and deliver the frame"

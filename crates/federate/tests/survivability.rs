@@ -13,11 +13,11 @@
 //! * a [`ChaosProxy`] stall (half-open link) and a mid-frame cut both
 //!   end in a counted reconnect and serial-identical bytes.
 
+use bb_engine::{ExactMoments, Mergeable, ShardPlan, Snapshot};
 use bb_federate::{
     read_frame, run_worker, write_frame, Backoff, ChaosPlan, ChaosProxy, Coordinator,
     CoordinatorConfig, Fault, FederationReport, JobSpec, Message, WorkerOptions, PROTOCOL_VERSION,
 };
-use bb_engine::{ExactMoments, Mergeable, ShardPlan, Snapshot};
 use bb_trace::Telemetry;
 use proptest::{run_property, TestRng};
 use std::io::BufReader;
@@ -236,7 +236,10 @@ fn lease_expiry_storm_reassigns_each_shard_exactly_once() {
         };
 
         let (payloads, report) = handle.join().expect("coordinator thread");
-        let worker_report = healthy.join().expect("healthy thread").expect("healthy run");
+        let worker_report = healthy
+            .join()
+            .expect("healthy thread")
+            .expect("healthy run");
         drop(holders);
 
         assert_eq!(
@@ -293,7 +296,10 @@ fn silent_peer_is_dropped_by_the_handshake_deadline() {
         })
     };
     let (payloads, report) = handle.join().expect("coordinator thread");
-    healthy.join().expect("healthy thread").expect("healthy run");
+    healthy
+        .join()
+        .expect("healthy thread")
+        .expect("healthy run");
     drop(mute);
 
     assert!(
@@ -387,10 +393,7 @@ fn chaosnet_stall_is_unstuck_by_deadlines_and_a_reconnect() {
         "the stalled socket must be a counted deadline expiry: {report:?}"
     );
     assert!(
-        report
-            .reasons
-            .iter()
-            .any(|r| r.contains("socket deadline")),
+        report.reasons.iter().any(|r| r.contains("socket deadline")),
         "missing deadline reason: {:?}",
         report.reasons
     );
