@@ -1,8 +1,10 @@
-//! # bb-bench — shared fixtures for benchmarks and the reproduce harness.
+//! # bb-bench — the reproduce harness and its shared fixtures.
 //!
-//! The Criterion benches and the `reproduce` binary all operate on a
-//! generated world; this crate centralises the configurations so every
-//! bench regenerates exactly the same exhibits.
+//! The `reproduce` binary runs the paper's pipeline as a batch run, a
+//! served gateway, or a federated coordinator and its workers; the
+//! [`federation`] and [`publish`] modules hold what those share. The
+//! ablation benches operate on one generated world; [`bench_dataset`]
+//! centralises it so every ablation sees exactly the same data.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,31 +13,24 @@ use bb_dataset::{Dataset, World, WorldConfig};
 use std::sync::OnceLock;
 
 pub mod federation;
+pub mod publish;
 
 /// The master seed of the reproduction: every published number in
 /// `EXPERIMENTS.md` comes from this seed.
 pub const REPRO_SEED: u64 = 20141105; // IMC 2014 opened on November 5.
 
-/// A mid-sized world for benchmarking the *analysis* stages: large enough
-/// that per-exhibit timings are representative, small enough that the
-/// fixture builds in seconds.
-pub fn bench_world() -> World {
-    let mut cfg = WorldConfig::small(REPRO_SEED);
-    cfg.user_scale = 4.0;
-    cfg.days = 3;
-    cfg.fcc_users = 300;
-    World::new(cfg)
-}
-
-/// The shared bench dataset (generated once per process).
+/// The shared bench dataset (generated once per process): a mid-sized
+/// world, large enough that the analysis stages are representative and
+/// small enough that the fixture builds in seconds.
 pub fn bench_dataset() -> &'static Dataset {
     static DS: OnceLock<Dataset> = OnceLock::new();
-    DS.get_or_init(|| bench_world().generate())
-}
-
-/// The full paper-scale world used by the `reproduce` binary.
-pub fn paper_world(seed: u64) -> World {
-    World::new(WorldConfig::paper_scale(seed))
+    DS.get_or_init(|| {
+        let mut cfg = WorldConfig::small(REPRO_SEED);
+        cfg.user_scale = 4.0;
+        cfg.days = 3;
+        cfg.fcc_users = 300;
+        World::new(cfg).generate()
+    })
 }
 
 #[cfg(test)]

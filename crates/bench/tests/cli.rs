@@ -50,6 +50,10 @@ fn bad_arguments_exit_2_with_usage_not_a_panic() {
         &["--chaos", "omnibus", "--severity", "-inf"],      // non-finite severity
         &["--chaos", "omnibus", "--severity", "1e999"],     // f64-overflowing severity
         &["--chaos-sweep", "--users", "100"],               // sweep needs full battery
+        &["--users", "100", "--scale", "2"],                // streaming ignores the scale
+        &["--scale", "2", "--users", "100"],                // ... in either order
+        &["--users", "100", "--sweep", "2"],                // seed sweep needs full battery
+        &["coordinator", "--scale", "2"],                   // the coordinator always streams
     ];
     for args in cases {
         let out = reproduce(args, &dir);

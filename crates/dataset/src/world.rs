@@ -6,12 +6,14 @@ use crate::quality::{self, DataQuality};
 use crate::record::{Dataset, UpgradeObservation, UpgradeSnapshot, UserRecord, VantageKind};
 use bb_engine::snapshot::Snapshot;
 use bb_engine::{
-    run_sharded_checkpointed, run_sharded_traced, stream_rng, CheckpointError, CheckpointReport,
-    CheckpointStore, Mergeable, RunHooks, RunStats, ShardPlan,
+    run_sharded_checkpointed, run_sharded_traced, stream_rng, CheckpointError, CheckpointParams,
+    CheckpointReport, CheckpointStore, Mergeable, RunHooks, RunStats, ShardPlan,
 };
 use bb_market::{MarketSurvey, Plan, PlanCatalog};
 use bb_netsim::chaos::{ChaosPlan, ChaosSpec};
-use bb_netsim::collect::{BtFilter, CollectScratch, CounterSource, UsageSeries, Vantage};
+use bb_netsim::collect::{
+    BtFilter, CollectScratch, CounterPolling, CounterSource, UsageSeries, Vantage,
+};
 use bb_netsim::link::AccessLink;
 use bb_netsim::probe::{web_latency, NdtProbe};
 use bb_netsim::workload::{simulate_user_into, GroundTruth, UserWorkload};
@@ -129,12 +131,10 @@ impl WorldConfig {
         }
     }
 
-    /// The configuration `reproduce --users U` (and the serve gateway's
-    /// job scheduler) implies: [`WorldConfig::paper_scale`] defaults with
-    /// the per-country scale chosen so the streamed world is roughly
-    /// `users` strong after the `fcc_users` US-only gateway cohort.
-    /// Centralised here so the batch CLI and the HTTP job runner derive
-    /// *bit-identical* worlds from the same `(seed, users)` request.
+    /// The configuration of a streaming [`RunSpec`]:
+    /// [`WorldConfig::paper_scale`] defaults with the per-country scale
+    /// chosen so the streamed world is roughly `users` strong after the
+    /// `fcc_users` US-only gateway cohort.
     pub fn streaming(seed: u64, users: u64, days: u32, fcc_users: usize) -> Self {
         let mut cfg = WorldConfig::paper_scale(seed);
         cfg.days = days;
@@ -142,6 +142,95 @@ impl WorldConfig {
         let total_weight: f64 = builtin_world().iter().map(|p| p.user_weight).sum();
         cfg.user_scale = (users.saturating_sub(fcc_users as u64)) as f64 / total_weight.max(1e-9);
         cfg
+    }
+}
+
+/// The identity of one run: every parameter its bytes depend on, and none
+/// they do not (thread plan, shard count, output paths). The batch CLI,
+/// the federation coordinator and its workers, and the serve gateway's
+/// job runner all describe their run with one of these, so the world they
+/// generate, the checkpoint manifest they pin and the result-cache key
+/// they look up cannot drift apart.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RunSpec {
+    /// Master seed.
+    pub seed: u64,
+    /// Per-country user multiplier of a materialised run. A streaming run
+    /// sizes its world from `users` instead; the scale is pinned all the
+    /// same, so it stays at the paper default there.
+    pub scale: f64,
+    /// `Some(U)` streams ~U users through mergeable sketches (the scale
+    /// path); `None` materialises the panel at `scale`.
+    pub users: Option<u64>,
+    /// Observation window per user, days.
+    pub days: u32,
+    /// Size of the US-only FCC gateway cohort.
+    pub fcc_users: usize,
+    /// Degradation campaign applied during collection (`None` = clean).
+    pub chaos: Option<ChaosSpec>,
+}
+
+impl RunSpec {
+    /// The paper-scale materialised run of `seed`: the `reproduce`
+    /// defaults every surface starts from.
+    pub fn paper(seed: u64) -> Self {
+        let cfg = WorldConfig::paper_scale(seed);
+        RunSpec {
+            seed,
+            scale: cfg.user_scale,
+            users: None,
+            days: cfg.days,
+            fcc_users: cfg.fcc_users,
+            chaos: None,
+        }
+    }
+
+    /// The world configuration this run generates.
+    pub fn world_config(&self) -> WorldConfig {
+        let mut cfg = match self.users {
+            Some(users) => WorldConfig::streaming(self.seed, users, self.days, self.fcc_users),
+            None => WorldConfig {
+                user_scale: self.scale,
+                days: self.days,
+                fcc_users: self.fcc_users,
+                ..WorldConfig::paper_scale(self.seed)
+            },
+        };
+        cfg.chaos = self.chaos;
+        cfg
+    }
+
+    /// The world this run generates.
+    pub fn world(&self) -> World {
+        World::new(self.world_config())
+    }
+
+    /// The parameter list a checkpoint manifest (and the serve cache key)
+    /// pins for this run. The pipeline path is part of it, since the two
+    /// paths accumulate different shard state; the thread count is not,
+    /// since shard boundaries are thread-invariant and a resume may use
+    /// another. Checkpoints therefore resume across every surface that
+    /// runs the same spec.
+    pub fn checkpoint_params(&self) -> CheckpointParams {
+        let path = if self.users.is_some() {
+            "streaming"
+        } else {
+            "materialised"
+        };
+        CheckpointParams::new()
+            .set("path", path)
+            .set("seed", self.seed)
+            .set("scale", self.scale)
+            .set("days", self.days)
+            .set("fcc", self.fcc_users)
+            .set(
+                "users",
+                self.users.map_or_else(|| "-".into(), |u| u.to_string()),
+            )
+            .set(
+                "chaos",
+                self.chaos.map_or_else(|| "-".into(), |c| c.label()),
+            )
     }
 }
 
@@ -766,12 +855,15 @@ impl World {
                     CounterSource::Upnp => "dataset.observations.upnp",
                     CounterSource::Netstat => "dataset.observations.netstat",
                 });
-                UsageSeries::collect_via_counters_chaos_with(
-                    &scratch.truth,
-                    0.5,
+                let polling = CounterPolling {
+                    uptime: 0.5,
                     source,
-                    link.capacity,
+                    link_capacity: link.capacity,
                     chaos,
+                };
+                UsageSeries::collect_via_counters(
+                    &scratch.truth,
+                    &polling,
                     rng,
                     chaos_rng,
                     reg,
@@ -1442,5 +1534,47 @@ mod tests {
             .filter(|r| r.demand_no_bt.is_some())
             .count();
         assert!(observed as f64 > 0.95 * ds.records.len() as f64);
+    }
+
+    fn param_text(spec: &RunSpec) -> String {
+        let pairs: Vec<String> = spec
+            .checkpoint_params()
+            .pairs()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        pairs.join(" ")
+    }
+
+    #[test]
+    fn params_pin_the_chaos_label_and_user_count() {
+        use bb_netsim::chaos::ChaosScenario;
+        let streaming = RunSpec {
+            users: Some(900),
+            days: 3,
+            fcc_users: 60,
+            chaos: Some(ChaosSpec::new(ChaosScenario::Omnibus, 0.5)),
+            ..RunSpec::paper(1)
+        };
+        assert_eq!(
+            param_text(&streaming),
+            "path=streaming seed=1 scale=40 days=3 fcc=60 users=900 chaos=omnibus@0.5"
+        );
+        let materialised = RunSpec {
+            scale: 2.5,
+            days: 1,
+            fcc_users: 20,
+            ..RunSpec::paper(77)
+        };
+        assert_eq!(
+            param_text(&materialised),
+            "path=materialised seed=77 scale=2.5 days=1 fcc=20 users=- chaos=-"
+        );
+        let world = streaming.world_config();
+        assert_eq!(
+            world.user_scale,
+            WorldConfig::streaming(1, 900, 3, 60).user_scale
+        );
+        assert_eq!((world.days, world.chaos), (3, streaming.chaos));
+        assert_eq!(materialised.world_config().user_scale, 2.5);
     }
 }

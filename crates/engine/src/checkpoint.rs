@@ -207,25 +207,10 @@ impl From<std::io::Error> for CheckpointError {
 }
 
 /// A checkpoint directory plus the parameters that identify the run.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
     params: CheckpointParams,
-}
-
-/// Outcome of validating an existing manifest on resume.
-///
-/// Public so callers that persist *pre-encoded* shard bodies through
-/// [`CheckpointStore::save_shard_text`] (the federation coordinator)
-/// can drive the same resume protocol as [`run_sharded_checkpointed`].
-#[derive(Debug)]
-pub enum ResumeManifest {
-    /// No manifest file — a genuinely cold start, nothing to reject.
-    Missing,
-    /// Manifest exists but is unusable; the reason explains why.
-    Rejected(String),
-    /// Manifest matches this run: shard index → expected digest.
-    Valid(BTreeMap<usize, u64>),
 }
 
 impl CheckpointStore {
@@ -279,7 +264,7 @@ impl CheckpointStore {
 
     /// Atomically (re)write the manifest listing `done` shard digests for
     /// a run over `n_items` items split into `n_shards` shards.
-    pub fn save_manifest(
+    fn save_manifest(
         &self,
         n_items: u64,
         n_shards: usize,
@@ -288,18 +273,18 @@ impl CheckpointStore {
         self.write_atomic("manifest", &self.manifest_text(n_items, n_shards, done))
     }
 
-    /// Validate the existing manifest against this run's identity.
-    pub fn load_manifest(&self, n_items: u64, n_shards: usize) -> ResumeManifest {
-        let content = match fs::read_to_string(self.manifest_path()) {
-            Ok(content) => content,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
-                return ResumeManifest::Missing
-            }
-            Err(err) => return ResumeManifest::Rejected(format!("manifest unreadable: {err}")),
-        };
-        match self.parse_manifest(&content, n_items, n_shards) {
-            Ok(done) => ResumeManifest::Valid(done),
-            Err(reason) => ResumeManifest::Rejected(reason),
+    /// Validate the existing manifest against this run's identity:
+    /// shard index → expected digest, `None` when there is no manifest (a
+    /// genuinely cold start), or the reason it is unusable.
+    fn load_manifest(
+        &self,
+        n_items: u64,
+        n_shards: usize,
+    ) -> Result<Option<BTreeMap<usize, u64>>, String> {
+        match fs::read_to_string(self.manifest_path()) {
+            Ok(content) => self.parse_manifest(&content, n_items, n_shards).map(Some),
+            Err(err) if err.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(err) => Err(format!("manifest unreadable: {err}")),
         }
     }
 
@@ -376,38 +361,26 @@ impl CheckpointStore {
         Ok(done)
     }
 
-    /// Persist `snapshot_text` (a complete [`Snapshot`] encoding, ending
-    /// in a newline) as shard `index` with the usual header, checksum and
-    /// atomic rename. Returns the file's body digest — the value the
-    /// manifest must pin for this shard. Byte-identical to the file a
-    /// typed [`run_sharded_checkpointed`] commit would have produced.
-    pub fn save_shard_text(
-        &self,
-        index: usize,
-        snapshot_text: &str,
-    ) -> Result<u64, CheckpointError> {
+    /// Persist `partial` as shard `index` with the usual header, checksum
+    /// and atomic rename. Returns the file's body digest — the value the
+    /// manifest must pin for this shard.
+    fn write_shard<A: Snapshot>(&self, index: usize, partial: &A) -> Result<u64, CheckpointError> {
         let mut body = String::new();
         body.push_str("bb-checkpoint-shard v1\n");
         body.push_str(&format!("format {FORMAT_VERSION}\n"));
         body.push_str(&format!("shard {index}\n"));
-        body.push_str(snapshot_text);
-        if !body.ends_with('\n') {
-            return Err(CheckpointError::new(format!(
-                "shard {index}: snapshot text must end with a newline"
-            )));
-        }
+        body.push_str(&partial.to_snapshot_string());
         let digest = fnv1a64(body.as_bytes());
         let content = format!("{body}!checksum {digest:016x}\n");
         self.write_atomic(&format!("shard-{index:05}.ckpt"), &content)?;
         Ok(digest)
     }
 
-    /// Load shard `index` as raw snapshot text (header stripped),
-    /// verifying the file's own checksum and the digest the manifest
-    /// promised for it. Callers that need a typed value decode the text
-    /// themselves; validation failures degrade to recomputation, so the
-    /// error is a reason string, not a [`CheckpointError`].
-    pub fn load_shard_text(&self, index: usize, expected_digest: u64) -> Result<String, String> {
+    /// Load shard `index`, verifying both the file's own checksum and the
+    /// digest the manifest promised for it. Validation failures degrade to
+    /// recomputation, so the error is a reason string, not a
+    /// [`CheckpointError`].
+    fn load_shard<A: Snapshot>(&self, index: usize, expected_digest: u64) -> Result<A, String> {
         let path = self.shard_path(index);
         let content = fs::read_to_string(&path)
             .map_err(|err| format!("shard {index}: unreadable ({err})"))?;
@@ -446,21 +419,92 @@ impl CheckpointStore {
         if stored_index != index as u64 {
             return Err(format!("shard {index}: file claims shard {stored_index}"));
         }
-        Ok(rest.to_string())
-    }
-
-    fn write_shard<A: Snapshot>(&self, index: usize, partial: &A) -> Result<u64, CheckpointError> {
-        self.save_shard_text(index, &partial.to_snapshot_string())
-    }
-
-    /// Load shard `index`, verifying both the file's own checksum and the
-    /// digest the manifest promised for it.
-    fn load_shard<A: Snapshot>(&self, index: usize, expected_digest: u64) -> Result<A, String> {
-        let text = self.load_shard_text(index, expected_digest)?;
-        let mut r = SnapshotReader::new(&text);
+        let mut r = SnapshotReader::new(rest);
         let partial = A::read_snapshot(&mut r).map_err(|e| format!("shard {index}: {e}"))?;
         r.expect_eof().map_err(|e| format!("shard {index}: {e}"))?;
         Ok(partial)
+    }
+
+    /// Open a checkpointed run over `n_items` items cut into `n_shards`
+    /// shards. With `resume`, the manifest is validated and every shard
+    /// it lists that passes validation is restored as an `A`; rejections
+    /// are counted in the report and those shards recomputed. The
+    /// manifest is then rewritten, so a fresh run truncates a stale
+    /// done-list and a resume drops rejected entries. Returns the commit
+    /// side of the run, one restored slot per shard, and the report.
+    pub fn open<A: Snapshot>(
+        &self,
+        n_items: u64,
+        n_shards: usize,
+        resume: bool,
+    ) -> Result<(CheckpointSession, Vec<Option<A>>, CheckpointReport), CheckpointError> {
+        fs::create_dir_all(&self.dir)?;
+        let mut report = CheckpointReport::default();
+        let mut restored: Vec<Option<A>> = (0..n_shards).map(|_| None).collect();
+        let mut done: BTreeMap<usize, u64> = BTreeMap::new();
+        let manifest = if resume {
+            self.load_manifest(n_items, n_shards)
+        } else {
+            Ok(None)
+        };
+        let entries = manifest.unwrap_or_else(|reason| {
+            report.rejected += 1;
+            report.reasons.push(reason);
+            None
+        });
+        for (index, digest) in entries.into_iter().flatten() {
+            match self.load_shard::<A>(index, digest) {
+                Ok(partial) => {
+                    restored[index] = Some(partial);
+                    done.insert(index, digest);
+                    report.skipped += 1;
+                }
+                Err(reason) => {
+                    report.rejected += 1;
+                    report.reasons.push(reason);
+                }
+            }
+        }
+        report.recomputed = n_shards as u64 - report.skipped;
+        self.save_manifest(n_items, n_shards, &done)?;
+        let session = CheckpointSession {
+            store: self.clone(),
+            n_items,
+            n_shards,
+            done: Mutex::new(done),
+            commits: AtomicU64::new(0),
+        };
+        Ok((session, restored, report))
+    }
+}
+
+/// The commit side of a run opened with [`CheckpointStore::open`].
+/// [`run_sharded_checkpointed`] commits the shards its own workers
+/// compute; the federation coordinator commits the shards its workers
+/// send back. Both write the same files, so a checkpoint one of them
+/// took resumes in the other.
+#[derive(Debug)]
+pub struct CheckpointSession {
+    store: CheckpointStore,
+    n_items: u64,
+    n_shards: usize,
+    done: Mutex<BTreeMap<usize, u64>>,
+    commits: AtomicU64,
+}
+
+impl CheckpointSession {
+    /// Durably commit shard `index`: its file first, then a manifest that
+    /// lists it. Safe to call from several threads. Returns how many
+    /// shards this session has committed so far.
+    pub fn commit<A: Snapshot>(&self, index: usize, partial: &A) -> Result<u64, CheckpointError> {
+        let digest = self.store.write_shard(index, partial)?;
+        {
+            let mut done = self.done.lock().expect("checkpoint state poisoned");
+            done.insert(index, digest);
+            self.store
+                .save_manifest(self.n_items, self.n_shards, &done)?;
+        }
+        Ok(self.commits.fetch_add(1, Ordering::Relaxed) + 1)
     }
 }
 
@@ -513,40 +557,7 @@ where
 {
     let ranges = plan.ranges(n_items);
     let n_shards = ranges.len();
-    fs::create_dir_all(&store.dir)?;
-
-    let mut report = CheckpointReport::default();
-    let mut preloaded: Vec<Option<A>> = (0..n_shards).map(|_| None).collect();
-    let mut done: BTreeMap<usize, u64> = BTreeMap::new();
-    if resume {
-        match store.load_manifest(n_items, n_shards) {
-            ResumeManifest::Missing => {}
-            ResumeManifest::Rejected(reason) => {
-                report.rejected += 1;
-                report.reasons.push(reason);
-            }
-            ResumeManifest::Valid(entries) => {
-                for (index, digest) in entries {
-                    match store.load_shard::<A>(index, digest) {
-                        Ok(partial) => {
-                            preloaded[index] = Some(partial);
-                            done.insert(index, digest);
-                            report.skipped += 1;
-                        }
-                        Err(reason) => {
-                            report.rejected += 1;
-                            report.reasons.push(reason);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    report.recomputed = n_shards as u64 - report.skipped;
-
-    // Rewrite the manifest up front so a fresh (non-resume) run truncates
-    // any stale done-list and a resume drops rejected entries.
-    store.save_manifest(n_items, n_shards, &done)?;
+    let (session, preloaded, report) = store.open::<A>(n_items, n_shards, resume)?;
 
     let finished = AtomicU64::new(0);
     if let Some(progress) = hooks.progress {
@@ -563,20 +574,10 @@ where
         finished.store(report.skipped, Ordering::Relaxed);
     }
 
-    let state = Mutex::new(done);
-    let commits = AtomicU64::new(0);
     let observer = |index: usize, partial: &A| -> Result<(), String> {
-        let digest = store
-            .write_shard(index, partial)
+        let committed = session
+            .commit(index, partial)
             .map_err(|err| err.to_string())?;
-        {
-            let mut done = state.lock().expect("checkpoint state poisoned");
-            done.insert(index, digest);
-            store
-                .save_manifest(n_items, n_shards, &done)
-                .map_err(|err| err.to_string())?;
-        }
-        let committed = commits.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(hook) = hooks.after_commit {
             hook(committed);
         }

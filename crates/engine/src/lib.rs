@@ -42,7 +42,7 @@ pub mod snapshot;
 
 pub use checkpoint::{
     atomic_write, run_sharded_checkpointed, CheckpointError, CheckpointParams, CheckpointReport,
-    CheckpointStore, ResumeManifest, RunHooks, ShardProgress, FORMAT_VERSION,
+    CheckpointSession, CheckpointStore, RunHooks, ShardProgress, FORMAT_VERSION,
 };
 pub use ecdf::EcdfSketch;
 pub use hist::Log2Histogram;

@@ -345,6 +345,33 @@ pub struct ChaosSpec {
 }
 
 impl ChaosSpec {
+    /// The severity a campaign runs at when the request names none.
+    pub const DEFAULT_SEVERITY: f64 = 0.5;
+
+    /// Validate a requested campaign: a scenario name plus an optional
+    /// severity (default [`ChaosSpec::DEFAULT_SEVERITY`]). No scenario
+    /// means clean collection, and a severity without a scenario is an
+    /// error rather than a silently clean run. The command line, the
+    /// HTTP job body and the federation wire job all go through this one
+    /// check, so they accept and reject the same campaigns.
+    pub fn parse(scenario: Option<&str>, severity: Option<f64>) -> Result<Option<Self>, String> {
+        let Some(name) = scenario else {
+            return match severity {
+                Some(_) => Err("a severity requires a chaos scenario".into()),
+                None => Ok(None),
+            };
+        };
+        let scenario = ChaosScenario::parse(name).ok_or_else(|| {
+            let known: Vec<&str> = ChaosScenario::ALL.iter().map(|s| s.name()).collect();
+            format!("unknown scenario {name:?}; one of {}", known.join(", "))
+        })?;
+        let severity = severity.unwrap_or(Self::DEFAULT_SEVERITY);
+        if !severity.is_finite() || !(0.0..=1.0).contains(&severity) {
+            return Err(format!("severity must be in [0, 1], got {severity}"));
+        }
+        Ok(Some(ChaosSpec { scenario, severity }))
+    }
+
     /// Build a spec, validating the severity.
     ///
     /// # Panics
@@ -501,6 +528,32 @@ mod tests {
         assert_ne!(spec.plan_for("US"), ChaosPlan::NONE);
         let omni = ChaosSpec::new(ChaosScenario::Omnibus, 0.8);
         assert_ne!(omni.plan_for("JP"), ChaosPlan::NONE);
+    }
+
+    #[test]
+    fn parse_validates_the_pair() {
+        assert_eq!(ChaosSpec::parse(None, None), Ok(None));
+        assert_eq!(
+            ChaosSpec::parse(Some("omnibus"), None),
+            Ok(Some(ChaosSpec::new(ChaosScenario::Omnibus, 0.5)))
+        );
+        assert_eq!(
+            ChaosSpec::parse(Some("reset-storm"), Some(0.0)),
+            Ok(Some(ChaosSpec::new(ChaosScenario::ResetStorm, 0.0)))
+        );
+        for (scenario, severity) in [
+            (None, Some(0.5)),
+            (Some("nope"), None),
+            (Some("omnibus"), Some(1.5)),
+            (Some("omnibus"), Some(-0.1)),
+            (Some("omnibus"), Some(f64::NAN)),
+            (Some("omnibus"), Some(f64::INFINITY)),
+        ] {
+            assert!(
+                ChaosSpec::parse(scenario, severity).is_err(),
+                "{scenario:?} @ {severity:?}"
+            );
+        }
     }
 
     #[test]

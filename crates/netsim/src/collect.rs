@@ -16,15 +16,14 @@
 
 use crate::chaos::{ChaosPlan, RawPoll};
 use crate::counters::{
-    max_plausible_bytes, upnp_delta_stats, upnp_deltas_stats, DeltaStats, NetstatCounter,
-    UpnpCounter,
+    max_plausible_bytes, upnp_delta_stats, DeltaStats, NetstatCounter, UpnpCounter,
 };
 use crate::workload::GroundTruth;
 use bb_stats::descriptive::quantile_unstable;
 use bb_trace::{Log2Histogram, Registry};
 use bb_types::time::{diurnal_multiplier, SLOTS_PER_HOUR};
 use bb_types::{Bandwidth, DemandSummary, SLOT_SECS};
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Reusable buffers for the batched collection hot path. One instance per
 /// shard (or per thread) amortises every per-user allocation the scalar
@@ -46,6 +45,21 @@ impl CollectScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// How a Dasu client polls its byte counters: the fixed parameters of one
+/// [`UsageSeries::collect_via_counters`] call.
+#[derive(Clone, Copy, Debug)]
+pub struct CounterPolling<'a> {
+    /// Mean fraction of time the client is online and polling, in (0, 1].
+    pub uptime: f64,
+    /// Which counters the client reads.
+    pub source: CounterSource,
+    /// Access-link capacity; bounds a plausible per-interval delta.
+    pub link_capacity: Bandwidth,
+    /// Degradation of the raw poll sequence; [`ChaosPlan::NONE`] for
+    /// clean collection.
+    pub chaos: &'a ChaosPlan,
 }
 
 /// Where the measurement software sits.
@@ -176,117 +190,40 @@ impl UsageSeries {
         }
     }
 
-    /// Observe ground truth the way a real Dasu client does: by polling a
+    /// Observe ground truth the way a real Dasu client does: poll a
     /// cumulative byte counter whenever the client is online and
-    /// reconstructing per-interval deltas — including the UPnP 32-bit
-    /// wraparound handling. Deltas spanning more than `MAX_GAP_SLOTS`
-    /// offline slots are discarded as stale, as the collection pipeline
-    /// does for clients that were away.
-    pub fn collect_via_counters<R: Rng + ?Sized>(
-        truth: &GroundTruth,
-        uptime: f64,
-        source: CounterSource,
-        link_capacity: Bandwidth,
-        rng: &mut R,
-    ) -> Self {
-        let mut scratch = Registry::new();
-        Self::collect_via_counters_traced(truth, uptime, source, link_capacity, rng, &mut scratch)
-    }
-
-    /// [`UsageSeries::collect_via_counters`], additionally counting how
-    /// often each recovery heuristic fired into `reg`:
-    /// `netsim.collect.polls` / `stale_dropped` / `merged_intervals`, the
-    /// `netsim.collect.gap_slots` histogram, and (for UPnP sources)
-    /// `netsim.upnp.wraps` / `resets` / `reset_clamped`.
+    /// reconstruct per-interval deltas, UPnP 32-bit wraparound included.
+    /// Deltas spanning more than `MAX_GAP_SLOTS` offline slots are
+    /// discarded as stale.
     ///
-    /// All of these are data events — pure functions of `(truth, rng)` —
-    /// so registries accumulated per user merge plan-invariantly. Events
-    /// are tallied in locals and flushed to `reg` once per call to keep
-    /// the per-poll loop free of map lookups.
-    pub fn collect_via_counters_traced<R: Rng + ?Sized>(
-        truth: &GroundTruth,
-        uptime: f64,
-        source: CounterSource,
-        link_capacity: Bandwidth,
-        rng: &mut R,
-        reg: &mut Registry,
-    ) -> Self {
-        // `ChaosPlan::NONE` draws nothing, so the chaos RNG seed is inert.
-        let mut inert = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-        Self::collect_via_counters_chaos(
-            truth,
-            uptime,
-            source,
-            link_capacity,
-            &ChaosPlan::NONE,
-            rng,
-            &mut inert,
-            reg,
-        )
-    }
-
-    /// [`UsageSeries::collect_via_counters_traced`] with a degradation
-    /// plan applied to the raw poll sequence before delta
-    /// reconstruction.
+    /// `polling.chaos` degrades the raw polls before reconstruction,
+    /// drawing only from `chaos_rng`; [`ChaosPlan::NONE`] draws nothing,
+    /// so severity 0 is bit-identical to clean collection. Out-of-order
+    /// and duplicate polls are counted and skipped, never a panic or a NaN
+    /// bin. Every recovery heuristic is counted into `reg`
+    /// (`netsim.collect.*`, `netsim.upnp.*`): data events, tallied in
+    /// locals and flushed once per call, so per-user registries merge
+    /// plan-invariantly.
     ///
-    /// Chaos draws come from the *dedicated* `chaos_rng`, never from the
-    /// main `rng`, and a [`ChaosPlan::NONE`] plan draws nothing — so the
-    /// severity-0 chaos path is bit-identical to the fault-free one.
-    /// Reconstruction is hardened against whatever the plan produces:
-    /// out-of-order polls (`netsim.collect.out_of_order_dropped`) and
-    /// duplicate timestamps (`netsim.collect.duplicate_dropped`) are
-    /// counted and skipped rather than panicking or emitting NaN bins,
-    /// and BitTorrent-flag lookups clamp slot indices that clock skew
-    /// pushed past the observation window.
-    #[allow(clippy::too_many_arguments)]
-    pub fn collect_via_counters_chaos<R: Rng + ?Sized, C: Rng + ?Sized>(
+    /// `scratch` carries the buffers across users. The result is
+    /// bit-identical to the pre-batching scalar implementation (kept as a
+    /// test oracle): the acceptance draws consume the same word stream a
+    /// ChaCha block at a time, and UPnP deltas decode pair by pair with
+    /// the allocation-free [`upnp_delta_stats`].
+    pub fn collect_via_counters<R: Rng + ?Sized, C: Rng + ?Sized>(
         truth: &GroundTruth,
-        uptime: f64,
-        source: CounterSource,
-        link_capacity: Bandwidth,
-        chaos: &ChaosPlan,
-        rng: &mut R,
-        chaos_rng: &mut C,
-        reg: &mut Registry,
-    ) -> Self {
-        let mut scratch = CollectScratch::new();
-        Self::collect_via_counters_chaos_with(
-            truth,
-            uptime,
-            source,
-            link_capacity,
-            chaos,
-            rng,
-            chaos_rng,
-            reg,
-            &mut scratch,
-        )
-    }
-
-    /// [`UsageSeries::collect_via_counters_chaos`] with caller-provided
-    /// scratch buffers — the batched hot path the world generator drives.
-    ///
-    /// The result is **bit-identical** to the scalar reference
-    /// ([`UsageSeries::collect_via_counters_chaos_reference`]) for every
-    /// input: acceptance draws come from the same word stream (filled a
-    /// ChaCha block at a time instead of one `gen::<f64>()` per slot),
-    /// the per-hour acceptance probabilities are the same 24 values the
-    /// scalar path recomputes per slot, and the UPnP delta decode walks
-    /// the contiguous poll buffer pair-by-pair with the allocation-free
-    /// [`upnp_delta_stats`] instead of materialising a two-read slice
-    /// and a one-delta `Vec` per poll pair.
-    #[allow(clippy::too_many_arguments)]
-    pub fn collect_via_counters_chaos_with<R: Rng + ?Sized, C: Rng + ?Sized>(
-        truth: &GroundTruth,
-        uptime: f64,
-        source: CounterSource,
-        link_capacity: Bandwidth,
-        chaos: &ChaosPlan,
+        polling: &CounterPolling<'_>,
         rng: &mut R,
         chaos_rng: &mut C,
         reg: &mut Registry,
         scratch: &mut CollectScratch,
     ) -> Self {
+        let CounterPolling {
+            uptime,
+            source,
+            link_capacity,
+            chaos,
+        } = *polling;
         assert!(uptime > 0.0 && uptime <= 1.0, "uptime in (0,1]");
         const MAX_GAP_SLOTS: usize = 2;
 
@@ -459,12 +396,10 @@ impl UsageSeries {
     }
 
     /// The pre-batching scalar implementation, kept verbatim as the
-    /// equivalence oracle for the batched path. Not part of the public
-    /// API surface; the `scalar_vs_batched` test suite (and nothing
-    /// else) should call this.
-    #[doc(hidden)]
+    /// equivalence oracle for [`UsageSeries::collect_via_counters`].
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
-    pub fn collect_via_counters_chaos_reference<R: Rng + ?Sized, C: Rng + ?Sized>(
+    fn collect_via_counters_chaos_reference<R: Rng + ?Sized, C: Rng + ?Sized>(
         truth: &GroundTruth,
         uptime: f64,
         source: CounterSource,
@@ -474,6 +409,7 @@ impl UsageSeries {
         chaos_rng: &mut C,
         reg: &mut Registry,
     ) -> Self {
+        use crate::counters::upnp_deltas_stats;
         assert!(uptime > 0.0 && uptime <= 1.0, "uptime in (0,1]");
         const MAX_GAP_SLOTS: usize = 2;
         const CROSS_DETECTION: f64 = 0.9;
@@ -682,6 +618,36 @@ mod tests {
         simulate_user(&link, &wl, TimeAxis::new(Year(2012), 7), &mut rng)
     }
 
+    /// Clean counter polling: what most tests need.
+    fn clean(
+        uptime: f64,
+        source: CounterSource,
+        link_capacity: Bandwidth,
+    ) -> CounterPolling<'static> {
+        CounterPolling {
+            uptime,
+            source,
+            link_capacity,
+            chaos: &ChaosPlan::NONE,
+        }
+    }
+
+    /// Poll counters with a throwaway registry, chaos stream and scratch.
+    fn poll_counters(
+        t: &GroundTruth,
+        polling: &CounterPolling<'_>,
+        rng: &mut ChaCha8Rng,
+    ) -> UsageSeries {
+        UsageSeries::collect_via_counters(
+            t,
+            polling,
+            rng,
+            &mut ChaCha8Rng::seed_from_u64(0),
+            &mut Registry::new(),
+            &mut CollectScratch::new(),
+        )
+    }
+
     #[test]
     fn gateway_sees_every_hour() {
         let t = truth(1, false);
@@ -775,7 +741,7 @@ mod tests {
                 .demand(BtFilter::Include)
                 .unwrap();
             let mut rng = ChaCha8Rng::seed_from_u64(20);
-            let via = UsageSeries::collect_via_counters(&t, 0.95, source, cap, &mut rng)
+            let via = poll_counters(&t, &clean(0.95, source, cap), &mut rng)
                 .demand(BtFilter::Include)
                 .unwrap();
             let mean_ratio = via.mean / direct.mean;
@@ -805,7 +771,7 @@ mod tests {
         assert!(t.total_cross_bytes() > t.total_bytes());
         let demand = |source| {
             let mut rng = ChaCha8Rng::seed_from_u64(52);
-            UsageSeries::collect_via_counters(&t, 0.9, source, link.capacity, &mut rng)
+            poll_counters(&t, &clean(0.9, source, link.capacity), &mut rng)
                 .demand(BtFilter::Include)
                 .unwrap()
         };
@@ -840,21 +806,17 @@ mod tests {
             t.total_bytes()
         );
         let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let upnp = UsageSeries::collect_via_counters(
+        let upnp = poll_counters(
             &t,
-            0.9,
-            CounterSource::Upnp,
-            link.capacity,
+            &clean(0.9, CounterSource::Upnp, link.capacity),
             &mut rng,
         )
         .demand(BtFilter::Include)
         .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let netstat = UsageSeries::collect_via_counters(
+        let netstat = poll_counters(
             &t,
-            0.9,
-            CounterSource::Netstat,
-            link.capacity,
+            &clean(0.9, CounterSource::Netstat, link.capacity),
             &mut rng,
         )
         .demand(BtFilter::Include)
@@ -879,13 +841,13 @@ mod tests {
 
         let mut reg = bb_trace::Registry::new();
         let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let traced = UsageSeries::collect_via_counters_traced(
+        UsageSeries::collect_via_counters(
             &t,
-            0.5,
-            CounterSource::Upnp,
-            link.capacity,
+            &clean(0.5, CounterSource::Upnp, link.capacity),
             &mut rng,
+            &mut ChaCha8Rng::seed_from_u64(0),
             &mut reg,
+            &mut CollectScratch::new(),
         );
         assert!(reg.counter("netsim.collect.polls") > 0);
         assert!(reg.counter("netsim.upnp.wraps") > 0, "wraps must be seen");
@@ -894,17 +856,6 @@ mod tests {
             reg.histogram("netsim.collect.gap_slots").unwrap().count() > 0,
             "gap histogram records merged windows"
         );
-
-        // Tracing is observation only: the series is unchanged.
-        let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let untraced = UsageSeries::collect_via_counters(
-            &t,
-            0.5,
-            CounterSource::Upnp,
-            link.capacity,
-            &mut rng,
-        );
-        assert_eq!(traced, untraced);
     }
 
     #[test]
@@ -914,22 +865,25 @@ mod tests {
         for source in [CounterSource::Upnp, CounterSource::Netstat] {
             let mut reg_a = Registry::new();
             let mut rng = ChaCha8Rng::seed_from_u64(42);
-            let plain = UsageSeries::collect_via_counters_traced(
-                &t, 0.6, source, cap, &mut rng, &mut reg_a,
+            let plain = UsageSeries::collect_via_counters(
+                &t,
+                &clean(0.6, source, cap),
+                &mut rng,
+                &mut ChaCha8Rng::seed_from_u64(0),
+                &mut reg_a,
+                &mut CollectScratch::new(),
             );
             let mut reg_b = Registry::new();
             let mut rng = ChaCha8Rng::seed_from_u64(42);
             // A chaos RNG seeded differently: NONE must never touch it.
             let mut chaos_rng = ChaCha8Rng::seed_from_u64(999);
-            let chaotic = UsageSeries::collect_via_counters_chaos(
+            let chaotic = UsageSeries::collect_via_counters(
                 &t,
-                0.6,
-                source,
-                cap,
-                &crate::chaos::ChaosPlan::NONE,
+                &clean(0.6, source, cap),
                 &mut rng,
                 &mut chaos_rng,
                 &mut reg_b,
+                &mut CollectScratch::new(),
             );
             assert_eq!(plain, chaotic, "{source:?}");
             assert_eq!(reg_a.to_json(), reg_b.to_json(), "{source:?}");
@@ -948,15 +902,17 @@ mod tests {
             let mut reg = Registry::new();
             let mut rng = ChaCha8Rng::seed_from_u64(44);
             let mut chaos_rng = ChaCha8Rng::seed_from_u64(45);
-            let s = UsageSeries::collect_via_counters_chaos(
+            let polling = CounterPolling {
+                chaos: &plan,
+                ..clean(0.8, source, cap)
+            };
+            let s = UsageSeries::collect_via_counters(
                 &t,
-                0.8,
-                source,
-                cap,
-                &plan,
+                &polling,
                 &mut rng,
                 &mut chaos_rng,
                 &mut reg,
+                &mut CollectScratch::new(),
             );
             assert!(reg.counter("netsim.collect.duplicate_dropped") > 0);
             assert!(reg.counter("netsim.collect.out_of_order_dropped") > 0);
@@ -977,15 +933,17 @@ mod tests {
         let mut reg = Registry::new();
         let mut rng = ChaCha8Rng::seed_from_u64(48);
         let mut chaos_rng = ChaCha8Rng::seed_from_u64(49);
-        let s = UsageSeries::collect_via_counters_chaos(
+        let polling = CounterPolling {
+            chaos: &plan,
+            ..clean(0.95, CounterSource::Netstat, cap)
+        };
+        let s = UsageSeries::collect_via_counters(
             &t,
-            0.95,
-            CounterSource::Netstat,
-            cap,
-            &plan,
+            &polling,
             &mut rng,
             &mut chaos_rng,
             &mut reg,
+            &mut CollectScratch::new(),
         );
         assert!(reg.counter("netsim.chaos.polls_skewed") > 0);
         assert!(!s.is_empty());
@@ -1030,12 +988,13 @@ mod tests {
                     // Deliberately reuse one scratch across every case:
                     // leftover capacity and stale contents must not leak
                     // into the result.
-                    let batched = UsageSeries::collect_via_counters_chaos_with(
+                    let polling = CounterPolling {
+                        chaos: plan,
+                        ..clean(uptime, source, cap)
+                    };
+                    let batched = UsageSeries::collect_via_counters(
                         &t,
-                        uptime,
-                        source,
-                        cap,
-                        plan,
+                        &polling,
                         &mut rng,
                         &mut chaos_rng,
                         &mut reg_b,
@@ -1081,13 +1040,8 @@ mod tests {
         for (seed, bt) in [(13u64, true), (17, false), (19, true)] {
             let t = truth(seed, bt);
             let mut rng = ChaCha8Rng::seed_from_u64(seed + 100);
-            let s = UsageSeries::collect_via_counters(
-                &t,
-                0.7,
-                CounterSource::Upnp,
-                Bandwidth::from_mbps(10.0),
-                &mut rng,
-            );
+            let polling = clean(0.7, CounterSource::Upnp, Bandwidth::from_mbps(10.0));
+            let s = poll_counters(&t, &polling, &mut rng);
             for filter in [BtFilter::Include, BtFilter::Exclude] {
                 let rates = s.rates(filter);
                 let expected = if rates.is_empty() {

@@ -1,20 +1,46 @@
-//! The streaming run's exhibit bundle, as one shared file set.
+//! The streaming run's artifacts, as one shared file set.
 //!
-//! The batch CLI (`reproduce --users U`) and the serve gateway's job
-//! runner both publish the same artifacts for a streaming study: per
+//! The batch CLI (`reproduce --users U`), the federation coordinator and
+//! the serve gateway's job runner all publish the same artifacts for a
+//! streaming study: the metrics registry, the provenance ledger, and per
 //! Fig. 1/Fig. 7 panel a text render, a CSV, a gnuplot script and a
 //! JSON document; per Fig. 2 panel the same minus the gnuplot script.
 //! Keeping the file list (names, contents, order) in one place is what
-//! makes the serve cache's byte-identity guarantee cheap: both paths
-//! call [`stream_exhibit_files`] and diverge only in where the bytes
-//! land (a directory vs. a cache entry).
+//! makes the serve cache's byte-identity guarantee cheap: every path
+//! calls [`stream_run_files`] and diverges only in where the bytes land
+//! (a directory vs. a cache entry).
 
 use crate::{csv, gnuplot, json, markdown, text};
-use bb_study::StreamStudy;
+use bb_study::{provenance, StreamStudy};
+use bb_trace::{EventLog, EventTail, Registry};
 
 /// Render a pretty JSON document, which cannot fail for exhibit trees.
 fn pretty(v: &serde_json::Value) -> String {
     serde_json::to_string_pretty(v).expect("serialise")
+}
+
+/// A finished streaming fold's whole artifact set: `metrics.json` (the
+/// fold's `registry` plus the study counters), `ledger.jsonl` (the
+/// provenance events, each also handed to `tail` as it is emitted), then
+/// the [`stream_exhibit_files`].
+pub fn stream_run_files(
+    seed: u64,
+    study: &StreamStudy,
+    mut registry: Registry,
+    tail: Option<EventTail>,
+) -> Vec<(String, String)> {
+    provenance::register_stream_metrics(&mut registry, study);
+    let mut ledger = EventLog::new();
+    if let Some(tail) = tail {
+        ledger.set_tail(tail);
+    }
+    provenance::stream_provenance(&mut ledger, seed, study, &registry);
+    let mut files = vec![
+        ("metrics.json".to_string(), registry.to_json()),
+        ("ledger.jsonl".to_string(), ledger.to_jsonl()),
+    ];
+    files.extend(stream_exhibit_files(study));
+    files
 }
 
 /// The full streaming exhibit bundle as `(file name, contents)` pairs,

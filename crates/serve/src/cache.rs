@@ -163,6 +163,36 @@ mod tests {
     }
 
     #[test]
+    fn keys_of_existing_cache_entries_are_stable() {
+        // Recorded from the cache of an earlier release: a change to the
+        // run identity's parameter list would orphan every stored entry.
+        use bb_dataset::RunSpec;
+        use bb_netsim::chaos::{ChaosScenario, ChaosSpec};
+        let clean = RunSpec {
+            users: Some(1500),
+            days: 1,
+            fcc_users: 40,
+            ..RunSpec::paper(20141105)
+        };
+        let chaotic = RunSpec {
+            chaos: Some(ChaosSpec::new(ChaosScenario::Omnibus, 0.5)),
+            ..clean
+        };
+        let reseeded = RunSpec { seed: 7, ..clean };
+        for (spec, key) in [
+            (clean, 0x2c0fe767240ad61f_u64),
+            (chaotic, 0xb74d28e605930e24),
+            (reseeded, 0x0bda89e044773412),
+        ] {
+            assert_eq!(
+                format!("{:016x}", cache_key(&spec.checkpoint_params(), 6)),
+                format!("{key:016x}"),
+                "{spec:?}"
+            );
+        }
+    }
+
+    #[test]
     fn store_then_lookup_round_trips_and_counts_a_hit() {
         let dir = std::env::temp_dir().join(format!("bb-serve-cache-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);

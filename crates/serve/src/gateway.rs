@@ -36,13 +36,13 @@
 //! (`/jobs/{id}`), keeping metric cardinality bounded.
 
 use crate::http::{read_request, write_sse_head, Request, RequestError, Response, ThreadPool};
-use crate::runner::{JobSpec, RunParams};
+use crate::runner;
 use crate::scheduler::Scheduler;
 use crate::sse::Feed;
 use crate::telemetry::ServeTelemetry;
-use bb_dataset::WorldConfig;
+use bb_dataset::{RunSpec, WorldConfig};
 use bb_engine::ShardPlan;
-use bb_netsim::chaos::ChaosScenario;
+use bb_netsim::chaos::ChaosSpec;
 use bb_report::{json as report_json, markdown};
 use bb_study::robustness::{chaos_sweep, SurvivalMatrix};
 use bb_trace::telemetry::SystemClock;
@@ -117,17 +117,12 @@ impl Server {
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         let addr = listener.local_addr()?;
-        let run = RunParams {
-            days: config.days,
-            fcc_users: config.fcc_users,
-            plan: config.plan,
-        };
         let telemetry = Arc::new(ServeTelemetry::new(
             Arc::new(SystemClock::new()),
             config.access_log.as_deref(),
         )?);
         let inner = Arc::new(Inner {
-            scheduler: Scheduler::start(&config.cache_dir, run, Arc::clone(&telemetry)),
+            scheduler: Scheduler::start(&config.cache_dir, config.plan, Arc::clone(&telemetry)),
             config,
             telemetry,
             hold: Feed::new(),
@@ -493,11 +488,14 @@ fn version() -> Response {
 }
 
 fn submit_job(inner: &Inner, request: &Request) -> Response {
-    let spec = match JobSpec::from_json(
-        &request.body,
-        inner.config.default_seed,
-        inner.config.default_users,
-    ) {
+    let config = &inner.config;
+    let defaults = RunSpec {
+        users: Some(config.default_users),
+        days: config.days,
+        fcc_users: config.fcc_users,
+        ..RunSpec::paper(config.default_seed)
+    };
+    let spec = match runner::parse_job(&request.body, defaults) {
         Ok(spec) => spec,
         Err(message) => return Response::bad_request(&message),
     };
@@ -616,12 +614,9 @@ fn country(inner: &Inner, request: &Request, cc: &str) -> Response {
 /// reduced world, computed once per scenario and cached in memory.
 fn survival(inner: &Inner, request: &Request) -> Response {
     let name = request.query("scenario").unwrap_or("omnibus");
-    let Some(scenario) = ChaosScenario::parse(name) else {
-        let known: Vec<&str> = ChaosScenario::ALL.iter().map(|s| s.name()).collect();
-        return Response::bad_request(&format!(
-            "unknown scenario {name:?}; one of {}",
-            known.join(", ")
-        ));
+    let scenario = match ChaosSpec::parse(Some(name), None) {
+        Ok(spec) => spec.expect("a named scenario").scenario,
+        Err(message) => return Response::bad_request(&message),
     };
     let matrix = {
         let mut cache = inner.survival.lock().expect("survival cache");

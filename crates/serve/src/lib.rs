@@ -43,6 +43,5 @@ pub mod telemetry;
 
 pub use cache::ResultCache;
 pub use gateway::{Server, ServerConfig};
-pub use runner::JobSpec;
 pub use scheduler::{JobState, JobView, Scheduler};
 pub use telemetry::ServeTelemetry;

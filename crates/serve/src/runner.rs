@@ -1,117 +1,67 @@
 //! One job = one checkpointed streaming run.
 //!
 //! The runner is deliberately thin: everything that determines bytes is
-//! shared with the batch CLI — [`WorldConfig::streaming`] for the world,
-//! `bb_study::provenance` for the metrics counters and the pinned ledger
-//! event order, `bb_report::bundle` for the exhibit file set. The runner
+//! shared with the batch CLI — [`RunSpec`] for the world and the
+//! checkpoint identity, [`bundle::stream_run_files`] for the metrics,
+//! the pinned ledger event order and the exhibit file set. The runner
 //! only adds the service extras (per-exhibit Markdown, the country
 //! drill-down document) *after* the batch-identical artifacts, and wires
 //! the engine's progress hook and the ledger's tail subscriber into the
 //! job's SSE feed.
 
-use bb_dataset::{World, WorldConfig};
-use bb_engine::{CheckpointParams, CheckpointReport, CheckpointStore, RunHooks, ShardPlan};
-use bb_netsim::chaos::{ChaosScenario, ChaosSpec};
+use bb_dataset::RunSpec;
+use bb_engine::{CheckpointReport, CheckpointStore, RunHooks, ShardPlan};
+use bb_netsim::chaos::ChaosSpec;
 use bb_report::bundle;
-use bb_study::provenance;
 use bb_study::StreamStudy;
-use bb_trace::EventLog;
 use std::path::Path;
 use std::sync::Arc;
 
-/// What a `POST /jobs` asks for. Everything that changes the result is
-/// here; everything that does not (thread plan, cache location) lives
-/// in the server config.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct JobSpec {
-    /// World seed.
-    pub seed: u64,
-    /// Approximate streamed user count.
-    pub users: u64,
-    /// Optional degraded-collection scenario.
-    pub scenario: Option<ChaosScenario>,
-    /// Chaos severity in `[0, 1]` (ignored without a scenario).
-    pub severity: f64,
+/// Parse a `POST /jobs` body into the run it asks for: a JSON object
+/// with optional `seed`, `users`, `scenario`, `severity` fields laid over
+/// `defaults` (the server's seed, user count, window and FCC cohort).
+/// Everything that changes the result is in the spec; everything that
+/// does not (thread plan, cache location) lives in the server config.
+/// Unknown fields are rejected so a typo cannot silently request the
+/// default run, and the chaos pair is checked by [`ChaosSpec::parse`]
+/// exactly as the command line checks `--chaos`/`--severity`.
+pub fn parse_job(body: &[u8], defaults: RunSpec) -> Result<RunSpec, String> {
+    let value: serde_json::Value = if body.is_empty() {
+        serde_json::Value::Object(Default::default())
+    } else {
+        serde_json::from_slice(body).map_err(|e| format!("invalid JSON body: {e}"))?
+    };
+    let obj = value.as_object().ok_or("job spec must be a JSON object")?;
+    let mut spec = defaults;
+    let mut scenario = None;
+    let mut severity = None;
+    for (key, v) in obj {
+        match key.as_str() {
+            "seed" => spec.seed = v.as_u64().ok_or("seed must be an integer")?,
+            "users" => {
+                spec.users = Some(v.as_u64().filter(|&u| u > 0).ok_or("users must be >= 1")?);
+            }
+            "scenario" => {
+                if !v.is_null() {
+                    scenario = Some(v.as_str().ok_or("scenario must be a string")?);
+                }
+            }
+            "severity" => severity = Some(v.as_f64().ok_or("severity must be a number")?),
+            other => return Err(format!("unknown job field {other:?}")),
+        }
+    }
+    spec.chaos = ChaosSpec::parse(scenario, severity)?;
+    Ok(spec)
 }
 
-impl JobSpec {
-    /// Parse a job request body: a JSON object with optional `seed`,
-    /// `users`, `scenario`, `severity` fields. Unknown fields are
-    /// rejected so a typo cannot silently request the default run.
-    pub fn from_json(body: &[u8], default_seed: u64, default_users: u64) -> Result<Self, String> {
-        let value: serde_json::Value = if body.is_empty() {
-            serde_json::Value::Object(Default::default())
-        } else {
-            serde_json::from_slice(body).map_err(|e| format!("invalid JSON body: {e}"))?
-        };
-        let obj = value.as_object().ok_or("job spec must be a JSON object")?;
-        let mut spec = JobSpec {
-            seed: default_seed,
-            users: default_users,
-            scenario: None,
-            severity: 0.5,
-        };
-        for (key, v) in obj {
-            match key.as_str() {
-                "seed" => spec.seed = v.as_u64().ok_or("seed must be an integer")?,
-                "users" => {
-                    spec.users = v.as_u64().filter(|&u| u > 0).ok_or("users must be >= 1")?;
-                }
-                "scenario" => {
-                    if !v.is_null() {
-                        let name = v.as_str().ok_or("scenario must be a string")?;
-                        spec.scenario = Some(ChaosScenario::parse(name).ok_or_else(|| {
-                            let known: Vec<&str> =
-                                ChaosScenario::ALL.iter().map(|s| s.name()).collect();
-                            format!("unknown scenario {name:?}; one of {}", known.join(", "))
-                        })?);
-                    }
-                }
-                "severity" => {
-                    let s = v.as_f64().ok_or("severity must be a number")?;
-                    if !s.is_finite() || !(0.0..=1.0).contains(&s) {
-                        return Err(format!("severity must be in [0, 1], got {s}"));
-                    }
-                    spec.severity = s;
-                }
-                other => return Err(format!("unknown job field {other:?}")),
-            }
-        }
-        Ok(spec)
-    }
-
-    /// The chaos campaign the spec implies, if any.
-    pub fn chaos(&self) -> Option<ChaosSpec> {
-        self.scenario
-            .map(|scenario| ChaosSpec::new(scenario, self.severity))
-    }
-
-    /// The spec as a JSON object (for job listings and SSE frames).
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "seed": self.seed,
-            "users": self.users,
-            "scenario": self.scenario.map(|s| s.name()),
-            "severity": self.severity,
-        })
-    }
-
-    /// The canonical parameter list identifying this run — the same
-    /// pairs, in the same order, as the batch CLI's checkpoint manifest
-    /// for `reproduce --users` (thread count deliberately absent).
-    pub fn params(&self, days: u32, fcc_users: usize) -> CheckpointParams {
-        CheckpointParams::new()
-            .set("path", "streaming")
-            .set("seed", self.seed)
-            .set("scale", WorldConfig::paper_scale(0).user_scale)
-            .set("days", days)
-            .set("fcc", fcc_users)
-            .set("users", self.users)
-            .set(
-                "chaos",
-                self.chaos().map_or_else(|| "-".into(), |c| c.label()),
-            )
-    }
+/// A job's spec as the JSON object job listings and SSE frames carry.
+pub fn job_json(spec: &RunSpec) -> serde_json::Value {
+    serde_json::json!({
+        "seed": spec.seed,
+        "users": spec.users,
+        "scenario": spec.chaos.map(|c| c.scenario.name()),
+        "severity": spec.chaos.map_or(ChaosSpec::DEFAULT_SEVERITY, |c| c.severity),
+    })
 }
 
 /// Progress and provenance callbacks for a running job.
@@ -132,33 +82,20 @@ impl std::fmt::Debug for JobHooks {
     }
 }
 
-/// The fixed world parameters a server instance runs every job with.
-#[derive(Clone, Copy, Debug)]
-pub struct RunParams {
-    /// Observation window, days.
-    pub days: u32,
-    /// US-only FCC gateway cohort size.
-    pub fcc_users: usize,
-    /// Shard/thread plan. Never affects result bytes.
-    pub plan: ShardPlan,
-}
-
-/// Run `spec` as a checkpointed streaming fold and return the artifact
-/// file set: first the batch-identical files (`metrics.json`,
-/// `ledger.jsonl`, the exhibit bundle), then the service extras
-/// (`{id}.md` per exhibit, `countries.json`). The checkpoint under
-/// `checkpoint_dir` is always resumed when compatible, so an
-/// interrupted job continues instead of restarting.
+/// Run `spec` as a checkpointed streaming fold under `plan` and return
+/// the artifact file set: first the batch-identical files
+/// (`metrics.json`, `ledger.jsonl`, the exhibit bundle), then the service
+/// extras (`{id}.md` per exhibit, `countries.json`). The checkpoint under
+/// `checkpoint_dir` is always resumed when compatible, so an interrupted
+/// job continues instead of restarting.
 pub fn run_job(
-    spec: JobSpec,
-    run: RunParams,
+    spec: &RunSpec,
+    plan: ShardPlan,
     checkpoint_dir: &Path,
     hooks: &JobHooks,
 ) -> Result<(Vec<(String, String)>, CheckpointReport), String> {
-    let mut cfg = WorldConfig::streaming(spec.seed, spec.users, run.days, run.fcc_users);
-    cfg.chaos = spec.chaos();
-    let world = World::new(cfg);
-    let store = CheckpointStore::new(checkpoint_dir, spec.params(run.days, run.fcc_users));
+    let world = spec.world();
+    let store = CheckpointStore::new(checkpoint_dir, spec.checkpoint_params());
     let progress = hooks.progress.clone();
     let progress_fn = progress
         .as_ref()
@@ -167,9 +104,9 @@ pub fn run_job(
         Some(hook) => RunHooks::on_progress(hook),
         None => RunHooks::none(),
     };
-    let (_, study, mut registry, _, report) = world
+    let (_, study, registry, _, report) = world
         .fold_users_checkpointed(
-            run.plan,
+            plan,
             &store,
             true,
             engine_hooks,
@@ -177,19 +114,7 @@ pub fn run_job(
             |s, r, u| s.absorb(r, u),
         )
         .map_err(|e| e.to_string())?;
-    provenance::register_stream_metrics(&mut registry, &study);
-    let mut ledger = EventLog::new();
-    if let Some(tail) = &hooks.ledger {
-        ledger.set_tail(Arc::clone(tail));
-    }
-    provenance::stream_provenance(&mut ledger, spec.seed, &study, &registry);
-    ledger.clear_tail();
-
-    let mut files = vec![
-        ("metrics.json".to_string(), registry.to_json()),
-        ("ledger.jsonl".to_string(), ledger.to_jsonl()),
-    ];
-    files.extend(bundle::stream_exhibit_files(&study));
+    let mut files = bundle::stream_run_files(spec.seed, &study, registry, hooks.ledger.clone());
     for id in bundle::stream_exhibit_ids(&study) {
         if let Some(md) = bundle::stream_exhibit_markdown(&study, &id) {
             files.push((format!("{id}.md"), md));
@@ -233,49 +158,54 @@ fn countries_json(study: &StreamStudy) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn job_spec_parses_defaults_and_rejects_bad_fields() {
-        let spec = JobSpec::from_json(b"", 7, 500).unwrap();
-        assert_eq!((spec.seed, spec.users, spec.scenario), (7, 500, None));
-        let spec = JobSpec::from_json(
-            br#"{"seed": 2, "scenario": "omnibus", "severity": 0.25}"#,
-            7,
-            500,
-        )
-        .unwrap();
-        assert_eq!(spec.seed, 2);
-        assert_eq!(spec.chaos().unwrap().label(), "omnibus@0.25");
-        for bad in [
-            &br#"{"users": 0}"#[..],
-            br#"{"severity": 1.5}"#,
-            br#"{"scenario": "nope"}"#,
-            br#"{"typo": 1}"#,
-            br#"[1, 2]"#,
-            br#"{"#,
-        ] {
-            assert!(JobSpec::from_json(bad, 7, 500).is_err(), "{bad:?}");
+    fn defaults() -> RunSpec {
+        RunSpec {
+            users: Some(500),
+            ..RunSpec::paper(7)
         }
     }
 
     #[test]
-    fn params_pin_the_chaos_label_and_user_count() {
-        let spec = JobSpec::from_json(br#"{"users": 900, "scenario": "omnibus"}"#, 1, 500).unwrap();
-        let text: Vec<String> = spec
-            .params(3, 60)
-            .pairs()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
+    fn job_spec_parses_defaults_and_rejects_bad_fields() {
+        let spec = parse_job(b"", defaults()).unwrap();
+        assert_eq!(spec, defaults());
+        let spec = parse_job(
+            br#"{"seed": 2, "scenario": "omnibus", "severity": 0.25}"#,
+            defaults(),
+        )
+        .unwrap();
+        assert_eq!(spec.seed, 2);
+        assert_eq!(spec.chaos.unwrap().label(), "omnibus@0.25");
+        for bad in [
+            &br#"{"users": 0}"#[..],
+            br#"{"severity": 1.5}"#,
+            br#"{"scenario": "nope"}"#,
+            br#"{"scenario": "omnibus", "severity": 1.5}"#,
+            br#"{"severity": 0.5}"#,
+            br#"{"scenario": null, "severity": 0.5}"#,
+            br#"{"typo": 1}"#,
+            br#"[1, 2]"#,
+            br#"{"#,
+        ] {
+            assert!(parse_job(bad, defaults()).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn job_json_keeps_the_served_shape() {
+        let clean = parse_job(b"{}", defaults()).unwrap();
         assert_eq!(
-            text,
-            [
-                "path=streaming",
-                "seed=1",
-                "scale=40",
-                "days=3",
-                "fcc=60",
-                "users=900",
-                "chaos=omnibus@0.5"
-            ]
+            job_json(&clean),
+            serde_json::json!({"seed": 7, "users": 500, "scenario": serde_json::Value::Null, "severity": 0.5})
+        );
+        let chaotic = parse_job(
+            br#"{"scenario": "clock-skew", "severity": 0.25}"#,
+            defaults(),
+        )
+        .unwrap();
+        assert_eq!(
+            job_json(&chaotic),
+            serde_json::json!({"seed": 7, "users": 500, "scenario": "clock-skew", "severity": 0.25})
         );
     }
 }

@@ -1,6 +1,6 @@
 //! The in-process job scheduler.
 //!
-//! One worker thread drains a FIFO queue of [`JobSpec`]s. For each job
+//! One worker thread drains a FIFO queue of [`RunSpec`]s. For each job
 //! it first consults the [`ResultCache`] under the job's manifest key:
 //! a valid entry is served as-is (`from_cache: true`, no recomputation —
 //! the cache-hit counter is the test surface for that guarantee); a miss
@@ -15,9 +15,11 @@
 //! touching the cache counters.
 
 use crate::cache::{cache_key, ResultCache};
-use crate::runner::{self, JobHooks, JobSpec, RunParams};
+use crate::runner::{self, JobHooks};
 use crate::sse::Feed;
 use crate::telemetry::ServeTelemetry;
+use bb_dataset::RunSpec;
+use bb_engine::ShardPlan;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,7 +57,7 @@ pub struct JobView {
     /// Job id (dense, starting at 0).
     pub id: u64,
     /// What was requested.
-    pub spec: JobSpec,
+    pub spec: RunSpec,
     /// Current lifecycle state.
     pub state: JobState,
     /// Whether a completed job was served from the result cache.
@@ -71,7 +73,7 @@ impl JobView {
     pub fn to_json(&self) -> serde_json::Value {
         serde_json::json!({
             "job": self.id,
-            "spec": self.spec.to_json(),
+            "spec": runner::job_json(&self.spec),
             "state": self.state.name(),
             "from_cache": self.from_cache,
             "cache_key": format!("{:016x}", self.cache_key),
@@ -100,7 +102,7 @@ struct Shared {
     table: Mutex<JobTable>,
     wake: Condvar,
     cache: ResultCache,
-    run: RunParams,
+    plan: ShardPlan,
     checkpoints: PathBuf,
     shutdown: AtomicBool,
     telemetry: Arc<ServeTelemetry>,
@@ -113,14 +115,15 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Start the worker. `cache_dir` holds both the result cache and
-    /// the per-job checkpoint directories. `telemetry` receives the
+    /// Start the worker, which runs every job under `plan`. `cache_dir`
+    /// holds both the result cache and the per-job checkpoint
+    /// directories. `telemetry` receives the
     /// queue-depth gauge, job wall-time histogram, cache outcome
     /// series, and shard-progress gauge — none of which ever touch the
     /// job's artifact bytes.
     pub fn start(
         cache_dir: impl Into<PathBuf>,
-        run: RunParams,
+        plan: ShardPlan,
         telemetry: Arc<ServeTelemetry>,
     ) -> Self {
         let cache_dir = cache_dir.into();
@@ -128,7 +131,7 @@ impl Scheduler {
             table: Mutex::new(JobTable::default()),
             wake: Condvar::new(),
             cache: ResultCache::new(cache_dir.join("results")),
-            run,
+            plan,
             checkpoints: cache_dir.join("checkpoints"),
             shutdown: AtomicBool::new(false),
             telemetry,
@@ -147,11 +150,8 @@ impl Scheduler {
     /// answered by the worker from the cache (asserted via
     /// [`cache_hits`](Scheduler::cache_hits)), so submitting is always
     /// cheap.
-    pub fn submit(&self, spec: JobSpec) -> u64 {
-        let key = cache_key(
-            &spec.params(self.shared.run.days, self.shared.run.fcc_users),
-            self.shared.run.plan.shards,
-        );
+    pub fn submit(&self, spec: RunSpec) -> u64 {
+        let key = cache_key(&spec.checkpoint_params(), self.shared.plan.shards);
         let mut table = self.shared.table.lock().expect("job table");
         let id = table.jobs.len() as u64;
         table.jobs.push(JobRecord {
@@ -347,7 +347,7 @@ fn worker_loop(shared: &Shared) {
                         })
                     }),
                 };
-                runner::run_job(spec, shared.run, &checkpoint_dir, &hooks).and_then(
+                runner::run_job(&spec, shared.plan, &checkpoint_dir, &hooks).and_then(
                     |(files, _report)| {
                         shared
                             .cache

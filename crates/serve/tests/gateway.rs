@@ -330,3 +330,23 @@ fn non_finite_severity_is_a_400_at_submission() {
         assert_eq!(post_job(addr, body).0, 202, "{body}");
     }
 }
+
+#[test]
+fn severity_without_a_scenario_is_a_400_not_a_clean_run() {
+    // `reproduce --severity` without `--chaos` exits 2; the job body
+    // must refuse the same pair instead of running clean under the
+    // cache key of `{}`.
+    let dir = tmpdir("serve-severity-without-scenario");
+    let server = small_server(&dir);
+    let addr = server.addr();
+    for body in [
+        r#"{"severity": 0.5}"#,
+        r#"{"scenario": null, "severity": 0.25}"#,
+    ] {
+        let (status, response) = post_job(addr, body);
+        assert_eq!(status, 400, "{body}: {response}");
+        assert!(response.contains("scenario"), "{body}: {response}");
+    }
+    let (_, jobs) = get(addr, "/jobs");
+    assert!(!jobs.contains("\"job\""), "no job may be queued: {jobs}");
+}

@@ -11,8 +11,8 @@
 //! while a sampler asserts the gauge never goes negative and ends at
 //! exactly zero once the queue drains.
 
+use bb_dataset::RunSpec;
 use bb_engine::ShardPlan;
-use bb_serve::runner::{JobSpec, RunParams};
 use bb_serve::{Scheduler, ServeTelemetry};
 use bb_trace::SystemClock;
 use std::path::{Path, PathBuf};
@@ -34,11 +34,7 @@ fn queue_depth_gauge_never_goes_negative_and_drains_to_zero() {
         Arc::new(ServeTelemetry::new(Arc::new(SystemClock::new()), None).expect("telemetry"));
     let scheduler = Arc::new(Scheduler::start(
         &dir,
-        RunParams {
-            days: 1,
-            fcc_users: 10,
-            plan: ShardPlan::new(2, 1),
-        },
+        ShardPlan::new(2, 1),
         Arc::clone(&telemetry),
     ));
 
@@ -69,11 +65,11 @@ fn queue_depth_gauge_never_goes_negative_and_drains_to_zero() {
             let scheduler = Arc::clone(&scheduler);
             std::thread::spawn(move || {
                 for _ in 0..JOBS_PER_THREAD {
-                    scheduler.submit(JobSpec {
-                        seed: 20141105,
-                        users: 60,
-                        scenario: None,
-                        severity: 0.0,
+                    scheduler.submit(RunSpec {
+                        users: Some(60),
+                        days: 1,
+                        fcc_users: 10,
+                        ..RunSpec::paper(20141105)
                     });
                 }
             })

@@ -1,7 +1,8 @@
 //! Property-based tests of the core invariants, spanning crates.
 
 use needwant::causal::{match_pairs, Caliper, Unit};
-use needwant::netsim::collect::{BtFilter, CounterSource};
+use needwant::netsim::chaos::ChaosPlan;
+use needwant::netsim::collect::{BtFilter, CollectScratch, CounterPolling, CounterSource};
 use needwant::netsim::counters::{
     max_plausible_bytes, upnp_deltas, upnp_deltas_stats, NetstatCounter, UpnpCounter,
 };
@@ -308,13 +309,19 @@ fn counter_collection_stays_plausible_under_random_schedules() {
         for source in [CounterSource::Upnp, CounterSource::Netstat] {
             let mut reg = Registry::new();
             let mut rng = ChaCha8Rng::seed_from_u64(seed + 100);
-            let series = UsageSeries::collect_via_counters_traced(
-                &truth,
-                0.6,
+            let polling = CounterPolling {
+                uptime: 0.6,
                 source,
-                link.capacity,
+                link_capacity: link.capacity,
+                chaos: &ChaosPlan::NONE,
+            };
+            let series = UsageSeries::collect_via_counters(
+                &truth,
+                &polling,
                 &mut rng,
+                &mut ChaCha8Rng::seed_from_u64(0),
                 &mut reg,
+                &mut CollectScratch::new(),
             );
             // max_plausible allows 2x the link capacity per interval.
             let ceiling = 2.0 * link.capacity.bps() + 1.0;
