@@ -390,7 +390,7 @@ fn run_materialised(args: &Args) {
             "running robustness sweep over {} seeds…",
             args.sweep_seeds
         );
-        let rows = bb_study::robustness::seed_sweep(&reduced, args.sweep_seeds);
+        let rows = bb_study::robustness::seed_sweep_with(&reduced, args.sweep_seeds, plan);
         let mut md = String::from("## Robustness across seeds\n\n");
         let _ = writeln!(
             md,

@@ -291,6 +291,51 @@ fn chrome_trace_is_a_valid_trace_event_array() {
 }
 
 #[test]
+fn seed_sweep_report_is_byte_identical_across_plans() {
+    // `--sweep N` spreads its seeds over the `--threads`/`--shards` plan;
+    // the report must not depend on it.
+    let dir = tmpdir("cli-seed-sweep");
+    let run = |label: &str, threads: &str, shards: &str| -> String {
+        let out_dir = format!("out-{label}");
+        let out = reproduce(
+            &[
+                "--scale",
+                "2",
+                "--days",
+                "1",
+                "--fcc",
+                "20",
+                "--sweep",
+                "2",
+                "--quiet",
+                "--threads",
+                threads,
+                "--shards",
+                shards,
+                "--out",
+                &out_dir,
+            ],
+            &dir,
+        );
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{label}: {:?}\nstderr: {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read_to_string(dir.join(&out_dir).join("experiments.md")).expect("experiments.md")
+    };
+    let serial = run("serial", "1", "1");
+    assert!(serial.contains("## Robustness across seeds"), "{serial}");
+    assert_eq!(
+        serial,
+        run("parallel", "2", "4"),
+        "the seed sweep must not depend on the plan"
+    );
+}
+
+#[test]
 fn materialised_path_writes_chrome_trace_metrics_and_quiet_is_quiet() {
     // The materialised (non `--users`) path shares the observability
     // flags with the streaming path; cover it explicitly.

@@ -274,9 +274,12 @@ fn survival_row(experiment: &str, cells: Vec<SurvivalCell>) -> SurvivalRow {
 ///
 /// `severities` must be strictly increasing, within `[0, 1]`, and start
 /// at `0.0` — the fault-free baseline every threshold is derived
-/// against. Each severity's world is generated under `plan` through the
-/// engine's sharded runner, so the matrix is bit-identical for every
-/// `--threads` / `--shards` choice.
+/// against. The whole grid is generated in one fused pass under `plan`
+/// ([`World::generate_branches`]): each user is simulated and polled
+/// once, and each severity's column equals a separate world generated
+/// at that severity. The matrix is therefore bit-identical for every
+/// `--threads` / `--shards` choice. One severity's dataset is assembled
+/// at a time and dropped once its battery has run.
 pub fn chaos_sweep(
     base: &WorldConfig,
     scenario: ChaosScenario,
@@ -293,30 +296,44 @@ pub fn chaos_sweep(
         "severities must be strictly increasing"
     );
 
-    struct Column {
-        median_capacity: f64,
-        n_dasu: usize,
-        battery: [Option<Observation>; 8],
-    }
-    let columns: Vec<Column> = severities
+    let branches: Vec<Option<ChaosSpec>> = severities
         .iter()
-        .map(|&s| {
-            let mut cfg = base.clone();
-            cfg.chaos = Some(ChaosSpec::new(scenario, s));
-            let ds = World::new(cfg).generate_with(plan);
-            let caps: Vec<f64> = ds.dasu().map(|r| r.capacity.mbps()).collect();
-            Column {
-                median_capacity: if caps.is_empty() {
-                    0.0
-                } else {
-                    Ecdf::new(caps.clone()).median()
-                },
-                n_dasu: caps.len(),
-                battery: battery(&ds),
-            }
-        })
+        .map(|&s| Some(ChaosSpec::new(scenario, s)))
         .collect();
+    let (datasets, _) = World::new(base.clone()).generate_branches(&branches, plan);
+    let columns: Vec<Column> = datasets.map(|(ds, _)| Column::of(&ds)).collect();
+    survival_matrix(scenario, severities, &columns)
+}
 
+/// One severity's column of a survival matrix: the §2 panel health and
+/// the experiment battery.
+struct Column {
+    median_capacity: f64,
+    n_dasu: usize,
+    battery: [Option<Observation>; 8],
+}
+
+impl Column {
+    fn of(ds: &Dataset) -> Self {
+        let caps: Vec<f64> = ds.dasu().map(|r| r.capacity.mbps()).collect();
+        Column {
+            median_capacity: if caps.is_empty() {
+                0.0
+            } else {
+                Ecdf::new(caps.clone()).median()
+            },
+            n_dasu: caps.len(),
+            battery: battery(ds),
+        }
+    }
+}
+
+/// Derive every row of the matrix from its severity columns.
+fn survival_matrix(
+    scenario: ChaosScenario,
+    severities: &[f64],
+    columns: &[Column],
+) -> SurvivalMatrix {
     let mut rows = Vec::with_capacity(1 + SWEEP_EXPERIMENTS.len());
     // §2 panel health: median measured capacity as % of the baseline
     // median. "Direction flip" (retention < 50%) means degraded
@@ -475,6 +492,42 @@ mod tests {
         base.days = 1;
         base.fcc_users = 30;
         base
+    }
+
+    /// The per-severity loop the fused sweep replaced: one separately
+    /// generated world per grid cell. Kept only as the oracle
+    /// [`chaos_sweep`] is pinned against.
+    fn chaos_sweep_per_severity(
+        base: &WorldConfig,
+        scenario: ChaosScenario,
+        severities: &[f64],
+        plan: ShardPlan,
+    ) -> SurvivalMatrix {
+        let columns: Vec<Column> = severities
+            .iter()
+            .map(|&s| {
+                let mut cfg = base.clone();
+                cfg.chaos = Some(ChaosSpec::new(scenario, s));
+                Column::of(&World::new(cfg).generate_with(plan))
+            })
+            .collect();
+        survival_matrix(scenario, severities, &columns)
+    }
+
+    #[test]
+    fn fused_sweep_equals_the_per_severity_oracle_for_every_scenario() {
+        let base = chaos_base();
+        let severities = [0.0, 0.5, 1.0];
+        for (scenario, plan) in ChaosScenario::ALL.into_iter().zip(
+            [ShardPlan::serial(), ShardPlan::new(8, 4)]
+                .into_iter()
+                .cycle(),
+        ) {
+            let fused = chaos_sweep(&base, scenario, &severities, plan);
+            let oracle = chaos_sweep_per_severity(&base, scenario, &severities, plan);
+            assert_eq!(fused, oracle, "{} under {plan:?}", scenario.name());
+            assert_eq!(fused.to_json(), oracle.to_json(), "{}", scenario.name());
+        }
     }
 
     #[test]

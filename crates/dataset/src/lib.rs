@@ -39,4 +39,4 @@ pub use country::{builtin_world, CountryProfile};
 pub use persona::Persona;
 pub use quality::DataQuality;
 pub use record::{Dataset, UpgradeObservation, UserRecord};
-pub use world::{RunSpec, World, WorldConfig};
+pub use world::{Branches, RunSpec, World, WorldConfig};

@@ -10,7 +10,7 @@ use bb_engine::{
     CheckpointReport, CheckpointStore, Mergeable, RunHooks, RunStats, ShardPlan,
 };
 use bb_market::{MarketSurvey, Plan, PlanCatalog};
-use bb_netsim::chaos::{ChaosPlan, ChaosSpec};
+use bb_netsim::chaos::{ChaosPlan, ChaosSpec, RawPoll};
 use bb_netsim::collect::{
     BtFilter, CollectScratch, CounterPolling, CounterSource, UsageSeries, Vantage,
 };
@@ -52,8 +52,13 @@ struct GenScratch {
     truth: GroundTruth,
     /// Discarded uplink side of the cross-traffic process.
     cross_up: Vec<f64>,
-    /// Poll/acceptance-draw buffers for counter-based collection.
+    /// Poll/acceptance-draw buffers for counter-based collection; its
+    /// `polls` hold the shared raw polls of the user being observed.
     collect: CollectScratch,
+    /// A chaos branch's private copy of the shared raw polls, for the
+    /// branches whose plan rewrites them while a later branch still
+    /// needs the originals.
+    branch_polls: Vec<RawPoll>,
     /// Filtered per-bin rates for the demand summaries.
     rates: Vec<f64>,
 }
@@ -64,10 +69,108 @@ impl GenScratch {
             truth: GroundTruth::empty(TimeAxis::new(Year(2012), days)),
             cross_up: Vec::new(),
             collect: CollectScratch::new(),
+            branch_polls: Vec::new(),
             rates: Vec::new(),
         }
     }
 }
+
+/// Who one observation is of: the user, their market, their plan and
+/// the link it delivers. Every chaos branch of an observation shares it.
+struct Subject<'a> {
+    user: UserId,
+    profile: &'a CountryProfile,
+    catalog: &'a PlanCatalog,
+    agent: Agent,
+    year: Year,
+    vantage: VantageKind,
+    plan: &'a Plan,
+    link: AccessLink,
+}
+
+/// What the poll pass of one observation leaves for its chaos branches.
+enum Polled {
+    /// A Dasu client's raw counter polls, waiting in
+    /// `GenScratch::collect.polls`.
+    Counters(CounterSource),
+    /// An FCC gateway's hourly series: there is no poll sequence for
+    /// chaos to degrade.
+    Hourly(UsageSeries),
+}
+
+/// A chaos branch that drew its user as a mover, waiting for the upgrade
+/// re-observation: the kept record, and the streams it continues from.
+struct Mover {
+    branch: usize,
+    record: UserRecord,
+    chaos: ChaosPlan,
+    rng: ChaCha8Rng,
+    chaos_rng: ChaCha8Rng,
+}
+
+/// One chaos branch's share of one shard: its kept records, its movers
+/// and its data events.
+type BranchPartial = (Vec<UserRecord>, Vec<UpgradeObservation>, Registry);
+
+/// The output of [`World::generate_branches`]: every branch's shard
+/// partials, held in shard order. Iterating assembles one branch's
+/// `(Dataset, Registry)` at a time, in branch order, and releases that
+/// branch's partials, so a caller that drops each dataset before asking
+/// for the next never holds more than one assembled dataset.
+pub struct Branches {
+    survey: MarketSurvey,
+    /// `shards[s][k]`: branch `k`'s partial of shard `s`.
+    shards: Vec<Vec<BranchPartial>>,
+    /// The next branch to assemble.
+    next: usize,
+    len: usize,
+}
+
+impl Iterator for Branches {
+    type Item = (Dataset, Registry);
+
+    fn next(&mut self) -> Option<(Dataset, Registry)> {
+        if self.next == self.len {
+            return None;
+        }
+        let k = self.next;
+        self.next += 1;
+        let (n_records, n_upgrades) = self.shards.iter().fold((0, 0), |(r, u), shard| {
+            (r + shard[k].0.len(), u + shard[k].1.len())
+        });
+        let mut parts = self
+            .shards
+            .iter_mut()
+            .map(|shard| std::mem::take(&mut shard[k]));
+        let (mut records, mut upgrades, mut registry) = parts.next().expect("at least one shard");
+        records.reserve_exact(n_records - records.len());
+        upgrades.reserve_exact(n_upgrades - upgrades.len());
+        // Shard order, exactly like the engine's fold of a one-branch run.
+        for (mut r, mut u, reg) in parts {
+            records.append(&mut r);
+            upgrades.append(&mut u);
+            registry.merge(reg);
+        }
+        let survey = if self.next == self.len {
+            std::mem::take(&mut self.survey)
+        } else {
+            self.survey.clone()
+        };
+        let dataset = Dataset {
+            records,
+            upgrades,
+            survey,
+        };
+        Some((dataset, registry))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.len - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Branches {}
 
 /// Knobs controlling the size and shape of a generated dataset.
 #[derive(Clone, Debug)]
@@ -300,46 +403,110 @@ impl World {
     }
 
     /// [`World::generate_with_traced`] with an explicit block size — the
-    /// block-size-invariance tests drive this directly.
+    /// block-size-invariance tests drive this directly. It is the
+    /// one-branch case of [`World::generate_branches`].
     fn generate_with_traced_blocked(
         &self,
         plan: ShardPlan,
         block: u64,
     ) -> (Dataset, Registry, RunStats) {
-        let (survey, cohorts) = self.build_market();
-        let total = cohorts.last().map_or(0, |c| c.end);
-        let ((records, upgrades, registry), stats) = run_sharded_traced(total, plan, |_, range| {
-            let mut records = Vec::with_capacity((range.end - range.start) as usize);
-            let mut upgrades = Vec::new();
-            let mut reg = Registry::new();
-            self.shard_users_blocked(range, block, &cohorts, &mut reg, &mut |record, upgrade| {
-                records.push(record);
-                upgrades.extend(upgrade);
-            });
-            (records, upgrades, reg)
-        });
-        let dataset = Dataset {
-            records,
-            upgrades,
-            survey,
-        };
+        let (mut branches, stats) =
+            self.generate_branches_blocked(&[self.config.chaos], plan, block);
+        let (dataset, registry) = branches.next().expect("one branch");
         (dataset, registry, stats)
     }
 
+    /// Generate the dataset once per chaos branch in a single pass over
+    /// the users. Branch `k` is exactly what [`World::generate_with_traced`]
+    /// returns for this world with `config.chaos = branches[k]`: the same
+    /// records, movers and registry, under any plan. The world's own
+    /// `config.chaos` is not consulted.
+    ///
+    /// Each user is simulated and polled once for all branches, and only
+    /// the collection and probing that chaos can change run once per
+    /// branch (see `observe_branches`). The branches' shard partials are
+    /// held until the returned [`Branches`] is iterated.
+    ///
+    /// # Panics
+    /// Panics when `branches` is empty.
+    pub fn generate_branches(
+        &self,
+        branches: &[Option<ChaosSpec>],
+        plan: ShardPlan,
+    ) -> (Branches, RunStats) {
+        self.generate_branches_blocked(branches, plan, GEN_BLOCK_USERS)
+    }
+
+    fn generate_branches_blocked(
+        &self,
+        branches: &[Option<ChaosSpec>],
+        plan: ShardPlan,
+        block: u64,
+    ) -> (Branches, RunStats) {
+        assert!(!branches.is_empty(), "need at least one chaos branch");
+        let (survey, cohorts) = self.build_market();
+        let total = cohorts.last().map_or(0, |c| c.end);
+        // Each shard contributes one entry of per-branch partials; the
+        // engine's fold only concatenates the entries, so no branch is
+        // assembled until it is asked for.
+        let (shards, stats) = run_sharded_traced(total, plan, |_, range| {
+            vec![self.observe_shard(range, block, &cohorts, branches)]
+        });
+        let branches = Branches {
+            survey,
+            shards,
+            next: 0,
+            len: branches.len(),
+        };
+        (branches, stats)
+    }
+
+    /// Observe one shard range under every branch, keeping each branch's
+    /// records, movers and registry in its own partial.
+    fn observe_shard(
+        &self,
+        range: std::ops::Range<u64>,
+        block: u64,
+        cohorts: &[Cohort<'_>],
+        branches: &[Option<ChaosSpec>],
+    ) -> Vec<BranchPartial> {
+        let n = (range.end - range.start) as usize;
+        let mut kept: Vec<(Vec<UserRecord>, Vec<UpgradeObservation>)> = branches
+            .iter()
+            .map(|_| (Vec::with_capacity(n), Vec::new()))
+            .collect();
+        let mut regs = vec![Registry::new(); branches.len()];
+        self.shard_users_blocked(
+            range,
+            block,
+            cohorts,
+            branches,
+            &mut regs,
+            &mut |branch, record, upgrade| {
+                kept[branch].0.push(record);
+                kept[branch].1.extend(upgrade);
+            },
+        );
+        kept.into_iter()
+            .zip(regs)
+            .map(|((records, upgrades), reg)| (records, upgrades, reg))
+            .collect()
+    }
+
     /// Walk one shard's user range in [`GEN_BLOCK_USERS`]-sized blocks
-    /// (overridable for tests), observing each user with the shard's
-    /// reusable [`GenScratch`] and feeding surviving records to `sink`.
-    /// Quarantined users are skipped here, exactly like the scalar loop
-    /// this replaces.
+    /// (overridable for tests), observing each user under every branch
+    /// with the shard's reusable [`GenScratch`] and feeding each branch's
+    /// kept records to `sink(branch, record, upgrade)`.
     fn shard_users_blocked<S>(
         &self,
         range: std::ops::Range<u64>,
         block: u64,
         cohorts: &[Cohort<'_>],
-        reg: &mut Registry,
+        branches: &[Option<ChaosSpec>],
+        regs: &mut [Registry],
         sink: &mut S,
     ) where
-        S: FnMut(UserRecord, Option<UpgradeObservation>),
+        S: FnMut(usize, UserRecord, Option<UpgradeObservation>),
     {
         debug_assert!(block > 0, "generation block must be non-empty");
         let mut scratch = GenScratch::new(self.config.days);
@@ -347,12 +514,7 @@ impl World {
         while start < range.end {
             let block_end = range.end.min(start.saturating_add(block));
             for user_index in start..block_end {
-                let Some((record, upgrade)) =
-                    self.observe_indexed(user_index, cohorts, reg, &mut scratch)
-                else {
-                    continue; // quarantined by the ingest screen
-                };
-                sink(record, upgrade);
+                self.observe_branches(user_index, cohorts, branches, regs, &mut scratch, sink);
             }
             start = block_end;
         }
@@ -416,7 +578,8 @@ impl World {
         self.stream_shard_with(&cohorts, range, &init, &absorb)
     }
 
-    /// The shared per-shard body of every streaming fold entry point.
+    /// The shared per-shard body of every streaming fold entry point: the
+    /// one-branch walk under the world's own chaos spec.
     fn stream_shard_with<A, I, F>(
         &self,
         cohorts: &[Cohort<'_>],
@@ -434,8 +597,9 @@ impl World {
             range,
             GEN_BLOCK_USERS,
             cohorts,
-            &mut reg,
-            &mut |record, upgrade| {
+            &[self.config.chaos],
+            std::slice::from_mut(&mut reg),
+            &mut |_, record, upgrade| {
                 absorb(&mut acc, &record, upgrade.as_ref());
             },
         );
@@ -468,20 +632,9 @@ impl World {
         let total = cohorts.last().map_or(0, |c| c.end);
         let ((records, upgrades, registry), stats, report) =
             run_sharded_checkpointed(total, plan, store, resume, hooks, |_, range| {
-                let mut records = Vec::with_capacity((range.end - range.start) as usize);
-                let mut upgrades = Vec::new();
-                let mut reg = Registry::new();
-                self.shard_users_blocked(
-                    range,
-                    GEN_BLOCK_USERS,
-                    &cohorts,
-                    &mut reg,
-                    &mut |record, upgrade| {
-                        records.push(record);
-                        upgrades.extend(upgrade);
-                    },
-                );
-                (records, upgrades, reg)
+                let branches = [self.config.chaos];
+                let mut partials = self.observe_shard(range, GEN_BLOCK_USERS, &cohorts, &branches);
+                partials.pop().expect("one branch")
             })?;
         let dataset = Dataset {
             records,
@@ -564,31 +717,44 @@ impl World {
         (survey, cohorts)
     }
 
-    /// Observe the user at `user_index` — a pure function of
-    /// `(config.seed, user_index)` given the instantiated markets —
-    /// and screen the result through the ingest layer. Returns `None`
-    /// when the record is quarantined (counted into `reg` under
-    /// `dataset.quality.quarantine.*` by [`quality::screen`]).
-    fn observe_indexed(
+    /// Observe the user at `user_index` under every chaos branch and hand
+    /// each branch's kept record to `sink(branch, record, upgrade)`.
+    /// Branch `k` is a pure function of `(config.seed, user_index,
+    /// branches[k])` given the instantiated markets — what a world with
+    /// `chaos: branches[k]` observes — and counts into `regs[k]` only. A
+    /// record the ingest screen quarantines is counted there under
+    /// `dataset.quality.quarantine.*` by [`quality::screen`] and dropped.
+    ///
+    /// Chaos draws only from the dedicated chaos stream and acts only on
+    /// collection, so every branch consumes the same main-stream words
+    /// through the poll pass. That prefix — agent sampling, plan and link,
+    /// the cross-traffic draw, session simulation, the counter-source draw
+    /// and the poll pass — runs once. Each branch then continues from its
+    /// own copy of the main stream, with a fresh chaos stream: it degrades
+    /// and reconstructs the polls, summarises demand, probes, screens and
+    /// draws the mover. The last branch takes the main stream and the
+    /// shared polls themselves, so a one-branch call copies nothing. The
+    /// NDT probe is where branches truly part: under probe failures
+    /// `run_averaged` draws once per surviving run, so the branches' main
+    /// streams diverge from there on. Upgrade re-observations run after
+    /// every branch's first observation, since they re-simulate into the
+    /// same scratch.
+    fn observe_branches<S>(
         &self,
         user_index: u64,
         cohorts: &[Cohort<'_>],
-        reg: &mut Registry,
+        branches: &[Option<ChaosSpec>],
+        regs: &mut [Registry],
         scratch: &mut GenScratch,
-    ) -> Option<(UserRecord, Option<UpgradeObservation>)> {
+        sink: &mut S,
+    ) where
+        S: FnMut(usize, UserRecord, Option<UpgradeObservation>),
+    {
         let cohort = &cohorts[cohorts.partition_point(|c| c.end <= user_index)];
-        reg.inc("dataset.users.observed");
+        for reg in regs.iter_mut() {
+            reg.inc("dataset.users.observed");
+        }
         let mut rng = stream_rng(self.config.seed, USER_STREAM, user_index);
-        // The campaign's degradation plan for this user's country, and
-        // the dedicated chaos stream. A clean config (or severity 0, or
-        // a targeted scenario sparing this country) yields NONE, which
-        // never draws — so the chaos stream existing at all leaves the
-        // generated bytes untouched.
-        let chaos_plan = self.config.chaos.map_or(ChaosPlan::NONE, |spec| {
-            spec.plan_for(cohort.profile.country.as_str())
-        });
-        let mut chaos_rng = stream_rng(self.config.seed, CHAOS_STREAM, user_index);
-        let user = UserId(user_index);
         let year = self.config.years[rng.gen_range(0..self.config.years.len())];
         let agent = self.sample_subscriber(
             cohort.profile,
@@ -597,48 +763,88 @@ impl World {
             cohort.bt_override,
             &mut rng,
         );
-        let (mut record, link, plan_idx) = self.observe_user(
-            user,
-            cohort.profile,
-            &cohort.catalog,
-            &agent,
+        let plan = choose_plan(&agent, &cohort.catalog);
+        let link = self.build_link(cohort.profile, plan, &mut rng);
+        let subject = Subject {
+            user: UserId(user_index),
+            profile: cohort.profile,
+            catalog: &cohort.catalog,
+            agent,
             year,
-            cohort.vantage,
-            &chaos_plan,
-            &mut rng,
-            &mut chaos_rng,
-            reg,
-            scratch,
-        );
-        let q = quality::screen(&mut record, reg);
-        if q == DataQuality::Quarantine {
-            return None;
-        }
-        // Movers: re-observe a fraction of Dasu users after an upgrade.
-        let upgrade = if cohort.vantage == VantageKind::Dasu
-            && rng.gen::<f64>() < self.config.upgrade_fraction
-        {
-            self.observe_upgrade(
-                &record,
-                cohort.profile,
-                &cohort.catalog,
-                &agent,
-                link,
-                plan_idx,
-                &chaos_plan,
+            vantage: cohort.vantage,
+            plan,
+            link,
+        };
+        let polled = self.simulate_and_poll(&subject, &mut rng, scratch);
+
+        let last = branches.len() - 1;
+        let mut main = Some(rng);
+        let mut movers = Vec::new();
+        for (branch, (spec, reg)) in branches.iter().zip(regs.iter_mut()).enumerate() {
+            // The campaign's degradation plan for this user's country. A
+            // clean branch (or severity 0, or a targeted scenario sparing
+            // this country) yields NONE, which never draws — so the chaos
+            // stream existing at all leaves the generated bytes untouched.
+            let chaos = spec.map_or(ChaosPlan::NONE, |spec| {
+                spec.plan_for(cohort.profile.country.as_str())
+            });
+            let mut rng = if branch == last {
+                main.take()
+            } else {
+                main.clone()
+            }
+            .expect("only the last branch takes the main stream");
+            let mut chaos_rng = stream_rng(self.config.seed, CHAOS_STREAM, user_index);
+            // A NONE plan leaves the shared polls as they are; any other
+            // plan rewrites them, so it works on a copy unless no later
+            // branch needs them.
+            let private_polls = branch != last && !chaos.is_none();
+            let mut record = self.observe_tail(
+                &subject,
+                &polled,
+                private_polls,
+                &chaos,
                 &mut rng,
                 &mut chaos_rng,
                 reg,
                 scratch,
-            )
-            .filter(|up| quality::screen_upgrade(up, reg) != DataQuality::Quarantine)
-        } else {
-            None
-        };
-        if upgrade.is_some() {
-            reg.inc("dataset.users.upgraded");
+            );
+            if quality::screen(&mut record, reg) == DataQuality::Quarantine {
+                continue;
+            }
+            // Movers: re-observe a fraction of Dasu users after an upgrade.
+            if cohort.vantage == VantageKind::Dasu
+                && rng.gen::<f64>() < self.config.upgrade_fraction
+            {
+                movers.push(Mover {
+                    branch,
+                    record,
+                    chaos,
+                    rng,
+                    chaos_rng,
+                });
+            } else {
+                sink(branch, record, None);
+            }
         }
-        Some((record, upgrade))
+        for mut mover in movers {
+            let reg = &mut regs[mover.branch];
+            let upgrade = self
+                .observe_upgrade(
+                    &mover.record,
+                    &subject,
+                    &mover.chaos,
+                    &mut mover.rng,
+                    &mut mover.chaos_rng,
+                    reg,
+                    scratch,
+                )
+                .filter(|up| quality::screen_upgrade(up, reg) != DataQuality::Quarantine);
+            if upgrade.is_some() {
+                reg.inc("dataset.users.upgraded");
+            }
+            sink(mover.branch, mover.record, upgrade);
+        }
     }
 
     /// Sample an agent who is actually *in* the broadband market.
@@ -744,82 +950,37 @@ impl World {
         .with_upload((plan.upload * provisioning).max(bb_types::Bandwidth::from_kbps(64.0)))
     }
 
-    /// Simulate, collect and probe one user on their chosen plan.
-    /// Returns the record, the link (for upgrade re-use) and the index of
-    /// the chosen plan in the catalogue.
-    #[allow(clippy::too_many_arguments)]
-    fn observe_user(
+    /// The severity-independent prefix of an observation: simulate the
+    /// subject's window on their link, draw the Dasu counter source and
+    /// run the poll pass. A Dasu client's raw polls are left in
+    /// `scratch.collect.polls`; an FCC gateway's hourly series is
+    /// returned whole. Draws only from the main stream.
+    fn simulate_and_poll(
         &self,
-        user: UserId,
-        profile: &CountryProfile,
-        catalog: &PlanCatalog,
-        agent: &Agent,
-        year: Year,
-        vantage: VantageKind,
-        chaos: &ChaosPlan,
+        s: &Subject<'_>,
         rng: &mut ChaCha8Rng,
-        chaos_rng: &mut ChaCha8Rng,
-        reg: &mut Registry,
         scratch: &mut GenScratch,
-    ) -> (UserRecord, AccessLink, usize) {
-        let plan = choose_plan(agent, catalog);
-        let plan_idx = catalog
-            .plans
-            .iter()
-            .position(|p| p == plan)
-            .expect("chosen plan comes from the catalogue");
-        let link = self.build_link(profile, plan, rng);
-        let (record, _) = self.observe_on_link(
-            user, profile, catalog, agent, year, vantage, plan, &link, chaos, rng, chaos_rng, reg,
-            scratch,
-        );
-        (record, link, plan_idx)
-    }
-
-    /// Observe an already-linked user (shared by first observation and the
-    /// post-upgrade re-observation).
-    ///
-    /// Degradation (`chaos`) applies at the two measurement surfaces:
-    /// the raw poll sequence of counter-based Dasu collection, and the
-    /// NDT probe runs (any vantage). All chaos draws come from the
-    /// dedicated `chaos_rng`; a NONE plan draws nothing from it and is
-    /// bit-identical to the clean path.
-    #[allow(clippy::too_many_arguments)]
-    fn observe_on_link(
-        &self,
-        user: UserId,
-        profile: &CountryProfile,
-        catalog: &PlanCatalog,
-        agent: &Agent,
-        year: Year,
-        vantage: VantageKind,
-        plan: &Plan,
-        link: &AccessLink,
-        chaos: &ChaosPlan,
-        rng: &mut ChaCha8Rng,
-        chaos_rng: &mut ChaCha8Rng,
-        reg: &mut Registry,
-        scratch: &mut GenScratch,
-    ) -> (UserRecord, NetworkId) {
-        let axis = TimeAxis::new(year, self.config.days);
+    ) -> Polled {
+        let axis = TimeAxis::new(s.year, self.config.days);
         // Usage caps: subscribers on capped plans *manage* their usage to
         // the cap (Chetty et al., cited in §8) — model that as pacing the
         // offered intensity to ~80% of the window's allowance — with the
         // ISP's hard throttle as the backstop for the unlucky rest.
-        let window_cap_bytes = plan
+        let window_cap_bytes = s
+            .plan
             .cap_gb
             .map(|gb| gb * 1e9 * self.config.days as f64 / 30.0);
-        let mut intensity = agent.offered_intensity();
+        let mut intensity = s.agent.offered_intensity();
         if let Some(cap) = window_cap_bytes {
             let paced = bb_types::Bandwidth::from_bps(0.8 * cap * 8.0 / axis.duration_secs());
             intensity = intensity.min(paced);
         }
-        let mut workload = if agent.bt_user {
+        let mut workload = if s.agent.bt_user {
             UserWorkload::with_bt(intensity, 0.45)
         } else {
             UserWorkload::without_bt(intensity)
         };
-        workload.mix = agent.persona.app_mix();
+        workload.mix = s.agent.persona.app_mix();
         if let Some(cap) = window_cap_bytes {
             workload = workload.with_cap(cap);
         }
@@ -831,7 +992,7 @@ impl World {
             workload = workload.with_cross_traffic(intensity * share);
         }
         simulate_user_into(
-            link,
+            &s.link,
             &workload,
             axis,
             rng,
@@ -841,38 +1002,73 @@ impl World {
         // Dasu clients poll real byte counters (§2.1): most ride UPnP
         // gateway registers (32-bit, wrapping), the rest read netstat on a
         // directly-connected host. FCC gateways report hourly bins.
-        let counter_source = match vantage {
-            VantageKind::Dasu => Some(if rng.gen::<f64>() < 0.6 {
-                CounterSource::Upnp
-            } else {
-                CounterSource::Netstat
-            }),
-            VantageKind::Fcc => None,
-        };
-        let collected = match counter_source {
-            Some(source) => {
+        match s.vantage {
+            VantageKind::Dasu => {
+                let source = if rng.gen::<f64>() < 0.6 {
+                    CounterSource::Upnp
+                } else {
+                    CounterSource::Netstat
+                };
+                let polling = dasu_polling(source, &s.link, &ChaosPlan::NONE);
+                UsageSeries::poll_counters(&scratch.truth, &polling, rng, &mut scratch.collect);
+                Polled::Counters(source)
+            }
+            VantageKind::Fcc => Polled::Hourly(UsageSeries::collect(
+                &scratch.truth,
+                Vantage::FccGateway,
+                rng,
+            )),
+        }
+    }
+
+    /// One chaos branch's tail of an observation: degrade and reconstruct
+    /// the shared polls, summarise demand, run the NDT and web probes and
+    /// draw the network id. With `private_polls` the polls are
+    /// reconstructed from a copy, leaving the shared ones for a later
+    /// branch.
+    ///
+    /// Degradation (`chaos`) applies at the two measurement surfaces:
+    /// the raw poll sequence of counter-based Dasu collection, and the
+    /// NDT probe runs (any vantage). All chaos draws come from the
+    /// dedicated `chaos_rng`; a NONE plan draws nothing from it and is
+    /// bit-identical to the clean path.
+    #[allow(clippy::too_many_arguments)]
+    fn observe_tail(
+        &self,
+        s: &Subject<'_>,
+        polled: &Polled,
+        private_polls: bool,
+        chaos: &ChaosPlan,
+        rng: &mut ChaCha8Rng,
+        chaos_rng: &mut ChaCha8Rng,
+        reg: &mut Registry,
+        scratch: &mut GenScratch,
+    ) -> UserRecord {
+        let reconstructed;
+        let (collected, counter_source) = match polled {
+            Polled::Counters(source) => {
                 reg.inc(match source {
                     CounterSource::Upnp => "dataset.observations.upnp",
                     CounterSource::Netstat => "dataset.observations.netstat",
                 });
-                let polling = CounterPolling {
-                    uptime: 0.5,
-                    source,
-                    link_capacity: link.capacity,
-                    chaos,
+                let polls = if private_polls {
+                    scratch.branch_polls.clone_from(&scratch.collect.polls);
+                    &mut scratch.branch_polls
+                } else {
+                    &mut scratch.collect.polls
                 };
-                UsageSeries::collect_via_counters(
+                reconstructed = UsageSeries::reconstruct_polls(
                     &scratch.truth,
-                    &polling,
-                    rng,
+                    &dasu_polling(*source, &s.link, chaos),
+                    polls,
                     chaos_rng,
                     reg,
-                    &mut scratch.collect,
-                )
+                );
+                (&reconstructed, Some(*source))
             }
-            None => {
+            Polled::Hourly(series) => {
                 reg.inc("dataset.observations.fcc");
-                UsageSeries::collect(&scratch.truth, Vantage::FccGateway, rng)
+                (series, None)
             }
         };
         let demand_with_bt = collected.demand_with(BtFilter::Include, &mut scratch.rates);
@@ -903,17 +1099,22 @@ impl World {
             reg.inc("netsim.probe.blackouts");
             None
         } else {
-            Some(NdtProbe::default().run_averaged(link, surviving_runs, rng))
+            Some(NdtProbe::default().run_averaged(&s.link, surviving_runs, rng))
         };
         let web = if rng.gen::<f64>() < self.config.web_probe_fraction {
-            Some(web_latency(link, rng))
+            Some(web_latency(&s.link, rng))
         } else {
             None
         };
 
         let network = NetworkId::new(
-            profile.country,
-            (catalog.plans.iter().position(|p| p == plan).unwrap_or(0) % 4) as u16,
+            s.profile.country,
+            (s.catalog
+                .plans
+                .iter()
+                .position(|p| p == s.plan)
+                .unwrap_or(0)
+                % 4) as u16,
             rng.gen_range(0..1 << 16),
             rng.gen_range(0..24),
         );
@@ -928,29 +1129,28 @@ impl World {
                 bb_types::LossRate::ZERO,
             ),
         };
-        let record = UserRecord {
-            user,
-            country: profile.country,
-            network: network.clone(),
-            year,
-            vantage,
+        UserRecord {
+            user: s.user,
+            country: s.profile.country,
+            network,
+            year: s.year,
+            vantage: s.vantage,
             capacity,
             latency,
             loss,
             web_latency: web,
             demand_with_bt,
             demand_no_bt,
-            plan_capacity: plan.download,
-            plan_price: plan.monthly_price,
-            access_price: catalog.price_of_access().unwrap_or(plan.monthly_price),
-            upgrade_cost: catalog.upgrade_cost(),
-            is_bt_user: agent.bt_user,
+            plan_capacity: s.plan.download,
+            plan_price: s.plan.monthly_price,
+            access_price: s.catalog.price_of_access().unwrap_or(s.plan.monthly_price),
+            upgrade_cost: s.catalog.upgrade_cost(),
+            is_bt_user: s.agent.bt_user,
             upload_mean,
-            plan_capped: plan.cap_gb.is_some(),
+            plan_capped: s.plan.cap_gb.is_some(),
             counter_source,
-            persona: agent.persona,
-        };
-        (record, network)
+            persona: s.agent.persona,
+        }
     }
 
     /// Re-observe a user after a service upgrade: the cheapest strictly
@@ -966,24 +1166,20 @@ impl World {
     #[allow(clippy::too_many_arguments)]
     fn observe_upgrade(
         &self,
-        before_record: &UserRecord,
-        profile: &CountryProfile,
-        catalog: &PlanCatalog,
-        agent: &Agent,
-        before_link: AccessLink,
-        before_plan_idx: usize,
+        before: &UserRecord,
+        subject: &Subject<'_>,
         chaos: &ChaosPlan,
         rng: &mut ChaCha8Rng,
         chaos_rng: &mut ChaCha8Rng,
         reg: &mut Registry,
         scratch: &mut GenScratch,
     ) -> Option<UpgradeObservation> {
-        let before_plan = &catalog.plans[before_plan_idx];
         // Candidate faster plans, sorted by capacity.
-        let mut faster: Vec<&Plan> = catalog
+        let mut faster: Vec<&Plan> = subject
+            .catalog
             .plans
             .iter()
-            .filter(|p| !p.dedicated && p.download > before_plan.download)
+            .filter(|p| !p.dedicated && p.download > subject.plan.download)
             .collect();
         if faster.is_empty() {
             return None;
@@ -997,49 +1193,59 @@ impl World {
         let provisioning = rng.gen_range(0.85..1.05);
         let after_link = AccessLink::new(
             after_plan.download * provisioning,
-            before_link.base_rtt,
-            before_link.loss,
+            subject.link.base_rtt,
+            subject.link.loss,
         )
         .with_upload((after_plan.upload * provisioning).max(bb_types::Bandwidth::from_kbps(64.0)));
         // Demand growth drives the upgrade (see the doc comment).
         let growth = LogNormal::from_median(1.7, 0.85)
             .sample(rng)
             .clamp(0.35, 10.0);
-        let grown_agent = Agent {
-            appetite: (agent.appetite * growth).min(bb_types::Bandwidth::from_mbps(200.0)),
-            ..*agent
+        let after = Subject {
+            agent: Agent {
+                appetite: (subject.agent.appetite * growth)
+                    .min(bb_types::Bandwidth::from_mbps(200.0)),
+                ..subject.agent
+            },
+            vantage: VantageKind::Dasu,
+            plan: after_plan,
+            link: after_link,
+            ..*subject
         };
-        let (after_record, after_network) = self.observe_on_link(
-            before_record.user,
-            profile,
-            catalog,
-            &grown_agent,
-            before_record.year,
-            VantageKind::Dasu,
-            after_plan,
-            &after_link,
-            chaos,
-            rng,
-            chaos_rng,
-            reg,
-            scratch,
-        );
+        let polled = self.simulate_and_poll(&after, rng, scratch);
+        let after_record =
+            self.observe_tail(&after, &polled, false, chaos, rng, chaos_rng, reg, scratch);
         Some(UpgradeObservation {
-            user: before_record.user,
-            country: profile.country,
+            user: before.user,
+            country: subject.profile.country,
             before: UpgradeSnapshot {
-                network: before_record.network.clone(),
-                capacity: before_record.capacity,
-                demand_with_bt: before_record.demand_with_bt,
-                demand_no_bt: before_record.demand_no_bt,
+                network: before.network.clone(),
+                capacity: before.capacity,
+                demand_with_bt: before.demand_with_bt,
+                demand_no_bt: before.demand_no_bt,
             },
             after: UpgradeSnapshot {
-                network: after_network,
+                network: after_record.network,
                 capacity: after_record.capacity,
                 demand_with_bt: after_record.demand_with_bt,
                 demand_no_bt: after_record.demand_no_bt,
             },
         })
+    }
+}
+
+/// How a Dasu client polls: online half the time, reading `source` over
+/// `link`, degraded by `chaos`.
+fn dasu_polling<'a>(
+    source: CounterSource,
+    link: &AccessLink,
+    chaos: &'a ChaosPlan,
+) -> CounterPolling<'a> {
+    CounterPolling {
+        uptime: 0.5,
+        source,
+        link_capacity: link.capacity,
+        chaos,
     }
 }
 
@@ -1117,6 +1323,150 @@ mod tests {
             assert_eq!(ua.after.capacity, ub.after.capacity, "{label}");
             assert_eq!(ua.after.demand_with_bt, ub.after.demand_with_bt, "{label}");
         }
+        // Every remaining field too: the Debug rendering prints each float
+        // in its shortest round-trip form, so equal text is equal bits.
+        assert_eq!(
+            format!("{:?}", a.records),
+            format!("{:?}", b.records),
+            "{label}: records"
+        );
+        assert_eq!(
+            format!("{:?}", a.upgrades),
+            format!("{:?}", b.upgrades),
+            "{label}: upgrades"
+        );
+        assert_eq!(a.survey.len(), b.survey.len(), "{label}: survey");
+    }
+
+    /// The world the branch tests fuse: several countries including the
+    /// US, so `targeted-us` branches differ by cohort, plus an FCC cohort.
+    fn branch_world() -> World {
+        let mut cfg = WorldConfig::small(7);
+        cfg.user_scale = 0.4;
+        cfg.fcc_users = 20;
+        cfg.days = 2;
+        World::with_countries(cfg, &["US", "JP", "BW", "SA", "IN"])
+    }
+
+    /// `world` generated on its own with `chaos` as its campaign.
+    fn separate_run(world: &World, chaos: Option<ChaosSpec>) -> (Dataset, Registry) {
+        let mut alone = world.clone();
+        alone.config.chaos = chaos;
+        let (ds, reg, _) = alone.generate_with_traced(ShardPlan::serial());
+        (ds, reg)
+    }
+
+    /// Fuse `specs` over `world` under each of `plans` and pin every
+    /// branch to a separate run at its spec: dataset and registry.
+    fn assert_branches_match_separate_runs(
+        world: &World,
+        specs: &[Option<ChaosSpec>],
+        plans: &[ShardPlan],
+        label: &str,
+    ) {
+        let separate: Vec<(Dataset, Registry)> = specs
+            .iter()
+            .map(|&spec| separate_run(world, spec))
+            .collect();
+        for &plan in plans {
+            let (branches, _) = world.generate_branches(specs, plan);
+            assert_eq!(branches.len(), specs.len(), "{label}");
+            for (k, ((want, want_reg), (ds, reg))) in separate.iter().zip(branches).enumerate() {
+                let label = format!("{label} branch {k} under {plan:?}");
+                assert_same_dataset(want, &ds, &label);
+                assert_eq!(reg.to_json(), want_reg.to_json(), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_branch_equals_a_separate_run_at_its_spec() {
+        use bb_netsim::chaos::ChaosScenario;
+        let world = branch_world();
+        for scenario in ChaosScenario::ALL {
+            let specs: Vec<Option<ChaosSpec>> = [0.0, 0.5, 1.0]
+                .iter()
+                .map(|&s| Some(ChaosSpec::new(scenario, s)))
+                .collect();
+            let plans = [ShardPlan::serial(), ShardPlan::new(8, 4)];
+            assert_branches_match_separate_runs(&world, &specs, &plans, scenario.name());
+        }
+        // Branches need not share a scenario, nor be chaotic at all.
+        let mixed = [
+            Some(ChaosSpec::new(ChaosScenario::ProbeBlackout, 1.0)),
+            None,
+            Some(ChaosSpec::new(ChaosScenario::TargetedUs, 0.75)),
+            Some(ChaosSpec::new(ChaosScenario::PollChurn, 1.0)),
+        ];
+        assert_branches_match_separate_runs(&world, &mixed, &[ShardPlan::new(8, 4)], "mixed");
+    }
+
+    #[test]
+    fn branches_of_empty_and_single_user_worlds() {
+        use bb_netsim::chaos::ChaosScenario;
+        let specs = [
+            None,
+            Some(ChaosSpec::new(ChaosScenario::ProbeBlackout, 1.0)),
+            Some(ChaosSpec::new(ChaosScenario::Omnibus, 0.5)),
+        ];
+        let mut cfg = WorldConfig::small(7);
+        cfg.fcc_users = 0;
+        let empty = World::with_countries(cfg, &[]);
+        let (branches, _) = empty.generate_branches(&specs, ShardPlan::new(4, 2));
+        assert_eq!(branches.len(), specs.len());
+        for (ds, reg) in branches {
+            assert!(ds.records.is_empty() && ds.upgrades.is_empty());
+            assert_eq!(reg.to_json(), Registry::new().to_json());
+        }
+
+        let mut one_cfg = WorldConfig::small(7);
+        one_cfg.user_scale = 1e-9; // rounds to the max(1) floor
+        one_cfg.fcc_users = 0;
+        one_cfg.days = 1;
+        let one = World::with_countries(one_cfg, &["JP"]);
+        assert_eq!(one.n_users(), 1);
+        let plans = [ShardPlan::serial(), ShardPlan::new(2, 2)];
+        assert_branches_match_separate_runs(&one, &specs, &plans, "single-user");
+    }
+
+    #[test]
+    fn main_stream_is_shared_through_the_poll_pass_and_parts_at_the_ndt_probe() {
+        // The precondition of the fused sweep, and where it stops: chaos
+        // draws only from its own stream, so a probe blackout leaves
+        // every main-stream draw up to and including the poll pass alone
+        // — but `run_averaged` draws once per surviving NDT run, so every
+        // draw after the probe (web probe, network id, mover draw,
+        // upgrade) comes from a different position of the main stream.
+        use bb_netsim::chaos::ChaosScenario;
+        use std::collections::BTreeMap;
+        let mut cfg = WorldConfig::small(71);
+        cfg.user_scale = 1.0;
+        cfg.days = 1;
+        cfg.fcc_users = 30;
+        let clean = World::new(cfg.clone()).generate();
+        cfg.chaos = Some(ChaosSpec::new(ChaosScenario::ProbeBlackout, 1.0));
+        let blackout = World::new(cfg).generate();
+        let clean_by_user: BTreeMap<UserId, &UserRecord> =
+            clean.records.iter().map(|r| (r.user, r)).collect();
+        let mut kept_in_both = 0;
+        for b in &blackout.records {
+            let Some(a) = clean_by_user.get(&b.user) else {
+                continue; // quarantined by the blackout
+            };
+            kept_in_both += 1;
+            // Drawn before the probe: identical.
+            assert_eq!(a.year, b.year, "{:?}", b.user);
+            assert_eq!(a.persona, b.persona, "{:?}", b.user);
+            assert_eq!(a.plan_capacity, b.plan_capacity, "{:?}", b.user);
+            assert_eq!(a.is_bt_user, b.is_bt_user, "{:?}", b.user);
+            assert_eq!(a.counter_source, b.counter_source, "{:?}", b.user);
+            assert_eq!(a.demand_with_bt, b.demand_with_bt, "{:?}", b.user);
+            // Drawn after the probe: from a shifted main stream.
+            assert_ne!(a.network, b.network, "{:?}", b.user);
+        }
+        assert!(kept_in_both > 50, "only {kept_in_both} users kept in both");
+        let movers = |ds: &Dataset| -> Vec<UserId> { ds.upgrades.iter().map(|u| u.user).collect() };
+        assert_ne!(movers(&clean), movers(&blackout));
     }
 
     #[test]
@@ -1169,12 +1519,17 @@ mod tests {
         let mut upgrades = Vec::new();
         for user_index in 0..total {
             let mut fresh = GenScratch::new(world.config.days);
-            if let Some((record, upgrade)) =
-                world.observe_indexed(user_index, &cohorts, &mut reg, &mut fresh)
-            {
-                records.push(record);
-                upgrades.extend(upgrade);
-            }
+            world.observe_branches(
+                user_index,
+                &cohorts,
+                &[None],
+                std::slice::from_mut(&mut reg),
+                &mut fresh,
+                &mut |_, record, upgrade| {
+                    records.push(record);
+                    upgrades.extend(upgrade);
+                },
+            );
         }
         assert_eq!(records.len(), shared.records.len());
         assert_eq!(upgrades.len(), shared.upgrades.len());

@@ -23,7 +23,7 @@ use rand::Rng;
 
 /// One raw counter poll: `(slot index, down reading, up reading,
 /// cumulative detected-cross estimate)`. The same shape
-/// `collect_via_counters` builds internally.
+/// `UsageSeries::poll_counters` leaves in its scratch.
 pub type RawPoll = (usize, u64, u64, f64);
 
 /// A composable degradation plan over the collection pipeline.

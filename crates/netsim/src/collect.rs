@@ -210,6 +210,12 @@ impl UsageSeries {
     /// test oracle): the acceptance draws consume the same word stream a
     /// ChaCha block at a time, and UPnP deltas decode pair by pair with
     /// the allocation-free [`upnp_delta_stats`].
+    ///
+    /// This is the composition of its two halves, split where chaos
+    /// starts: [`UsageSeries::poll_counters`] draws only from `rng`, and
+    /// [`UsageSeries::reconstruct_polls`] draws only from `chaos_rng`. A
+    /// caller observing one user under several chaos plans polls once
+    /// and reconstructs once per plan.
     pub fn collect_via_counters<R: Rng + ?Sized, C: Rng + ?Sized>(
         truth: &GroundTruth,
         polling: &CounterPolling<'_>,
@@ -218,14 +224,24 @@ impl UsageSeries {
         reg: &mut Registry,
         scratch: &mut CollectScratch,
     ) -> Self {
-        let CounterPolling {
-            uptime,
-            source,
-            link_capacity,
-            chaos,
-        } = *polling;
+        Self::poll_counters(truth, polling, rng, scratch);
+        Self::reconstruct_polls(truth, polling, &mut scratch.polls, chaos_rng, reg)
+    }
+
+    /// The poll half of [`UsageSeries::collect_via_counters`]: draw the
+    /// per-slot acceptance uniforms from `rng` and drive the counters of
+    /// `polling.source`, leaving the raw poll sequence in
+    /// `scratch.polls`. Reads only `polling.uptime` and `polling.source`;
+    /// the chaos plan plays no part, so the words drawn from `rng` do not
+    /// depend on it.
+    pub fn poll_counters<R: Rng + ?Sized>(
+        truth: &GroundTruth,
+        polling: &CounterPolling<'_>,
+        rng: &mut R,
+        scratch: &mut CollectScratch,
+    ) {
+        let CounterPolling { uptime, source, .. } = *polling;
         assert!(uptime > 0.0 && uptime <= 1.0, "uptime in (0,1]");
-        const MAX_GAP_SLOTS: usize = 2;
 
         // Drive the cumulative counters forward slot by slot, polling at
         // the slots the client observes.
@@ -300,10 +316,38 @@ impl UsageSeries {
                 }
             }
         }
+        scratch.polls = polls;
+    }
+
+    /// The degrade-and-reconstruct half of
+    /// [`UsageSeries::collect_via_counters`]: apply `polling.chaos` to
+    /// `polls` (drawing only from `chaos_rng`), then rebuild the
+    /// per-interval series from the degraded sequence, counting every
+    /// heuristic into `reg`. Reads `polling.source`,
+    /// `polling.link_capacity` and `polling.chaos`.
+    ///
+    /// `polls` is left holding the degraded sequence, so its buffer is
+    /// reused. A [`ChaosPlan::NONE`] plan leaves it untouched: several
+    /// clean reconstructions may share one poll sequence.
+    pub fn reconstruct_polls<C: Rng + ?Sized>(
+        truth: &GroundTruth,
+        polling: &CounterPolling<'_>,
+        polls: &mut Vec<RawPoll>,
+        chaos_rng: &mut C,
+        reg: &mut Registry,
+    ) -> Self {
+        let CounterPolling {
+            source,
+            link_capacity,
+            chaos,
+            ..
+        } = *polling;
+        const MAX_GAP_SLOTS: usize = 2;
+        let n_slots = truth.slot_bytes.len();
 
         // Degrade the raw poll sequence. A NONE plan is an exact no-op
         // that neither draws from `chaos_rng` nor touches `reg`.
-        let polls = chaos.apply_to_polls(polls, chaos_rng, reg);
+        *polls = chaos.apply_to_polls(std::mem::take(polls), chaos_rng, reg);
 
         // Reconstruct deltas; UPnP readings may have wrapped. Heuristic
         // firings accumulate in locals and flush to `reg` after the loop.
@@ -388,7 +432,6 @@ impl UsageSeries {
             reg.add("netsim.upnp.resets", delta_stats.resets);
             reg.add("netsim.upnp.reset_clamped", delta_stats.clamped);
         }
-        scratch.polls = polls;
         UsageSeries {
             width: BinWidth::Slot,
             bins,
@@ -1029,6 +1072,65 @@ mod tests {
                         "{source:?} {name} seed {seed}: RNG stream diverged"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn one_poll_pass_serves_every_chaos_plan() {
+        // The split the fused chaos sweep rests on: poll once, then
+        // reconstruct under each plan from the same raw polls — clean
+        // plans in place, others from a copy — and get exactly what a
+        // full collection under that plan returns, series and registry.
+        let t = truth(59, true);
+        let cap = Bandwidth::from_mbps(10.0);
+        let plans = [
+            ChaosPlan::NONE,
+            crate::chaos::ChaosScenario::Omnibus.plan(0.5),
+            ChaosPlan::NONE,
+            crate::chaos::ChaosScenario::PollChurn.plan(1.0),
+        ];
+        for source in [CounterSource::Upnp, CounterSource::Netstat] {
+            let mut scratch = CollectScratch::new();
+            let polling = clean(0.7, source, cap);
+            UsageSeries::poll_counters(
+                &t,
+                &polling,
+                &mut ChaCha8Rng::seed_from_u64(60),
+                &mut scratch,
+            );
+            let raw = scratch.polls.clone();
+            for plan in &plans {
+                let polling = CounterPolling {
+                    chaos: plan,
+                    ..polling
+                };
+                let mut reg_a = Registry::new();
+                let whole = UsageSeries::collect_via_counters(
+                    &t,
+                    &polling,
+                    &mut ChaCha8Rng::seed_from_u64(60),
+                    &mut ChaCha8Rng::seed_from_u64(61),
+                    &mut reg_a,
+                    &mut CollectScratch::new(),
+                );
+                let mut reg_b = Registry::new();
+                let mut copy = raw.clone();
+                let polls = if plan.is_none() {
+                    &mut scratch.polls
+                } else {
+                    &mut copy
+                };
+                let split = UsageSeries::reconstruct_polls(
+                    &t,
+                    &polling,
+                    polls,
+                    &mut ChaCha8Rng::seed_from_u64(61),
+                    &mut reg_b,
+                );
+                assert_eq!(whole, split, "{source:?} {plan:?}");
+                assert_eq!(reg_a.to_json(), reg_b.to_json(), "{source:?} {plan:?}");
+                assert_eq!(scratch.polls, raw, "a clean plan leaves the polls alone");
             }
         }
     }

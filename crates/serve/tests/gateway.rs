@@ -350,3 +350,41 @@ fn severity_without_a_scenario_is_a_400_not_a_clean_run() {
     let (_, jobs) = get(addr, "/jobs");
     assert!(!jobs.contains("\"job\""), "no job may be queued: {jobs}");
 }
+
+#[test]
+fn survival_serves_the_chaos_sweep_of_the_base_world() {
+    use bb_dataset::WorldConfig;
+    use bb_netsim::chaos::ChaosScenario;
+    use bb_report::{json, markdown};
+    use bb_study::robustness::chaos_sweep;
+    let dir = tmpdir("gateway-survival");
+    let server = small_server(&dir);
+    let addr = server.addr();
+
+    // The gateway's reduced base world of its default seed, over the
+    // grid 0 / 0.5 / 1, here under another plan than the server's.
+    let mut base = WorldConfig::small(20141105);
+    base.user_scale = 2.0;
+    base.days = 2;
+    base.fcc_users = 60;
+    let matrix = chaos_sweep(
+        &base,
+        ChaosScenario::Omnibus,
+        &[0.0, 0.5, 1.0],
+        ShardPlan::serial(),
+    );
+    let want = serde_json::to_string_pretty(&json::survival_to_json(&matrix)).expect("serialise");
+
+    let (status, body) = get(addr, "/survival?scenario=omnibus");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, want);
+    let (status, md) = get(addr, "/survival?scenario=omnibus&format=md");
+    assert_eq!(status, 200, "{md}");
+    assert_eq!(md, markdown::survival_matrix(&matrix));
+    assert_eq!(get(addr, "/survival?scenario=omnibus"), (200, want));
+
+    let (status, body) = get(addr, "/survival?scenario=bogus");
+    assert_eq!(status, 400, "{body}");
+    let (status, body) = get(addr, "/survival?scenario=omnibus&format=xml");
+    assert_eq!(status, 400, "{body}");
+}
