@@ -41,14 +41,18 @@
 //! under any `--threads`/`--shards` plan. `DIR/status.json` records the
 //! `checkpoint.skipped` / `checkpoint.recomputed` /
 //! `checkpoint.rejected` counters of the most recent run.
-//! `--fail-after-shard N` is the crash-injection test hook: the process
-//! aborts with exit code 83 once N shards are durably committed.
+//! `--fail-after-shard N` is the crash-injection test hook: a progress
+//! observer that aborts the process with exit code 83 once this process
+//! has computed N shards, each of which is durable before it is reported.
 
 use bb_bench::federation::CoordinatorArgs;
 use bb_bench::publish::{self, Folded, Outputs};
 use bb_bench::REPRO_SEED;
-use bb_dataset::{RunSpec, WorldConfig};
-use bb_engine::{CheckpointReport, CheckpointStore, RunHooks, RunStats, ShardPlan};
+use bb_dataset::{Dataset, RunSpec, WorldConfig};
+use bb_engine::{
+    run_sharded, run_sharded_checkpointed, CheckpointReport, CheckpointStore, Mergeable, RunStats,
+    ShardPlan, ShardProgress, Snapshot,
+};
 use bb_netsim::chaos::{ChaosScenario, ChaosSpec};
 use bb_report::csv;
 use bb_report::gnuplot;
@@ -58,7 +62,9 @@ use bb_serve::{Server, ServerConfig};
 use bb_study::{provenance, StreamStudy, StudyReport};
 use bb_trace::{EventLog, Timings};
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -306,27 +312,15 @@ fn run_materialised(args: &Args) {
     let mut timings = Timings::new();
     timings.begin("reproduce");
     timings.begin("generate");
-    let store = args.checkpoint_store();
-    let fail_hook = fail_after_hook(args);
-    let hooks = fail_hook
-        .as_ref()
-        .map_or(RunHooks::none(), |hook| RunHooks::on_commit(hook));
-    let (dataset, registry, stats, ckpt) = match &store {
-        Some(store) => match world.generate_with_checkpointed(plan, store, args.resume, hooks) {
-            Ok((dataset, registry, stats, report)) => {
-                or_fail(publish::checkpoint_status(
-                    args.outputs.quiet,
-                    store,
-                    &report,
-                ));
-                (dataset, registry, stats, Some(report))
-            }
-            Err(e) => fail(&e.to_string()),
-        },
-        None => {
-            let (dataset, registry, stats) = world.generate_with_traced(plan);
-            (dataset, registry, stats, None)
-        }
+    let population = world.population();
+    let ((records, upgrades, registry), stats, ckpt) =
+        execute(args, population.n_users(), |_, range| {
+            population.observe(range)
+        });
+    let dataset = Dataset {
+        records,
+        upgrades,
+        survey: population.into_survey(),
     };
     timings.end();
     progress!(
@@ -443,10 +437,11 @@ fn run_materialised(args: &Args) {
 fn run_streaming(args: &Args) {
     let plan = args.plan();
     let world = args.spec.world();
+    let population = world.population();
     progress!(
         args,
         "streaming {} users: seed {}, {} days, {} shards / {} threads",
-        world.n_users(),
+        population.n_users(),
         args.spec.seed,
         args.spec.days,
         plan.shards,
@@ -455,36 +450,9 @@ fn run_streaming(args: &Args) {
     let mut timings = Timings::new();
     timings.begin("reproduce");
     timings.begin("stream");
-    let store = args.checkpoint_store();
-    let fail_hook = fail_after_hook(args);
-    let hooks = fail_hook
-        .as_ref()
-        .map_or(RunHooks::none(), |hook| RunHooks::on_commit(hook));
-    let (study, registry, stats, ckpt) = match &store {
-        Some(store) => match world.fold_users_checkpointed(
-            plan,
-            store,
-            args.resume,
-            hooks,
-            StreamStudy::new,
-            |s, r, u| s.absorb(r, u),
-        ) {
-            Ok((_, study, registry, stats, report)) => {
-                or_fail(publish::checkpoint_status(
-                    args.outputs.quiet,
-                    store,
-                    &report,
-                ));
-                (study, registry, stats, Some(report))
-            }
-            Err(e) => fail(&e.to_string()),
-        },
-        None => {
-            let (_, study, registry, stats) =
-                world.fold_users_traced(plan, StreamStudy::new, |s, r, u| s.absorb(r, u));
-            (study, registry, stats, None)
-        }
-    };
+    let ((study, registry), stats, ckpt) = execute(args, population.n_users(), |_, range| {
+        population.fold(range, StreamStudy::new(), |s, r, u| s.absorb(r, u))
+    });
     timings.end();
     progress!(
         args,
@@ -570,6 +538,15 @@ impl ServeCli {
             }
         }
         config.plan = shard_plan(shards, threads);
+        // Jobs vary only the seed, chaos and a JSON-capped user count, so
+        // a window and FCC cohort the default job can lay out fit them all.
+        RunSpec {
+            users: Some(config.default_users),
+            days: config.days,
+            fcc_users: config.fcc_users,
+            ..RunSpec::paper(config.default_seed)
+        }
+        .validate()?;
         Ok(Some((config, quiet)))
     }
 }
@@ -677,7 +654,6 @@ impl WorkerCli {
 
 /// Configuration of the `chaosnet` subcommand.
 struct ChaosnetCli {
-    listen: String,
     upstream: std::net::SocketAddr,
     seed: u64,
     cut_per_mille: u64,
@@ -692,7 +668,6 @@ impl ChaosnetCli {
     /// Parse the flags after `chaosnet`. `Ok(None)` means `--help`.
     fn try_parse(mut it: impl Iterator<Item = String>) -> Result<Option<ChaosnetCli>, String> {
         let mut args = ChaosnetCli {
-            listen: String::from("127.0.0.1:0"),
             upstream: "127.0.0.1:0".parse().expect("literal addr"),
             seed: REPRO_SEED,
             cut_per_mille: 0,
@@ -712,7 +687,6 @@ impl ChaosnetCli {
                         .map_err(|e| format!("--upstream {addr:?}: {e}"))?;
                     upstream_set = true;
                 }
-                "--listen" => args.listen = non_empty(&flag, &mut it)?,
                 "--seed" => args.seed = num(&flag, &take(&mut it, &flag)?, "an integer")?,
                 "--cut" => {
                     args.cut_per_mille = per_mille(&flag, &take(&mut it, &flag)?)?;
@@ -743,13 +717,6 @@ impl ChaosnetCli {
 /// The `chaosnet` subcommand: a standalone flaky-network proxy between
 /// `reproduce worker` processes and a coordinator.
 fn run_chaosnet(args: &ChaosnetCli) {
-    // The library proxy always binds an ephemeral loopback port and
-    // prints it on stdout; a fixed --listen would need a second
-    // forwarding hop, so it is simply not supported.
-    if args.listen != "127.0.0.1:0" {
-        eprintln!("reproduce: chaosnet: only --listen 127.0.0.1:0 (ephemeral) is supported");
-        std::process::exit(2);
-    }
     let plan = bb_federate::ChaosPlan::seeded(
         args.seed,
         args.cut_per_mille,
@@ -963,7 +930,8 @@ impl SpecFlags {
 
     /// The validated spec. A streaming run sizes its world from the user
     /// count, so a `--scale` there would be ignored yet still pinned into
-    /// the checkpoint identity: it is refused instead.
+    /// the checkpoint identity: it is refused instead, and so is a world
+    /// too large to lay out.
     fn finish(self) -> Result<RunSpec, String> {
         let mut spec = self.spec;
         spec.chaos = ChaosSpec::parse(self.chaos.as_deref(), self.severity)
@@ -973,6 +941,7 @@ impl SpecFlags {
                 "--scale sizes the materialised panel; a streaming run takes --users".into(),
             );
         }
+        spec.validate()?;
         Ok(spec)
     }
 }
@@ -1051,29 +1020,54 @@ impl Args {
     fn plan(&self) -> ShardPlan {
         shard_plan(self.shards, self.threads)
     }
-
-    /// The [`CheckpointStore`] `--checkpoint DIR` asks for, pinned to the
-    /// run's identity.
-    fn checkpoint_store(&self) -> Option<CheckpointStore> {
-        let dir = self.checkpoint.as_ref()?;
-        Some(CheckpointStore::new(dir, self.spec.checkpoint_params()))
-    }
 }
 
-/// The `--fail-after-shard` crash injection: a commit observer that
-/// aborts the process once N shards are durable. Policy lives here in
-/// the CLI; the engine only exposes the `after_commit` hook.
-fn fail_after_hook(args: &Args) -> Option<impl Fn(u64) + Sync> {
-    let n = args.fail_after_shard?;
-    let quiet = args.outputs.quiet;
-    Some(move |committed: u64| {
-        if committed >= n {
-            if !quiet {
-                eprintln!("reproduce: injected failure after {committed} committed shards");
+/// Run `body` over every shard of `0..n_items` under the batch plan and
+/// fold the partials in shard order: in memory, or with `--checkpoint`
+/// durably, resuming with `--resume` and recording `DIR/status.json`.
+/// Both batch paths execute through here; only their per-range body
+/// differs.
+fn execute<A, F>(args: &Args, n_items: u64, body: F) -> (A, RunStats, Option<CheckpointReport>)
+where
+    A: Mergeable + Snapshot + Send,
+    F: Fn(usize, Range<u64>) -> A + Sync,
+{
+    let plan = args.plan();
+    let Some(dir) = &args.checkpoint else {
+        let (acc, stats) = run_sharded(n_items, plan, body);
+        return (acc, stats, None);
+    };
+    let store = CheckpointStore::new(dir, args.spec.checkpoint_params());
+    // `--fail-after-shard N`: abort once this process has computed N
+    // shards. The engine reports a computed shard only once it is
+    // durable, so exactly the shards counted here survive the crash.
+    let computed = AtomicU64::new(0);
+    let fail_after = args.fail_after_shard.map(|n| {
+        let computed = &computed;
+        move |p: ShardProgress| {
+            if !p.restored && computed.fetch_add(1, Ordering::Relaxed) + 1 >= n {
+                progress!(
+                    args,
+                    "reproduce: injected failure after {n} committed shards"
+                );
+                std::process::exit(FAIL_AFTER_EXIT);
             }
-            std::process::exit(FAIL_AFTER_EXIT);
         }
-    })
+    });
+    let observer = fail_after
+        .as_ref()
+        .map(|f| f as &(dyn Fn(ShardProgress) + Sync));
+    match run_sharded_checkpointed(n_items, plan, &store, args.resume, observer, body) {
+        Ok((acc, stats, report)) => {
+            or_fail(publish::checkpoint_status(
+                args.outputs.quiet,
+                &store,
+                &report,
+            ));
+            (acc, stats, Some(report))
+        }
+        Err(e) => fail(&e.to_string()),
+    }
 }
 
 /// A parsed command line, or `None` once `--help` has printed the usage

@@ -4,8 +4,10 @@
 //! `bb-federate` moves opaque shard payloads; this module fixes what a
 //! payload *is* for the reproduction harness — the snapshot encoding of
 //! one shard's `(StreamStudy, Registry)` partial, computed by
-//! [`World::stream_shard`](bb_dataset::World::stream_shard), the exact
-//! per-range body every in-process streaming fold uses. The coordinator
+//! [`Population::fold`](bb_dataset::Population::fold), the exact
+//! per-range body every in-process streaming fold uses. A worker builds
+//! its job's population (instantiating the markets) once and folds every
+//! lease it is granted from it. The coordinator
 //! folds the payloads **in shard order** (the same `acc.merge(next)`
 //! reduction as `bb_engine::run_sharded`) and returns the merged fold for
 //! the publish step `reproduce --users` ends in too
@@ -33,6 +35,7 @@ use bb_federate::{run_worker, Coordinator, CoordinatorConfig, FederationReport, 
 use bb_netsim::chaos::ChaosSpec;
 use bb_study::StreamStudy;
 use bb_trace::{Registry, Telemetry};
+use std::cell::OnceCell;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -82,16 +85,18 @@ fn wire_job(spec: &RunSpec, users: u64, n_items: u64, shards: usize) -> JobSpec 
 }
 
 /// The run a wire job describes (worker side), validated like any other
-/// outside input.
+/// outside input: a world that cannot be laid out is refused.
 fn wire_spec(job: &JobSpec) -> Result<RunSpec, String> {
     let scenario = (job.chaos_scenario != "-").then_some(job.chaos_scenario.as_str());
-    Ok(RunSpec {
+    let spec = RunSpec {
         users: Some(job.users),
         days: job.days,
         fcc_users: usize::try_from(job.fcc_users).map_err(|_| "fcc overflows usize")?,
         chaos: ChaosSpec::parse(scenario, scenario.map(|_| job.chaos_severity))?,
         ..RunSpec::paper(job.seed)
-    })
+    };
+    spec.validate()?;
+    Ok(spec)
 }
 
 /// Run the coordinator to completion: serve shard leases, and merge the
@@ -159,28 +164,19 @@ pub fn run_coordinator(spec: &RunSpec, args: &CoordinatorArgs) -> Result<Folded,
             return Ok(());
         };
         let partial = Partial::from_snapshot_str(payload).map_err(|e| e.to_string())?;
-        session
-            .commit(index, &partial)
-            .map(drop)
-            .map_err(|e| e.to_string())
+        session.commit(index, &partial).map_err(|e| e.to_string())
     };
     let (payloads, report) = coordinator.run_with(validate, persist);
     report_federation(args.quiet, &report);
 
-    let mut partials = Vec::with_capacity(payloads.len());
+    // Decoded and folded in shard order: `run_sharded`'s reduction.
+    let mut merged: Option<Partial> = None;
     for (shard, payload) in payloads.iter().enumerate() {
         let partial = Partial::from_snapshot_str(payload)
             .map_err(|e| format!("decode merged shard {shard}: {e}"))?;
-        partials.push(partial);
+        merged.merge(Some(partial));
     }
-    // Identical to `run_sharded`'s in-order reduction.
-    let (study, registry) = partials
-        .into_iter()
-        .reduce(|mut acc, next| {
-            acc.merge(next);
-            acc
-        })
-        .ok_or("no shards to merge")?;
+    let (study, registry) = merged.ok_or("no shards to merge")?;
     progress(
         args.quiet,
         &format!(
@@ -203,9 +199,12 @@ pub fn run_coordinator(spec: &RunSpec, args: &CoordinatorArgs) -> Result<Folded,
 /// Run one worker process against `addr` until the coordinator finishes
 /// it. Returns the number of shards computed.
 pub fn run_worker_process(addr: &str, opts: &WorkerOptions, quiet: bool) -> Result<u64, String> {
+    // The job's world outlives every lease computed from its population.
+    let world = OnceCell::new();
     let report = run_worker(addr, opts, |job: &JobSpec| {
-        let world = wire_spec(job)?.world();
-        let derived = world.n_users();
+        let spec = wire_spec(job)?;
+        let population = world.get_or_init(|| spec.world()).population();
+        let derived = population.n_users();
         if derived != job.n_items {
             // Refuse rather than contaminate the merge: a worker whose
             // derivation disagrees would fold different users.
@@ -222,9 +221,9 @@ pub fn run_worker_process(addr: &str, opts: &WorkerOptions, quiet: bool) -> Resu
             ),
         );
         Ok(move |_shard: u64, range: std::ops::Range<u64>| {
-            let partial: Partial =
-                world.stream_shard(range, StreamStudy::new, |s, r, u| s.absorb(r, u));
-            partial.to_snapshot_string()
+            population
+                .fold(range, StreamStudy::new(), |s, r, u| s.absorb(r, u))
+                .to_snapshot_string()
         })
     })?;
     progress(
@@ -303,5 +302,19 @@ mod tests {
         assert!(wire_spec(&forged).is_err());
         forged.chaos_scenario = "nope".into();
         assert!(wire_spec(&forged).is_err());
+    }
+
+    #[test]
+    fn a_wire_job_whose_world_cannot_be_laid_out_is_refused() {
+        let spec = RunSpec {
+            users: Some(900),
+            ..RunSpec::paper(11)
+        };
+        for (users, fcc_users) in [(u64::MAX, 0), (900, u64::MAX)] {
+            let mut job = wire_job(&spec, 900, 912, 4);
+            (job.users, job.fcc_users) = (users, fcc_users);
+            let err = wire_spec(&job).expect_err("job must be refused");
+            assert!(err.contains("overflows the u64 user index"), "{err}");
+        }
     }
 }

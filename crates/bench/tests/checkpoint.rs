@@ -511,3 +511,92 @@ fn ledger_with_resume_matches_cold_ledger_and_sidecar_reports_checkpoint() {
     assert!(sidecar.contains("\"checkpoint\""), "{sidecar}");
     assert!(sidecar.contains("\"skipped\": 4"), "{sidecar}");
 }
+
+/// Resume checkpoints that an earlier build of this binary wrote.
+///
+/// The batteries above crash and resume with the same binary, so a
+/// layout change both sides agree on — a partial routed through a
+/// nested tuple, a reordered field — passes them while every checkpoint
+/// already on disk is silently rejected. The two directories under
+/// `tests/fixtures/checkpoint-v1/` hold a manifest plus three shard files
+/// each, one per pipeline path, written by
+///
+/// ```text
+/// reproduce --users 120 --days 1 --fcc 10 --shards 3 --checkpoint streaming
+/// reproduce --scale 0.3 --days 1 --fcc 10 --shards 3 --checkpoint materialised
+/// ```
+///
+/// (`status.json` removed). Resuming a copy under another thread count
+/// must restore all three shards with no rejection, and the outputs and
+/// stdout must equal a cold run. When a snapshot `VERSION` or the
+/// checkpoint `FORMAT_VERSION` is bumped on purpose, this test fails by
+/// design: regenerate both directories with the new binary using the
+/// commands above, delete their `status.json`, and commit the new bytes.
+#[test]
+fn checkpoints_written_by_an_earlier_build_resume_without_rejections() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint-v1");
+    let cases: [(&str, &[&str]); 2] = [
+        (
+            "streaming",
+            &["--users", "120", "--days", "1", "--fcc", "10"],
+        ),
+        (
+            "materialised",
+            &["--scale", "0.3", "--days", "1", "--fcc", "10"],
+        ),
+    ];
+    for (name, identity) in cases {
+        let dir = tmpdir(&format!("ckpt-cli-fixture-{name}"));
+        std::fs::create_dir_all(dir.join("ck")).expect("create checkpoint copy");
+        for entry in std::fs::read_dir(fixtures.join(name)).expect("fixture dir") {
+            let path = entry.expect("fixture entry").path();
+            std::fs::copy(&path, dir.join("ck").join(path.file_name().unwrap()))
+                .expect("copy fixture file");
+        }
+        let run = |out_dir: &str, extra: &[&str]| -> Output {
+            let metrics = format!("{out_dir}/metrics.json");
+            let ledger = format!("{out_dir}/ledger.jsonl");
+            let mut args: Vec<&str> = identity.to_vec();
+            args.extend(["--shards", "3", "--quiet", "--out", out_dir]);
+            args.extend(["--metrics", &metrics, "--ledger", &ledger]);
+            args.extend(extra);
+            let out = reproduce(&args, &dir);
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "{name} {out_dir}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            out
+        };
+        let cold = run("cold", &["--threads", "1"]);
+        let warm = run(
+            "warm",
+            &["--threads", "2", "--checkpoint", "ck", "--resume"],
+        );
+
+        let status = status_json(&dir, "ck");
+        assert_eq!(
+            counter(&status, "checkpoint.skipped"),
+            3,
+            "{name}: {status}"
+        );
+        assert_eq!(
+            counter(&status, "checkpoint.recomputed"),
+            0,
+            "{name}: {status}"
+        );
+        assert_eq!(
+            counter(&status, "checkpoint.rejected"),
+            0,
+            "{name}: {status}"
+        );
+
+        assert_eq!(warm.stdout, cold.stdout, "{name}: stdout");
+        for out_dir in ["cold", "warm"] {
+            std::fs::remove_file(dir.join(out_dir).join("metrics.runtime.json"))
+                .expect("runtime sidecar");
+        }
+        assert_trees_identical(&dir.join("cold"), &dir.join("warm"));
+    }
+}

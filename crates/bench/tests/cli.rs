@@ -445,3 +445,61 @@ fn streaming_metrics_are_byte_identical_across_plans_and_quiet_is_quiet() {
     assert!(text.contains("\"study.sketch_negatives\""), "{text}");
     assert!(text.contains("\"netsim.collect.polls\""), "{text}");
 }
+
+/// Run `reproduce` with `args`, killing it if it has not exited after
+/// `deadline`: `None` means it had to be killed.
+fn reproduce_within(args: &[&str], dir: &Path, deadline: std::time::Duration) -> Option<Output> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(args)
+        .current_dir(dir)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn reproduce");
+    let started = std::time::Instant::now();
+    while child.try_wait().expect("poll reproduce").is_none() {
+        if started.elapsed() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            return None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    Some(child.wait_with_output().expect("collect reproduce output"))
+}
+
+#[test]
+fn worlds_that_overflow_the_user_index_exit_2_not_a_wrapped_run() {
+    // Each of these sums its cohort sizes past u64::MAX. Unchecked, a
+    // release build wraps around and runs a small world whose manifest
+    // pins the absurd size, and a debug build panics; `serve` would
+    // start and accept jobs it can never lay out.
+    let dir = tmpdir("cli-overflow");
+    let max = "18446744073709551615";
+    let cases: &[&[&str]] = &[
+        &["--users", max, "--fcc", "0"],
+        &["--fcc", max],
+        &["--scale", "1e300"],
+        &["--users", "100", "--fcc", max],
+        &["coordinator", "--users", max, "--fcc", "0"],
+        &["coordinator", "--fcc", max],
+        &["serve", "--port", "0", "--fcc", max],
+    ];
+    for args in cases {
+        let Some(out) = reproduce_within(args, &dir, std::time::Duration::from_secs(30)) else {
+            panic!("{args:?}: still running after 30 s instead of exiting 2");
+        };
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?}: expected exit 2, got {:?}\nstderr: {stderr}",
+            out.status
+        );
+        assert!(
+            stderr.starts_with("reproduce: ") && stderr.contains("usage: reproduce"),
+            "{args:?}: diagnostic or usage missing, stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

@@ -143,7 +143,8 @@ pub fn seed_sweep_with(base: &WorldConfig, n_seeds: u64, plan: ShardPlan) -> Vec
                 battery(&ds)
             })
             .collect::<Vec<_>>()
-    });
+    })
+    .0;
 
     SWEEP_EXPERIMENTS
         .iter()
@@ -508,7 +509,7 @@ mod tests {
             .map(|&s| {
                 let mut cfg = base.clone();
                 cfg.chaos = Some(ChaosSpec::new(scenario, s));
-                Column::of(&World::new(cfg).generate_with(plan))
+                Column::of(&World::new(cfg).generate_with_traced(plan).0)
             })
             .collect();
         survival_matrix(scenario, severities, &columns)

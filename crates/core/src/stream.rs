@@ -446,12 +446,14 @@ mod tests {
     #[test]
     fn streamed_study_is_shard_invariant() {
         let world = small_world();
-        let (_, serial) = world.fold_users(ShardPlan::serial(), StreamStudy::new, |s, r, u| {
-            s.absorb(r, u)
-        });
-        let (_, sharded) = world.fold_users(ShardPlan::new(8, 4), StreamStudy::new, |s, r, u| {
-            s.absorb(r, u)
-        });
+        let (_, serial, _, _) =
+            world.fold_users_traced(ShardPlan::serial(), StreamStudy::new, |s, r, u| {
+                s.absorb(r, u)
+            });
+        let (_, sharded, _, _) =
+            world.fold_users_traced(ShardPlan::new(8, 4), StreamStudy::new, |s, r, u| {
+                s.absorb(r, u)
+            });
         assert_eq!(serial.users, sharded.users);
         assert_eq!(serial.movers, sharded.movers);
         assert_eq!(serial.figure1(), sharded.figure1());
@@ -477,9 +479,10 @@ mod tests {
         let world = small_world();
         let dataset = world.generate();
         let (_, _, _, exact) = crate::sec2::figure1(&dataset, &mut bb_trace::EventLog::new());
-        let (_, study) = world.fold_users(ShardPlan::serial(), StreamStudy::new, |s, r, u| {
-            s.absorb(r, u)
-        });
+        let (_, study, _, _) =
+            world.fold_users_traced(ShardPlan::serial(), StreamStudy::new, |s, r, u| {
+                s.absorb(r, u)
+            });
         let stats = study.population_stats().expect("non-empty study");
         assert_eq!(study.dasu_users as usize, dataset.dasu().count());
         assert_eq!(study.fcc_users as usize, dataset.fcc().count());
@@ -506,9 +509,10 @@ mod tests {
     #[test]
     fn foreign_accuracy_snapshot_is_a_read_error_not_a_merge_panic() {
         let world = small_world();
-        let (_, study) = world.fold_users(ShardPlan::serial(), StreamStudy::new, |s, r, u| {
-            s.absorb(r, u)
-        });
+        let (_, study, _, _) =
+            world.fold_users_traced(ShardPlan::serial(), StreamStudy::new, |s, r, u| {
+                s.absorb(r, u)
+            });
         let mut w = SnapshotWriter::new();
         study.write_snapshot(&mut w);
         let text = w.finish();
@@ -546,9 +550,10 @@ mod tests {
         let world = small_world();
         let dataset = world.generate();
         let exact = crate::sec3::figure2(&dataset, &mut bb_trace::EventLog::new());
-        let (_, study) = world.fold_users(ShardPlan::serial(), StreamStudy::new, |s, r, u| {
-            s.absorb(r, u)
-        });
+        let (_, study, _, _) =
+            world.fold_users_traced(ShardPlan::serial(), StreamStudy::new, |s, r, u| {
+                s.absorb(r, u)
+            });
         let streamed = study.figure2();
         for (e, s) in exact.iter().zip(&streamed) {
             let ep = &e.series[0].points;

@@ -21,7 +21,8 @@
 //! * [`record`] — observed per-user records and upgrade observations;
 //! * [`quality`] — the validating ingest screen (accept / repair /
 //!   quarantine verdicts with counted reasons);
-//! * [`world`] — generation orchestration ([`world::World::generate`]).
+//! * [`world`] — generation orchestration ([`world::World::generate`]) and
+//!   [`world::Population`], the per-range body every engine driver runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,4 +40,4 @@ pub use country::{builtin_world, CountryProfile};
 pub use persona::Persona;
 pub use quality::DataQuality;
 pub use record::{Dataset, UpgradeObservation, UserRecord};
-pub use world::{Branches, RunSpec, World, WorldConfig};
+pub use world::{Branches, Population, RunSpec, World, WorldConfig};

@@ -4,11 +4,7 @@ use crate::agent::{choose_plan, Agent, AgentSampler};
 use crate::country::{builtin_world, CountryProfile, APPETITE_GROWTH_PER_YEAR};
 use crate::quality::{self, DataQuality};
 use crate::record::{Dataset, UpgradeObservation, UpgradeSnapshot, UserRecord, VantageKind};
-use bb_engine::snapshot::Snapshot;
-use bb_engine::{
-    run_sharded_checkpointed, run_sharded_traced, stream_rng, CheckpointError, CheckpointParams,
-    CheckpointReport, CheckpointStore, Mergeable, RunHooks, RunStats, ShardPlan,
-};
+use bb_engine::{run_sharded, stream_rng, CheckpointParams, Mergeable, RunStats, ShardPlan};
 use bb_market::{MarketSurvey, Plan, PlanCatalog};
 use bb_netsim::chaos::{ChaosPlan, ChaosSpec, RawPoll};
 use bb_netsim::collect::{
@@ -22,9 +18,10 @@ use bb_trace::Registry;
 use bb_types::{Country, Latency, LossRate, NetworkId, TimeAxis, UserId, Year};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 
 /// Stream id of the per-user RNG streams (market instantiation draws from
-/// the sequential master RNG instead; see [`World::generate_with`]).
+/// the sequential master RNG instead; see [`World::population`]).
 const USER_STREAM: u64 = 1;
 
 /// Stream id of the per-user *chaos* RNG streams. Fault-campaign draws
@@ -42,6 +39,14 @@ const CHAOS_STREAM: u64 = 2;
 /// `generation_is_block_size_invariant` test). 256 keeps the scratch hot
 /// in cache without the block bookkeeping showing up in profiles.
 const GEN_BLOCK_USERS: u64 = 256;
+
+/// Fraction of users with the 2014 web-latency measurements (§7.1 added
+/// that experiment "later in the study").
+const WEB_PROBE_FRACTION: f64 = 0.5;
+
+/// Share of BitTorrent users in the FCC cohort (gateway panellists are
+/// recruited very differently from Dasu's BitTorrent population).
+const FCC_BT_PROB: f64 = 0.12;
 
 /// Per-shard reusable buffers for the generation hot path. One of these
 /// lives for a whole shard; every user observation resets and refills it
@@ -172,7 +177,8 @@ impl Iterator for Branches {
 
 impl ExactSizeIterator for Branches {}
 
-/// Knobs controlling the size and shape of a generated dataset.
+/// Knobs controlling the size and shape of a generated dataset. Every
+/// world spreads its users over the three [`Year::PANEL`] years.
 #[derive(Clone, Debug)]
 pub struct WorldConfig {
     /// Master seed; every derived stream is deterministic in it.
@@ -182,19 +188,11 @@ pub struct WorldConfig {
     pub user_scale: f64,
     /// Observation window length per user, days.
     pub days: u32,
-    /// Panel years to populate.
-    pub years: Vec<Year>,
     /// Size of the US-only FCC gateway cohort.
     pub fcc_users: usize,
     /// Fraction of Dasu users additionally observed after a service
     /// upgrade (the §3.2 movers).
     pub upgrade_fraction: f64,
-    /// Fraction of Dasu users with the 2014 web-latency measurements
-    /// (§7.1 added that experiment "later in the study").
-    pub web_probe_fraction: f64,
-    /// Share of BitTorrent users in the FCC cohort (gateway panellists are
-    /// recruited very differently from Dasu's BitTorrent population).
-    pub fcc_bt_prob: f64,
     /// Degradation campaign applied during collection (`None` = clean).
     /// Severity 0 is guaranteed bit-identical to `None`.
     pub chaos: Option<ChaosSpec>,
@@ -208,11 +206,8 @@ impl WorldConfig {
             seed,
             user_scale: 1.2,
             days: 3,
-            years: Year::PANEL.to_vec(),
             fcc_users: 60,
             upgrade_fraction: 0.25,
-            web_probe_fraction: 0.5,
-            fcc_bt_prob: 0.12,
             chaos: None,
         }
     }
@@ -225,11 +220,8 @@ impl WorldConfig {
             seed,
             user_scale: 40.0,
             days: 7,
-            years: Year::PANEL.to_vec(),
             fcc_users: 600,
             upgrade_fraction: 0.25,
-            web_probe_fraction: 0.5,
-            fcc_bt_prob: 0.12,
             chaos: None,
         }
     }
@@ -335,6 +327,15 @@ impl RunSpec {
                 self.chaos.map_or_else(|| "-".into(), |c| c.label()),
             )
     }
+
+    /// Check that this run's world fits the `u64` user index space. Every
+    /// surface that reads a spec from outside — command-line flags, a
+    /// federation wire job — calls this before building the world, so an
+    /// absurd size is refused instead of wrapping around to a small world
+    /// that pins the absurd one in its manifest.
+    pub fn validate(&self) -> Result<(), String> {
+        self.world().cohort_ends().map(drop)
+    }
 }
 
 /// One contiguous block of the flat user index space: users
@@ -347,6 +348,128 @@ struct Cohort<'a> {
     vantage: VantageKind,
     /// BitTorrent-share override (the FCC gateway cohort).
     bt_override: Option<f64>,
+}
+
+/// A world with its markets instantiated and its users laid out over the
+/// flat index space `0..n_users()`: the per-range body of every run.
+///
+/// A driver cuts the index space into ranges and calls [`Population::fold`]
+/// (streaming) or [`Population::observe`] (materialised) once per range —
+/// on threads, under a checkpoint, or on a federation worker's lease —
+/// and merges the partials in range order. Every user is a pure function
+/// of `(seed, user_index)` through their own [`stream_rng`] stream, so the
+/// merged bytes are the same however the ranges were cut and wherever
+/// they ran.
+pub struct Population<'w> {
+    world: &'w World,
+    survey: MarketSurvey,
+    cohorts: Vec<Cohort<'w>>,
+}
+
+impl Population<'_> {
+    /// Total users (Dasu + FCC).
+    pub fn n_users(&self) -> u64 {
+        self.cohorts.last().map_or(0, |c| c.end)
+    }
+
+    /// Fold the kept users of `range` into `init` under the world's own
+    /// chaos spec, calling `absorb(acc, record, upgrade)` once per kept
+    /// record in index order, and return the accumulator with the range's
+    /// data events.
+    pub fn fold<A, F>(&self, range: Range<u64>, init: A, mut absorb: F) -> (A, Registry)
+    where
+        F: FnMut(&mut A, &UserRecord, Option<&UpgradeObservation>),
+    {
+        let mut acc = init;
+        let mut reg = Registry::new();
+        self.walk(
+            range,
+            GEN_BLOCK_USERS,
+            &[self.world.config.chaos],
+            std::slice::from_mut(&mut reg),
+            &mut |_, record, upgrade| absorb(&mut acc, &record, upgrade.as_ref()),
+        );
+        (acc, reg)
+    }
+
+    /// Observe `range` under the world's own chaos spec, keeping its
+    /// records and movers in index order: the materialised partial, which
+    /// merges by concatenation.
+    pub fn observe(
+        &self,
+        range: Range<u64>,
+    ) -> (Vec<UserRecord>, Vec<UpgradeObservation>, Registry) {
+        let mut partials = self.observe_shard(range, GEN_BLOCK_USERS, &[self.world.config.chaos]);
+        partials.pop().expect("one branch")
+    }
+
+    /// The retail-plan survey of the instantiated markets.
+    pub fn into_survey(self) -> MarketSurvey {
+        self.survey
+    }
+
+    /// Observe `range` under every branch, keeping each branch's records,
+    /// movers and registry in its own partial.
+    fn observe_shard(
+        &self,
+        range: Range<u64>,
+        block: u64,
+        branches: &[Option<ChaosSpec>],
+    ) -> Vec<BranchPartial> {
+        let n = (range.end - range.start) as usize;
+        let mut kept: Vec<(Vec<UserRecord>, Vec<UpgradeObservation>)> = branches
+            .iter()
+            .map(|_| (Vec::with_capacity(n), Vec::new()))
+            .collect();
+        let mut regs = vec![Registry::new(); branches.len()];
+        self.walk(
+            range,
+            block,
+            branches,
+            &mut regs,
+            &mut |branch, record, upgrade| {
+                kept[branch].0.push(record);
+                kept[branch].1.extend(upgrade);
+            },
+        );
+        kept.into_iter()
+            .zip(regs)
+            .map(|((records, upgrades), reg)| (records, upgrades, reg))
+            .collect()
+    }
+
+    /// Walk `range` in [`GEN_BLOCK_USERS`]-sized blocks (overridable for
+    /// tests), observing each user under every branch with one reusable
+    /// [`GenScratch`] and feeding each branch's kept records to
+    /// `sink(branch, record, upgrade)`.
+    fn walk<S>(
+        &self,
+        range: Range<u64>,
+        block: u64,
+        branches: &[Option<ChaosSpec>],
+        regs: &mut [Registry],
+        sink: &mut S,
+    ) where
+        S: FnMut(usize, UserRecord, Option<UpgradeObservation>),
+    {
+        debug_assert!(block > 0, "generation block must be non-empty");
+        let mut scratch = GenScratch::new(self.world.config.days);
+        let mut start = range.start;
+        while start < range.end {
+            let block_end = range.end.min(start.saturating_add(block));
+            for user_index in start..block_end {
+                self.world.observe_branches(
+                    user_index,
+                    &self.cohorts,
+                    branches,
+                    regs,
+                    &mut scratch,
+                    sink,
+                );
+            }
+            start = block_end;
+        }
+    }
 }
 
 /// A world: profiles plus configuration.
@@ -379,25 +502,18 @@ impl World {
 
     /// Generate the dataset serially (single shard, calling thread).
     pub fn generate(&self) -> Dataset {
-        self.generate_with(ShardPlan::serial())
+        self.generate_with_traced(ShardPlan::serial()).0
     }
 
-    /// Generate the dataset under a shard plan.
+    /// Generate the dataset under a shard plan, returning it with the
+    /// merged per-user [`Registry`] (collection-heuristic counters — a
+    /// pure function of the world seed, so identical for every plan) and
+    /// the [`RunStats`] for this particular execution (wall times and
+    /// steals — plan-dependent by nature).
     ///
-    /// Market catalogues come from a short sequential master stream; every
-    /// user is then a pure function of `(seed, user_index)` through their
-    /// own [`stream_rng`] stream, so the result is **bit-identical for any
-    /// shard and thread count** — `generate_with(ShardPlan::new(8, 4))`
-    /// returns exactly what [`World::generate`] returns.
-    pub fn generate_with(&self, plan: ShardPlan) -> Dataset {
-        self.generate_with_traced(plan).0
-    }
-
-    /// [`World::generate_with`], additionally returning the merged
-    /// per-user [`Registry`] (collection-heuristic counters — a pure
-    /// function of the world seed, so identical for every plan) and the
-    /// [`RunStats`] for this particular execution (wall times and steals
-    /// — plan-dependent by nature).
+    /// Every user is a pure function of `(seed, user_index)` (see
+    /// [`World::population`]), so the dataset and registry are
+    /// **bit-identical for any shard and thread count**.
     pub fn generate_with_traced(&self, plan: ShardPlan) -> (Dataset, Registry, RunStats) {
         self.generate_with_traced_blocked(plan, GEN_BLOCK_USERS)
     }
@@ -444,16 +560,15 @@ impl World {
         block: u64,
     ) -> (Branches, RunStats) {
         assert!(!branches.is_empty(), "need at least one chaos branch");
-        let (survey, cohorts) = self.build_market();
-        let total = cohorts.last().map_or(0, |c| c.end);
+        let population = self.population();
         // Each shard contributes one entry of per-branch partials; the
         // engine's fold only concatenates the entries, so no branch is
         // assembled until it is asked for.
-        let (shards, stats) = run_sharded_traced(total, plan, |_, range| {
-            vec![self.observe_shard(range, block, &cohorts, branches)]
+        let (shards, stats) = run_sharded(population.n_users(), plan, |_, range| {
+            vec![population.observe_shard(range, block, branches)]
         });
         let branches = Branches {
-            survey,
+            survey: population.into_survey(),
             shards,
             next: 0,
             len: branches.len(),
@@ -461,83 +576,14 @@ impl World {
         (branches, stats)
     }
 
-    /// Observe one shard range under every branch, keeping each branch's
-    /// records, movers and registry in its own partial.
-    fn observe_shard(
-        &self,
-        range: std::ops::Range<u64>,
-        block: u64,
-        cohorts: &[Cohort<'_>],
-        branches: &[Option<ChaosSpec>],
-    ) -> Vec<BranchPartial> {
-        let n = (range.end - range.start) as usize;
-        let mut kept: Vec<(Vec<UserRecord>, Vec<UpgradeObservation>)> = branches
-            .iter()
-            .map(|_| (Vec::with_capacity(n), Vec::new()))
-            .collect();
-        let mut regs = vec![Registry::new(); branches.len()];
-        self.shard_users_blocked(
-            range,
-            block,
-            cohorts,
-            branches,
-            &mut regs,
-            &mut |branch, record, upgrade| {
-                kept[branch].0.push(record);
-                kept[branch].1.extend(upgrade);
-            },
-        );
-        kept.into_iter()
-            .zip(regs)
-            .map(|((records, upgrades), reg)| (records, upgrades, reg))
-            .collect()
-    }
-
-    /// Walk one shard's user range in [`GEN_BLOCK_USERS`]-sized blocks
-    /// (overridable for tests), observing each user under every branch
-    /// with the shard's reusable [`GenScratch`] and feeding each branch's
-    /// kept records to `sink(branch, record, upgrade)`.
-    fn shard_users_blocked<S>(
-        &self,
-        range: std::ops::Range<u64>,
-        block: u64,
-        cohorts: &[Cohort<'_>],
-        branches: &[Option<ChaosSpec>],
-        regs: &mut [Registry],
-        sink: &mut S,
-    ) where
-        S: FnMut(usize, UserRecord, Option<UpgradeObservation>),
-    {
-        debug_assert!(block > 0, "generation block must be non-empty");
-        let mut scratch = GenScratch::new(self.config.days);
-        let mut start = range.start;
-        while start < range.end {
-            let block_end = range.end.min(start.saturating_add(block));
-            for user_index in start..block_end {
-                self.observe_branches(user_index, cohorts, branches, regs, &mut scratch, sink);
-            }
-            start = block_end;
-        }
-    }
-
     /// Stream every user of the world through a mergeable accumulator
     /// without materialising the panel: each shard folds its users into an
-    /// `init()` accumulator, and the partials merge in shard order. Memory
-    /// is O(accumulator × shards) however many users the config implies —
-    /// this is the entry point for the million-user scale runs.
-    pub fn fold_users<A, I, F>(&self, plan: ShardPlan, init: I, absorb: F) -> (MarketSurvey, A)
-    where
-        A: Mergeable + Send,
-        I: Fn() -> A + Sync,
-        F: Fn(&mut A, &UserRecord, Option<&UpgradeObservation>) + Sync,
-    {
-        let (survey, acc, _, _) = self.fold_users_traced(plan, init, absorb);
-        (survey, acc)
-    }
-
-    /// [`World::fold_users`], additionally returning the merged per-user
-    /// [`Registry`] (plan-invariant data events) and this execution's
-    /// [`RunStats`] (plan-dependent scheduling observables).
+    /// `init()` accumulator ([`Population::fold`]), and the partials merge
+    /// in shard order. Memory is O(accumulator × shards) however many users
+    /// the config implies — this is the entry point for the million-user
+    /// scale runs. Also returns the merged per-user [`Registry`]
+    /// (plan-invariant data events) and this execution's [`RunStats`]
+    /// (plan-dependent scheduling observables).
     pub fn fold_users_traced<A, I, F>(
         &self,
         plan: ShardPlan,
@@ -549,153 +595,42 @@ impl World {
         I: Fn() -> A + Sync,
         F: Fn(&mut A, &UserRecord, Option<&UpgradeObservation>) + Sync,
     {
-        let (survey, cohorts) = self.build_market();
-        let total = cohorts.last().map_or(0, |c| c.end);
-        let ((folded, registry), stats) = run_sharded_traced(total, plan, |_, range| {
-            self.stream_shard_with(&cohorts, range, &init, &absorb)
+        let population = self.population();
+        let ((folded, registry), stats) = run_sharded(population.n_users(), plan, |_, range| {
+            population.fold(range, init(), &absorb)
         });
-        (survey, folded, registry, stats)
-    }
-
-    /// Compute one shard range of the streaming fold in isolation: the
-    /// same cohort layout, block walk, and per-shard [`Registry`] as
-    /// [`World::fold_users_traced`] — it is literally the same code, so
-    /// partials computed by different *processes* (the federation
-    /// workers) merge byte-identically to an in-process fold. The range
-    /// must come from the same `ShardPlan::ranges(n_users())` cut the
-    /// merging side uses.
-    pub fn stream_shard<A, I, F>(
-        &self,
-        range: std::ops::Range<u64>,
-        init: I,
-        absorb: F,
-    ) -> (A, Registry)
-    where
-        I: Fn() -> A,
-        F: Fn(&mut A, &UserRecord, Option<&UpgradeObservation>),
-    {
-        let (_, cohorts) = self.build_market();
-        self.stream_shard_with(&cohorts, range, &init, &absorb)
-    }
-
-    /// The shared per-shard body of every streaming fold entry point: the
-    /// one-branch walk under the world's own chaos spec.
-    fn stream_shard_with<A, I, F>(
-        &self,
-        cohorts: &[Cohort<'_>],
-        range: std::ops::Range<u64>,
-        init: &I,
-        absorb: &F,
-    ) -> (A, Registry)
-    where
-        I: Fn() -> A,
-        F: Fn(&mut A, &UserRecord, Option<&UpgradeObservation>),
-    {
-        let mut acc = init();
-        let mut reg = Registry::new();
-        self.shard_users_blocked(
-            range,
-            GEN_BLOCK_USERS,
-            cohorts,
-            &[self.config.chaos],
-            std::slice::from_mut(&mut reg),
-            &mut |_, record, upgrade| {
-                absorb(&mut acc, &record, upgrade.as_ref());
-            },
-        );
-        (acc, reg)
-    }
-
-    /// [`World::generate_with_traced`] with durable per-shard
-    /// checkpoints: each completed shard's
-    /// `(records, upgrades, registry)` partial is committed to `store`
-    /// before the next merge, and with `resume` a later run restores the
-    /// committed partials instead of recomputing them. The merged dataset
-    /// and registry are byte-identical to a cold run — restored shards
-    /// fold in the same shard order as computed ones — while the
-    /// [`CheckpointReport`] tallies what this particular run skipped,
-    /// recomputed, and rejected.
-    ///
-    /// `hooks.after_commit` (if given) observes the running count of
-    /// durably committed shards — the crash-injection test hook in
-    /// `reproduce` aborts from it — and `hooks.progress` observes every
-    /// finished shard (the serve gateway streams it as SSE).
-    #[allow(clippy::type_complexity)]
-    pub fn generate_with_checkpointed(
-        &self,
-        plan: ShardPlan,
-        store: &CheckpointStore,
-        resume: bool,
-        hooks: RunHooks<'_>,
-    ) -> Result<(Dataset, Registry, RunStats, CheckpointReport), CheckpointError> {
-        let (survey, cohorts) = self.build_market();
-        let total = cohorts.last().map_or(0, |c| c.end);
-        let ((records, upgrades, registry), stats, report) =
-            run_sharded_checkpointed(total, plan, store, resume, hooks, |_, range| {
-                let branches = [self.config.chaos];
-                let mut partials = self.observe_shard(range, GEN_BLOCK_USERS, &cohorts, &branches);
-                partials.pop().expect("one branch")
-            })?;
-        let dataset = Dataset {
-            records,
-            upgrades,
-            survey,
-        };
-        Ok((dataset, registry, stats, report))
-    }
-
-    /// [`World::fold_users_traced`] with durable per-shard checkpoints
-    /// (see [`World::generate_with_checkpointed`] for the recovery
-    /// contract). The accumulator must be [`Snapshot`] so completed
-    /// partials can be frozen to disk and restored bit-exactly.
-    #[allow(clippy::type_complexity)]
-    pub fn fold_users_checkpointed<A, I, F>(
-        &self,
-        plan: ShardPlan,
-        store: &CheckpointStore,
-        resume: bool,
-        hooks: RunHooks<'_>,
-        init: I,
-        absorb: F,
-    ) -> Result<(MarketSurvey, A, Registry, RunStats, CheckpointReport), CheckpointError>
-    where
-        A: Mergeable + Snapshot + Send,
-        I: Fn() -> A + Sync,
-        F: Fn(&mut A, &UserRecord, Option<&UpgradeObservation>) + Sync,
-    {
-        let (survey, cohorts) = self.build_market();
-        let total = cohorts.last().map_or(0, |c| c.end);
-        let ((folded, registry), stats, report) =
-            run_sharded_checkpointed(total, plan, store, resume, hooks, |_, range| {
-                self.stream_shard_with(&cohorts, range, &init, &absorb)
-            })?;
-        Ok((survey, folded, registry, stats, report))
+        (population.into_survey(), folded, registry, stats)
     }
 
     /// Total users (Dasu + FCC) the current config implies.
+    ///
+    /// # Panics
+    /// When the cohort layout overflows the `u64` user index space (see
+    /// [`RunSpec::validate`]).
     pub fn n_users(&self) -> u64 {
-        let (_, cohorts) = self.build_market();
-        cohorts.last().map_or(0, |c| c.end)
+        self.population().n_users()
     }
 
-    /// Instantiate every market from the master stream and lay the user
-    /// cohorts out over a flat index space: Dasu users country by country,
-    /// then the US-only FCC gateway cohort.
-    fn build_market(&self) -> (MarketSurvey, Vec<Cohort<'_>>) {
+    /// Instantiate every market from the master stream and lay the users
+    /// out over a flat index space — Dasu users country by country, then
+    /// the US-only FCC gateway cohort — ready to observe any range of it.
+    ///
+    /// # Panics
+    /// When the cohort layout overflows the `u64` user index space. A
+    /// [`RunSpec`] read from outside input is checked by
+    /// [`RunSpec::validate`] before any world is built from it.
+    pub fn population(&self) -> Population<'_> {
+        let ends = self.cohort_ends().unwrap_or_else(|err| panic!("{err}"));
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
         let mut survey = MarketSurvey::new();
-        let mut cohorts: Vec<Cohort<'_>> = Vec::with_capacity(self.profiles.len() + 1);
-        let mut end = 0u64;
-        let mut us: Option<(usize, PlanCatalog)> = None;
-        for (i, profile) in self.profiles.iter().enumerate() {
+        let mut cohorts: Vec<Cohort<'_>> = Vec::with_capacity(ends.len());
+        let mut us: Option<(&CountryProfile, PlanCatalog)> = None;
+        for (profile, &end) in self.profiles.iter().zip(&ends) {
             let catalog = profile.market.instantiate(&mut rng);
             survey.insert(profile.region, catalog.clone());
             if profile.country == Country::new("US") {
-                us = Some((i, catalog.clone()));
+                us = Some((profile, catalog.clone()));
             }
-            end += (profile.user_weight * self.config.user_scale)
-                .round()
-                .max(1.0) as u64;
             cohorts.push(Cohort {
                 profile,
                 catalog,
@@ -704,17 +639,57 @@ impl World {
                 bt_override: None,
             });
         }
-        if let Some((us_idx, catalog)) = us {
-            end += self.config.fcc_users as u64;
+        if let (Some((profile, catalog)), Some(&end)) = (us, ends.get(self.profiles.len())) {
             cohorts.push(Cohort {
-                profile: &self.profiles[us_idx],
+                profile,
                 catalog,
                 end,
                 vantage: VantageKind::Fcc,
-                bt_override: Some(self.config.fcc_bt_prob),
+                bt_override: Some(FCC_BT_PROB),
             });
         }
-        (survey, cohorts)
+        Population {
+            world: self,
+            survey,
+            cohorts,
+        }
+    }
+
+    /// The cohort layout, computed in this one place: the exclusive end of
+    /// every Dasu cohort in profile order, then — when the world includes
+    /// the US — of the FCC gateway cohort. Errors when the users do not
+    /// fit the `u64` index space, instead of wrapping around to a smaller
+    /// world than the one asked for.
+    fn cohort_ends(&self) -> Result<Vec<u64>, String> {
+        let overflow = || {
+            format!(
+                "a world of user scale {:?} with {} FCC gateways overflows the u64 user index",
+                self.config.user_scale, self.config.fcc_users
+            )
+        };
+        let mut ends = Vec::with_capacity(self.profiles.len() + 1);
+        let mut end = 0u64;
+        for profile in &self.profiles {
+            let size = (profile.user_weight * self.config.user_scale)
+                .round()
+                .max(1.0);
+            // `u64::MAX as f64` is 2^64, the first size `as` would
+            // silently saturate instead of converting.
+            if size >= u64::MAX as f64 {
+                return Err(overflow());
+            }
+            end = end.checked_add(size as u64).ok_or_else(overflow)?;
+            ends.push(end);
+        }
+        if self
+            .profiles
+            .iter()
+            .any(|p| p.country == Country::new("US"))
+        {
+            let fcc_end = end.checked_add(self.config.fcc_users as u64);
+            ends.push(fcc_end.ok_or_else(overflow)?);
+        }
+        Ok(ends)
     }
 
     /// Observe the user at `user_index` under every chaos branch and hand
@@ -755,7 +730,7 @@ impl World {
             reg.inc("dataset.users.observed");
         }
         let mut rng = stream_rng(self.config.seed, USER_STREAM, user_index);
-        let year = self.config.years[rng.gen_range(0..self.config.years.len())];
+        let year = Year::PANEL[rng.gen_range(0..Year::PANEL.len())];
         let agent = self.sample_subscriber(
             cohort.profile,
             &cohort.catalog,
@@ -1101,7 +1076,7 @@ impl World {
         } else {
             Some(NdtProbe::default().run_averaged(&s.link, surviving_runs, rng))
         };
-        let web = if rng.gen::<f64>() < self.config.web_probe_fraction {
+        let web = if rng.gen::<f64>() < WEB_PROBE_FRACTION {
             Some(web_latency(&s.link, rng))
         } else {
             None
@@ -1285,7 +1260,7 @@ mod tests {
             ShardPlan::new(8, 4),
             ShardPlan::new(64, 3),
         ] {
-            let sharded = world.generate_with(plan);
+            let sharded = world.generate_with_traced(plan).0;
             assert_eq!(serial.records.len(), sharded.records.len());
             assert_eq!(serial.upgrades.len(), sharded.upgrades.len());
             for (a, b) in serial.records.iter().zip(&sharded.records) {
@@ -1512,8 +1487,8 @@ mod tests {
         cfg.days = 2;
         let world = World::with_countries(cfg, &["US", "JP", "BW", "SA", "IN"]);
         let shared = world.generate();
-        let (_, cohorts) = world.build_market();
-        let total = cohorts.last().map_or(0, |c| c.end);
+        let population = world.population();
+        let total = population.n_users();
         let mut reg = Registry::new();
         let mut records = Vec::new();
         let mut upgrades = Vec::new();
@@ -1521,7 +1496,7 @@ mod tests {
             let mut fresh = GenScratch::new(world.config.days);
             world.observe_branches(
                 user_index,
-                &cohorts,
+                &population.cohorts,
                 &[None],
                 std::slice::from_mut(&mut reg),
                 &mut fresh,
@@ -1551,10 +1526,10 @@ mod tests {
         cfg.fcc_users = 0;
         let empty = World::with_countries(cfg.clone(), &[]);
         assert_eq!(empty.n_users(), 0);
-        let ds = empty.generate_with(ShardPlan::new(4, 2));
+        let ds = empty.generate_with_traced(ShardPlan::new(4, 2)).0;
         assert!(ds.records.is_empty() && ds.upgrades.is_empty());
-        let (_, seen) =
-            empty.fold_users(ShardPlan::serial(), Vec::new, |acc: &mut Vec<u64>, _, _| {
+        let (_, seen, _, _) =
+            empty.fold_users_traced(ShardPlan::serial(), Vec::new, |acc: &mut Vec<u64>, _, _| {
                 acc.push(1)
             });
         assert!(seen.is_empty());
@@ -1764,7 +1739,7 @@ mod tests {
         cfg.days = 2;
         let world = World::with_countries(cfg, &["US", "JP", "BW", "SA", "IN"]);
         let full = world.generate();
-        let (survey, (n_records, n_upgrades, cap_sum)) = world.fold_users(
+        let (survey, (n_records, n_upgrades, cap_sum), _, _) = world.fold_users_traced(
             ShardPlan::new(8, 4),
             || (Vec::new(), Vec::new(), Vec::new()),
             |acc, record, upgrade| {
@@ -1889,6 +1864,69 @@ mod tests {
             .filter(|r| r.demand_no_bt.is_some())
             .count();
         assert!(observed as f64 > 0.95 * ds.records.len() as f64);
+    }
+
+    #[test]
+    fn the_cohort_layout_is_checked_not_wrapped() {
+        let world = branch_world();
+        let ends = world.cohort_ends().unwrap();
+        assert_eq!(ends.len(), world.profiles.len() + 1, "Dasu cohorts + FCC");
+        assert!(ends.windows(2).all(|w| w[0] < w[1]), "{ends:?}");
+        assert_eq!(ends.last().copied(), Some(world.n_users()));
+        assert_eq!(
+            ends[ends.len() - 1] - ends[ends.len() - 2],
+            20,
+            "FCC cohort"
+        );
+        let us_free = World::with_countries(world.config.clone(), &["JP", "BW"]);
+        assert_eq!(us_free.cohort_ends().unwrap().len(), 2, "no FCC cohort");
+
+        // Each of these sums past u64::MAX: a cohort count too large to
+        // represent, two cohorts that overflow together, an FCC cohort
+        // that overflows the Dasu total, and a streamed world sized
+        // right at the limit.
+        let max = u64::MAX;
+        let too_big = [
+            RunSpec {
+                scale: 1e300,
+                ..RunSpec::paper(1)
+            },
+            RunSpec {
+                scale: 1e18,
+                ..RunSpec::paper(1)
+            },
+            RunSpec {
+                fcc_users: max as usize,
+                ..RunSpec::paper(1)
+            },
+            RunSpec {
+                users: Some(max),
+                fcc_users: 0,
+                ..RunSpec::paper(1)
+            },
+            RunSpec {
+                users: Some(100),
+                fcc_users: max as usize,
+                ..RunSpec::paper(1)
+            },
+        ];
+        for spec in too_big {
+            let err = spec.validate().expect_err("must not lay out");
+            assert!(err.contains("overflows the u64 user index"), "{err}");
+        }
+        // Large but representable worlds still lay out, and a tiny
+        // streamed world keeps its one-user-per-country floor.
+        let fits = RunSpec {
+            users: Some(1 << 53),
+            ..RunSpec::paper(1)
+        };
+        assert_eq!(fits.validate(), Ok(()));
+        let floor = RunSpec {
+            users: Some(1),
+            fcc_users: 0,
+            ..RunSpec::paper(1)
+        };
+        assert_eq!(floor.world().n_users(), floor.world().profiles.len() as u64);
     }
 
     fn param_text(spec: &RunSpec) -> String {

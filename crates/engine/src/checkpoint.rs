@@ -89,50 +89,6 @@ pub struct ShardProgress {
     pub restored: bool,
 }
 
-/// Observer hooks for [`run_sharded_checkpointed`]. `after_commit` sees
-/// the running count of shards durably committed by *this* process (the
-/// crash-injection tests abort from it); `progress` sees every finished
-/// shard, restored or computed (the serve gateway streams it as SSE).
-#[derive(Clone, Copy, Default)]
-pub struct RunHooks<'a> {
-    /// Called after each durable commit with the commit count.
-    pub after_commit: Option<&'a (dyn Fn(u64) + Sync)>,
-    /// Called once per finished shard with its [`ShardProgress`].
-    pub progress: Option<&'a (dyn Fn(ShardProgress) + Sync)>,
-}
-
-impl<'a> RunHooks<'a> {
-    /// No observers.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Only an `after_commit` observer.
-    pub fn on_commit(hook: &'a (dyn Fn(u64) + Sync)) -> Self {
-        RunHooks {
-            after_commit: Some(hook),
-            progress: None,
-        }
-    }
-
-    /// Only a shard-progress observer.
-    pub fn on_progress(hook: &'a (dyn Fn(ShardProgress) + Sync)) -> Self {
-        RunHooks {
-            after_commit: None,
-            progress: Some(hook),
-        }
-    }
-}
-
-impl fmt::Debug for RunHooks<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunHooks")
-            .field("after_commit", &self.after_commit.is_some())
-            .field("progress", &self.progress.is_some())
-            .finish()
-    }
-}
-
 /// Run parameters pinned into the manifest. Two runs may share a
 /// checkpoint directory only if their parameter lists are identical —
 /// key order included, so build them the same way everywhere.
@@ -472,7 +428,6 @@ impl CheckpointStore {
             n_items,
             n_shards,
             done: Mutex::new(done),
-            commits: AtomicU64::new(0),
         };
         Ok((session, restored, report))
     }
@@ -489,22 +444,16 @@ pub struct CheckpointSession {
     n_items: u64,
     n_shards: usize,
     done: Mutex<BTreeMap<usize, u64>>,
-    commits: AtomicU64,
 }
 
 impl CheckpointSession {
     /// Durably commit shard `index`: its file first, then a manifest that
-    /// lists it. Safe to call from several threads. Returns how many
-    /// shards this session has committed so far.
-    pub fn commit<A: Snapshot>(&self, index: usize, partial: &A) -> Result<u64, CheckpointError> {
+    /// lists it. Safe to call from several threads.
+    pub fn commit<A: Snapshot>(&self, index: usize, partial: &A) -> Result<(), CheckpointError> {
         let digest = self.store.write_shard(index, partial)?;
-        {
-            let mut done = self.done.lock().expect("checkpoint state poisoned");
-            done.insert(index, digest);
-            self.store
-                .save_manifest(self.n_items, self.n_shards, &done)?;
-        }
-        Ok(self.commits.fetch_add(1, Ordering::Relaxed) + 1)
+        let mut done = self.done.lock().expect("checkpoint state poisoned");
+        done.insert(index, digest);
+        self.store.save_manifest(self.n_items, self.n_shards, &done)
     }
 }
 
@@ -532,23 +481,23 @@ fn verify_checksum(content: &str) -> Result<&str, String> {
     Ok(body)
 }
 
-/// [`crate::run_sharded_traced`] with durable per-shard checkpoints.
+/// [`crate::run_sharded`] with durable per-shard checkpoints.
 ///
 /// After every completed shard the accumulator is written to `store`
 /// (atomically, manifest updated) before the next shard's result can be
 /// folded over it. With `resume`, previously-completed shards that pass
 /// validation are restored instead of recomputed; the merged result is
-/// byte-identical either way. `hooks.after_commit` (if given) runs after
-/// each durable commit with the number of shards committed by *this*
-/// process — the crash-injection tests use it to die at a chosen point —
-/// and `hooks.progress` observes every finished shard (restored shards
-/// at load time, computed shards right after their commit).
+/// byte-identical either way. `progress` (if given) observes every
+/// finished shard: restored shards at load time, and a computed shard
+/// only once it is durable — so an observer that counts computed shards
+/// and aborts (the CLI's crash injection) leaves exactly that many
+/// behind.
 pub fn run_sharded_checkpointed<A, F>(
     n_items: u64,
     plan: ShardPlan,
     store: &CheckpointStore,
     resume: bool,
-    hooks: RunHooks<'_>,
+    progress: Option<&(dyn Fn(ShardProgress) + Sync)>,
     work: F,
 ) -> Result<(A, RunStats, CheckpointReport), CheckpointError>
 where
@@ -560,36 +509,25 @@ where
     let (session, preloaded, report) = store.open::<A>(n_items, n_shards, resume)?;
 
     let finished = AtomicU64::new(0);
-    if let Some(progress) = hooks.progress {
-        for (index, _) in preloaded.iter().enumerate().filter(|(_, p)| p.is_some()) {
+    let notify = |shard: usize, restored: bool| {
+        if let Some(progress) = progress {
             progress(ShardProgress {
-                shard: index,
+                shard,
                 done: finished.fetch_add(1, Ordering::Relaxed) + 1,
                 total: n_shards,
-                items: ranges[index].end - ranges[index].start,
-                restored: true,
+                items: ranges[shard].end - ranges[shard].start,
+                restored,
             });
         }
-    } else {
-        finished.store(report.skipped, Ordering::Relaxed);
+    };
+    for (index, _) in preloaded.iter().enumerate().filter(|(_, p)| p.is_some()) {
+        notify(index, true);
     }
-
     let observer = |index: usize, partial: &A| -> Result<(), String> {
-        let committed = session
+        session
             .commit(index, partial)
             .map_err(|err| err.to_string())?;
-        if let Some(hook) = hooks.after_commit {
-            hook(committed);
-        }
-        if let Some(progress) = hooks.progress {
-            progress(ShardProgress {
-                shard: index,
-                done: finished.fetch_add(1, Ordering::Relaxed) + 1,
-                total: n_shards,
-                items: ranges[index].end - ranges[index].start,
-                restored: false,
-            });
-        }
+        notify(index, false);
         Ok(())
     };
 
@@ -629,17 +567,17 @@ mod tests {
         let dir = tmpdir("cold-resume");
         let store = CheckpointStore::new(&dir, params());
         let plan = ShardPlan::new(4, 2);
-        let reference = crate::run_sharded(200, plan, work);
+        let reference = crate::run_sharded(200, plan, work).0;
 
         let (cold, _, cold_report) =
-            run_sharded_checkpointed(200, plan, &store, false, RunHooks::none(), work).unwrap();
+            run_sharded_checkpointed(200, plan, &store, false, None, work).unwrap();
         assert_eq!(cold, reference);
         assert_eq!(cold_report.skipped, 0);
         assert_eq!(cold_report.recomputed, 4);
         assert_eq!(cold_report.rejected, 0);
 
         let (resumed, _, resume_report) =
-            run_sharded_checkpointed(200, plan, &store, true, RunHooks::none(), work).unwrap();
+            run_sharded_checkpointed(200, plan, &store, true, None, work).unwrap();
         assert_eq!(resumed, reference);
         assert_eq!(resume_report.skipped, 4);
         assert_eq!(resume_report.recomputed, 0);
@@ -648,23 +586,37 @@ mod tests {
     }
 
     #[test]
-    fn after_commit_sees_monotone_commit_counts() {
-        let dir = tmpdir("hook");
+    fn computed_shards_are_reported_only_once_durable() {
+        let dir = tmpdir("durable");
         let store = CheckpointStore::new(&dir, params());
-        let seen = Mutex::new(Vec::new());
-        let hook = |n: u64| seen.lock().unwrap().push(n);
-        run_sharded_checkpointed(
-            64,
-            ShardPlan::new(4, 1),
-            &store,
-            false,
-            RunHooks::on_commit(&hook),
-            work,
-        )
-        .unwrap();
-        let mut counts = seen.into_inner().unwrap();
-        counts.sort_unstable();
-        assert_eq!(counts, vec![1, 2, 3, 4]);
+        for threads in [1, 3] {
+            let seen = Mutex::new(Vec::new());
+            let progress = |p: ShardProgress| {
+                assert!(!p.restored, "cold run restores nothing");
+                let manifest = fs::read_to_string(store.manifest_path()).unwrap();
+                let shard = fs::read_to_string(store.shard_path(p.shard))
+                    .expect("a reported shard's file exists");
+                let digest = fnv1a64(verify_checksum(&shard).unwrap().as_bytes());
+                assert!(
+                    manifest.contains(&format!("- {} {digest:016x}\n", p.shard)),
+                    "shard {} reported before the manifest pinned its file",
+                    p.shard
+                );
+                seen.lock().unwrap().push(p.shard);
+            };
+            run_sharded_checkpointed(
+                64,
+                ShardPlan::new(4, threads),
+                &store,
+                false,
+                Some(&progress),
+                work,
+            )
+            .unwrap();
+            let mut shards = seen.into_inner().unwrap();
+            shards.sort_unstable();
+            assert_eq!(shards, vec![0, 1, 2, 3], "threads {threads}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -676,15 +628,7 @@ mod tests {
 
         let seen = Mutex::new(Vec::new());
         let progress = |p: ShardProgress| seen.lock().unwrap().push(p);
-        run_sharded_checkpointed(
-            100,
-            plan,
-            &store,
-            false,
-            RunHooks::on_progress(&progress),
-            work,
-        )
-        .unwrap();
+        run_sharded_checkpointed(100, plan, &store, false, Some(&progress), work).unwrap();
         let mut cold = seen.into_inner().unwrap();
         cold.sort_by_key(|p| p.shard);
         assert_eq!(cold.len(), 4);
@@ -696,15 +640,7 @@ mod tests {
 
         let seen = Mutex::new(Vec::new());
         let progress = |p: ShardProgress| seen.lock().unwrap().push(p);
-        run_sharded_checkpointed(
-            100,
-            plan,
-            &store,
-            true,
-            RunHooks::on_progress(&progress),
-            work,
-        )
-        .unwrap();
+        run_sharded_checkpointed(100, plan, &store, true, Some(&progress), work).unwrap();
         let resumed = seen.into_inner().unwrap();
         assert_eq!(resumed.len(), 4);
         assert!(resumed.iter().all(|p| p.restored));
@@ -715,27 +651,12 @@ mod tests {
     fn mismatched_params_reject_the_whole_manifest() {
         let dir = tmpdir("params");
         let store = CheckpointStore::new(&dir, params());
-        run_sharded_checkpointed(
-            100,
-            ShardPlan::new(4, 1),
-            &store,
-            false,
-            RunHooks::none(),
-            work,
-        )
-        .unwrap();
+        run_sharded_checkpointed(100, ShardPlan::new(4, 1), &store, false, None, work).unwrap();
 
         let other = CheckpointStore::new(&dir, CheckpointParams::new().set("seed", 8));
-        let (result, _, report) = run_sharded_checkpointed(
-            100,
-            ShardPlan::new(4, 1),
-            &other,
-            true,
-            RunHooks::none(),
-            work,
-        )
-        .unwrap();
-        assert_eq!(result, crate::run_sharded(100, ShardPlan::serial(), work));
+        let (result, _, report) =
+            run_sharded_checkpointed(100, ShardPlan::new(4, 1), &other, true, None, work).unwrap();
+        assert_eq!(result, crate::run_sharded(100, ShardPlan::serial(), work).0);
         assert_eq!(report.skipped, 0);
         assert_eq!(report.rejected, 1, "one rejection for the manifest");
         assert!(

@@ -11,13 +11,17 @@
 //!   work item) gets an independent ChaCha8 stream keyed by
 //!   `(world_seed, stream_id, item_index)`, so a user's draws no longer
 //!   depend on who was simulated before them.
-//! * [`shard`] — [`shard::run_sharded`]: partition `n` items into shards,
-//!   execute shards on scoped worker threads (work-stealing via an atomic
-//!   cursor), and fold the per-shard partial results **in shard order**,
-//!   making the merged result independent of thread scheduling.
-//!   [`shard::run_sharded_traced`] is the same fold plus a [`RunStats`]
-//!   report of the scheduling side (per-shard wall time, steals, merge
-//!   time) for `bb-trace`'s runtime sidecar.
+//! * [`shard`] — [`shard::run_sharded`], the in-memory driver: partition
+//!   `n` items into shards, execute shards on scoped worker threads
+//!   (work-stealing via an atomic cursor; one thread runs inline), and
+//!   fold the per-shard partial results **in shard order**, making the
+//!   merged result independent of thread scheduling. It also returns a
+//!   [`RunStats`] report of the scheduling side (per-shard wall time,
+//!   steals, merge time) for `bb-trace`'s runtime sidecar.
+//! * [`checkpoint`] — [`checkpoint::run_sharded_checkpointed`], the same
+//!   shard loop with every computed shard made durable before it is
+//!   folded, a resume that restores committed shards instead of
+//!   recomputing them, and one [`ShardProgress`] observer.
 //! * [`merge`] — the [`Mergeable`] fold contract the shard runner requires.
 //! * Sketches: [`QuantileSketch`] (bounded relative error),
 //!   [`EcdfSketch`], [`Log2Histogram`], [`ExactMoments`] /
@@ -42,7 +46,7 @@ pub mod snapshot;
 
 pub use checkpoint::{
     atomic_write, run_sharded_checkpointed, CheckpointError, CheckpointParams, CheckpointReport,
-    CheckpointSession, CheckpointStore, RunHooks, ShardProgress, FORMAT_VERSION,
+    CheckpointSession, CheckpointStore, ShardProgress, FORMAT_VERSION,
 };
 pub use ecdf::EcdfSketch;
 pub use hist::Log2Histogram;
@@ -51,5 +55,5 @@ pub use moments::{ExactMoments, Welford};
 pub use quantile::QuantileSketch;
 pub use reservoir::BottomK;
 pub use rng::{splitmix64, stream_rng};
-pub use shard::{run_sharded, run_sharded_traced, RunStats, ShardPlan};
+pub use shard::{run_sharded, RunStats, ShardPlan};
 pub use snapshot::{fnv1a64, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};

@@ -70,7 +70,7 @@ impl ShardPlan {
     }
 }
 
-/// Wall-clock statistics for one [`run_sharded_traced`] call.
+/// Wall-clock statistics for one [`run_sharded`] call.
 ///
 /// Everything in here is a property of the machine and the
 /// `(shards, threads)` plan — scheduling, not data. It is deliberately
@@ -88,7 +88,7 @@ pub struct RunStats {
     pub items: u64,
     /// Shards a worker claimed beyond its first — how often the atomic
     /// cursor rebalanced work. Serial runs report `shards - 1` (one
-    /// "worker" takes everything).
+    /// worker takes everything).
     pub steals: u64,
     /// Log₂ histogram of per-shard wall time in microseconds (base 1 µs).
     pub shard_wall_us: Log2Histogram,
@@ -100,32 +100,12 @@ pub struct RunStats {
     pub total: Duration,
 }
 
-impl RunStats {
-    /// Record this run's spans into a [`bb_trace::Timings`] under
-    /// `engine.work` / `engine.merge` / `engine.total`.
-    pub fn record_into(&self, timings: &mut bb_trace::Timings) {
-        timings.record("engine.work", self.work);
-        timings.record("engine.merge", self.merge);
-        timings.record("engine.total", self.total);
-    }
-}
-
-/// Execute `work` over every shard of `0..n_items` under `plan` and fold
-/// the results in shard order. See the module docs for the determinism
-/// contract.
-pub fn run_sharded<A, F>(n_items: u64, plan: ShardPlan, work: F) -> A
-where
-    A: Mergeable + Send,
-    F: Fn(usize, Range<u64>) -> A + Sync,
-{
-    run_sharded_traced(n_items, plan, work).0
-}
-
-/// [`run_sharded`], additionally reporting the scheduling side of the
-/// run as [`RunStats`]. The returned accumulator is bit-identical to the
-/// untraced call — tracing only observes wall clocks around the same
-/// work and the same shard-order fold.
-pub fn run_sharded_traced<A, F>(n_items: u64, plan: ShardPlan, work: F) -> (A, RunStats)
+/// Execute `work` over every shard of `0..n_items` under `plan`, fold
+/// the results in shard order, and report the scheduling side of the run
+/// as [`RunStats`]. See the module docs for the determinism contract:
+/// the accumulator is bit-identical for every plan, while the stats only
+/// observe wall clocks around the same work and the same fold.
+pub fn run_sharded<A, F>(n_items: u64, plan: ShardPlan, work: F) -> (A, RunStats)
 where
     A: Mergeable + Send,
     F: Fn(usize, Range<u64>) -> A + Sync,
@@ -140,9 +120,11 @@ where
 /// `Err` stops all workers and aborts the run with that message.
 pub(crate) type ShardObserver<'a, A> = &'a (dyn Fn(usize, &A) -> Result<(), String> + Sync);
 
-/// The one shard loop behind [`run_sharded_traced`] and the checkpointed
+/// The one shard loop behind [`run_sharded`] and the checkpointed
 /// runner in [`crate::checkpoint`].
 ///
+/// `threads` workers claim shards through an atomic cursor; with one
+/// thread the single worker runs inline on the calling thread.
 /// `preloaded` is either empty (compute everything) or one slot per
 /// shard; `Some` slots are restored partials that are folded as-is —
 /// they are **not** recomputed, not timed, and not shown to `observer`.
@@ -168,104 +150,79 @@ where
         preloaded.len()
     );
     let threads = plan.threads.min(n_shards);
-    let mut shard_wall_us = Log2Histogram::new();
-    let steals;
-
-    let partials: Vec<Option<A>> = if threads <= 1 {
+    let skip: Vec<bool> = if preloaded.is_empty() {
+        vec![false; n_shards]
+    } else {
+        preloaded.iter().map(Option::is_some).collect()
+    };
+    let slots: Vec<Mutex<Option<A>>> = if preloaded.is_empty() {
+        (0..n_shards).map(|_| Mutex::new(None)).collect()
+    } else {
+        preloaded.into_iter().map(Mutex::new).collect()
+    };
+    let cursor = AtomicUsize::new(0);
+    // (total claims, workers that claimed ≥ 1 shard, per-shard walls).
+    let sched = Mutex::new((0u64, 0u64, Log2Histogram::new()));
+    let failed = AtomicBool::new(false);
+    let failure: Mutex<Option<String>> = Mutex::new(None);
+    let worker = || {
         let mut claims = 0u64;
-        let mut slots: Vec<Option<A>> = if preloaded.is_empty() {
-            (0..n_shards).map(|_| None).collect()
-        } else {
-            preloaded
-        };
-        for (index, range) in ranges.into_iter().enumerate() {
-            if slots[index].is_some() {
+        let mut walls = Log2Histogram::new();
+        loop {
+            if failed.load(Ordering::Acquire) {
+                break;
+            }
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= n_shards {
+                break;
+            }
+            if skip[index] {
                 continue;
             }
             claims += 1;
             let shard_started = Instant::now();
-            let result = work(index, range);
-            shard_wall_us.push(shard_started.elapsed().as_secs_f64() * 1e6, 1.0);
+            let result = work(index, ranges[index].clone());
+            walls.push(shard_started.elapsed().as_secs_f64() * 1e6, 1.0);
             if let Some(observe) = observer {
-                observe(index, &result)?;
+                if let Err(message) = observe(index, &result) {
+                    let mut first = failure.lock().expect("failure slot poisoned");
+                    first.get_or_insert(message);
+                    failed.store(true, Ordering::Release);
+                    break;
+                }
             }
-            slots[index] = Some(result);
+            *slots[index].lock().expect("shard slot poisoned") = Some(result);
         }
-        steals = claims.saturating_sub(1);
-        slots
+        if claims > 0 {
+            let mut sched = sched.lock().expect("sched stats poisoned");
+            sched.0 += claims;
+            sched.1 += 1;
+            sched.2.merge(walls);
+        }
+    };
+    if threads <= 1 {
+        worker();
     } else {
-        let cursor = AtomicUsize::new(0);
-        let mut preloaded = preloaded;
-        let skip: Vec<bool> = if preloaded.is_empty() {
-            vec![false; n_shards]
-        } else {
-            preloaded.iter().map(Option::is_some).collect()
-        };
-        let slots: Vec<Mutex<Option<A>>> = if preloaded.is_empty() {
-            (0..n_shards).map(|_| Mutex::new(None)).collect()
-        } else {
-            preloaded.drain(..).map(Mutex::new).collect()
-        };
-        // (total claims, workers that claimed ≥ 1 shard, per-shard walls).
-        let sched = Mutex::new((0u64, 0u64, Log2Histogram::new()));
-        let failed = AtomicBool::new(false);
-        let failure: Mutex<Option<String>> = Mutex::new(None);
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut claims = 0u64;
-                    let mut walls = Log2Histogram::new();
-                    loop {
-                        if failed.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= n_shards {
-                            break;
-                        }
-                        if skip[index] {
-                            continue;
-                        }
-                        claims += 1;
-                        let shard_started = Instant::now();
-                        let result = work(index, ranges[index].clone());
-                        walls.push(shard_started.elapsed().as_secs_f64() * 1e6, 1.0);
-                        if let Some(observe) = observer {
-                            if let Err(message) = observe(index, &result) {
-                                let mut first = failure.lock().expect("failure slot poisoned");
-                                first.get_or_insert(message);
-                                failed.store(true, Ordering::Release);
-                                break;
-                            }
-                        }
-                        *slots[index].lock().expect("shard slot poisoned") = Some(result);
-                    }
-                    if claims > 0 {
-                        let mut sched = sched.lock().expect("sched stats poisoned");
-                        sched.0 += claims;
-                        sched.1 += 1;
-                        sched.2.merge(walls);
-                    }
-                });
+                scope.spawn(worker);
             }
         });
-        if let Some(message) = failure.into_inner().expect("failure slot poisoned") {
-            return Err(message);
-        }
-        let (claims, active_workers, walls) = sched.into_inner().expect("sched stats poisoned");
-        steals = claims.saturating_sub(active_workers);
-        shard_wall_us = walls;
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("shard slot poisoned"))
-            .collect()
-    };
+    }
+    if let Some(message) = failure.into_inner().expect("failure slot poisoned") {
+        return Err(message);
+    }
+    let (claims, active_workers, shard_wall_us) = sched.into_inner().expect("sched stats poisoned");
     let work_elapsed = started.elapsed();
 
     let merge_started = Instant::now();
-    let merged = partials
+    let merged = slots
         .into_iter()
-        .map(|partial| partial.expect("every shard produces a result"))
+        .map(|slot| {
+            slot.into_inner()
+                .expect("shard slot poisoned")
+                .expect("every shard produces a result")
+        })
         .reduce(|mut acc, next| {
             acc.merge(next);
             acc
@@ -276,7 +233,7 @@ where
         shards: n_shards,
         threads,
         items: n_items,
-        steals,
+        steals: claims.saturating_sub(active_workers),
         shard_wall_us,
         work: work_elapsed,
         merge: merge_started.elapsed(),
@@ -323,23 +280,22 @@ mod tests {
 
     #[test]
     fn every_plan_produces_identical_results() {
-        let reference = run_sharded(1000, ShardPlan::serial(), |_, r| simulate(r));
+        let reference = run_sharded(1000, ShardPlan::serial(), |_, r| simulate(r)).0;
         for plan in [
             ShardPlan::new(8, 1),
             ShardPlan::new(8, 4),
             ShardPlan::new(64, 3),
             ShardPlan::for_threads(4),
         ] {
-            let got = run_sharded(1000, plan, |_, r| simulate(r));
+            let got = run_sharded(1000, plan, |_, r| simulate(r)).0;
             assert_eq!(got, reference, "{plan:?}");
         }
     }
 
     #[test]
     fn traced_runs_match_untraced_and_report_scheduling() {
-        let reference = run_sharded(500, ShardPlan::serial(), |_, r| simulate(r));
-        let (serial, serial_stats) =
-            run_sharded_traced(500, ShardPlan::new(8, 1), |_, r| simulate(r));
+        let reference = run_sharded(500, ShardPlan::serial(), |_, r| simulate(r)).0;
+        let (serial, serial_stats) = run_sharded(500, ShardPlan::new(8, 1), |_, r| simulate(r));
         assert_eq!(serial, reference);
         assert_eq!(serial_stats.shards, 8);
         assert_eq!(serial_stats.threads, 1);
@@ -347,21 +303,16 @@ mod tests {
         assert_eq!(serial_stats.steals, 7, "serial: one worker claims all");
         assert_eq!(serial_stats.shard_wall_us.count(), 8);
 
-        let (parallel, parallel_stats) =
-            run_sharded_traced(500, ShardPlan::new(8, 4), |_, r| simulate(r));
+        let (parallel, parallel_stats) = run_sharded(500, ShardPlan::new(8, 4), |_, r| simulate(r));
         assert_eq!(parallel, reference, "tracing must not perturb the fold");
         assert_eq!(parallel_stats.shard_wall_us.count(), 8);
         assert!(parallel_stats.steals <= 7, "at most shards - workers_used");
         assert!(parallel_stats.total >= parallel_stats.merge);
-
-        let mut timings = bb_trace::Timings::new();
-        parallel_stats.record_into(&mut timings);
-        assert_eq!(timings.span("engine.work").unwrap().count, 1);
     }
 
     #[test]
     fn zero_items_still_initialises() {
-        let (ids, moments) = run_sharded(0, ShardPlan::new(8, 4), |_, r| simulate(r));
+        let ((ids, moments), _) = run_sharded(0, ShardPlan::new(8, 4), |_, r| simulate(r));
         assert!(ids.is_empty());
         assert_eq!(moments.count(), 0);
     }

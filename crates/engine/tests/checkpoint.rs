@@ -9,7 +9,7 @@
 
 use bb_engine::{
     fnv1a64, run_sharded_checkpointed, CheckpointParams, CheckpointReport, CheckpointStore,
-    ExactMoments, RunHooks, ShardPlan,
+    ExactMoments, ShardPlan,
 };
 use std::path::{Path, PathBuf};
 
@@ -47,7 +47,7 @@ fn cold_run(dir: &Path) -> (ExactMoments, CheckpointReport) {
         ShardPlan::new(SHARDS, 2),
         &store,
         false,
-        RunHooks::none(),
+        None,
         work,
     )
     .expect("cold run");
@@ -57,15 +57,9 @@ fn cold_run(dir: &Path) -> (ExactMoments, CheckpointReport) {
 /// Resume from `dir` (possibly after corruption), returning the result.
 fn resume_run(dir: &Path) -> (ExactMoments, CheckpointReport) {
     let store = CheckpointStore::new(dir, params());
-    let (acc, _, report) = run_sharded_checkpointed(
-        N_ITEMS,
-        ShardPlan::new(SHARDS, 2),
-        &store,
-        true,
-        RunHooks::none(),
-        work,
-    )
-    .expect("resume run");
+    let (acc, _, report) =
+        run_sharded_checkpointed(N_ITEMS, ShardPlan::new(SHARDS, 2), &store, true, None, work)
+            .expect("resume run");
     (acc, report)
 }
 
@@ -221,15 +215,9 @@ fn mismatched_seed_rejects_the_whole_manifest() {
         .set("seed", 43u64)
         .set("kind", "sum");
     let store = CheckpointStore::new(&dir, other);
-    let (acc, _, report) = run_sharded_checkpointed(
-        N_ITEMS,
-        ShardPlan::new(SHARDS, 2),
-        &store,
-        true,
-        RunHooks::none(),
-        work,
-    )
-    .expect("resume with different params");
+    let (acc, _, report) =
+        run_sharded_checkpointed(N_ITEMS, ShardPlan::new(SHARDS, 2), &store, true, None, work)
+            .expect("resume with different params");
     let (fresh, _) = {
         let dir2 = tmpdir("ckpt-seed-fresh");
         cold_run(&dir2)
@@ -247,15 +235,9 @@ fn mismatched_shard_plan_rejects_the_whole_manifest() {
     // The manifest pins the *shard* count (boundaries define partials);
     // resuming under a different count must recompute everything…
     let store = CheckpointStore::new(&dir, params());
-    let (acc, _, report) = run_sharded_checkpointed(
-        N_ITEMS,
-        ShardPlan::new(8, 2),
-        &store,
-        true,
-        RunHooks::none(),
-        work,
-    )
-    .expect("resume with different shard count");
+    let (acc, _, report) =
+        run_sharded_checkpointed(N_ITEMS, ShardPlan::new(8, 2), &store, true, None, work)
+            .expect("resume with different shard count");
     assert_eq!(acc, cold, "different plan, same merged result");
     assert_eq!(report.skipped, 0);
     assert_eq!(report.rejected, 1);
@@ -271,7 +253,7 @@ fn mismatched_shard_plan_rejects_the_whole_manifest() {
         ShardPlan::new(SHARDS, 7),
         &store2,
         true,
-        RunHooks::none(),
+        None,
         work,
     )
     .expect("resume with different threads");

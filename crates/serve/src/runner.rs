@@ -5,17 +5,17 @@
 //! checkpoint identity, [`bundle::stream_run_files`] for the metrics,
 //! the pinned ledger event order and the exhibit file set. The runner
 //! only adds the service extras (per-exhibit Markdown, the country
-//! drill-down document) *after* the batch-identical artifacts, and wires
-//! the engine's progress hook and the ledger's tail subscriber into the
-//! job's SSE feed.
+//! drill-down document) *after* the batch-identical artifacts, and hands
+//! the engine's progress observer and the ledger's tail subscriber to
+//! the caller, who feeds both into the job's SSE stream.
 
 use bb_dataset::RunSpec;
-use bb_engine::{CheckpointReport, CheckpointStore, RunHooks, ShardPlan};
+use bb_engine::{run_sharded_checkpointed, CheckpointStore, ShardPlan, ShardProgress};
 use bb_netsim::chaos::ChaosSpec;
 use bb_report::bundle;
 use bb_study::StreamStudy;
+use bb_trace::EventTail;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Parse a `POST /jobs` body into the run it asks for: a JSON object
 /// with optional `seed`, `users`, `scenario`, `severity` fields laid over
@@ -64,64 +64,40 @@ pub fn job_json(spec: &RunSpec) -> serde_json::Value {
     })
 }
 
-/// Progress and provenance callbacks for a running job.
-#[derive(Clone, Default)]
-pub struct JobHooks {
-    /// Called once per shard (restored or computed).
-    pub progress: Option<Arc<dyn Fn(bb_engine::ShardProgress) + Send + Sync>>,
-    /// Called once per ledger event, in emit order.
-    pub ledger: Option<bb_trace::EventTail>,
-}
-
-impl std::fmt::Debug for JobHooks {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobHooks")
-            .field("progress", &self.progress.is_some())
-            .field("ledger", &self.ledger.is_some())
-            .finish()
-    }
-}
-
 /// Run `spec` as a checkpointed streaming fold under `plan` and return
 /// the artifact file set: first the batch-identical files
 /// (`metrics.json`, `ledger.jsonl`, the exhibit bundle), then the service
 /// extras (`{id}.md` per exhibit, `countries.json`). The checkpoint under
 /// `checkpoint_dir` is always resumed when compatible, so an interrupted
-/// job continues instead of restarting.
+/// job continues instead of restarting. `progress` sees every shard
+/// (restored or computed) and `ledger` every ledger event, in emit order.
 pub fn run_job(
     spec: &RunSpec,
     plan: ShardPlan,
     checkpoint_dir: &Path,
-    hooks: &JobHooks,
-) -> Result<(Vec<(String, String)>, CheckpointReport), String> {
+    progress: Option<&(dyn Fn(ShardProgress) + Sync)>,
+    ledger: Option<EventTail>,
+) -> Result<Vec<(String, String)>, String> {
     let world = spec.world();
+    let population = world.population();
     let store = CheckpointStore::new(checkpoint_dir, spec.checkpoint_params());
-    let progress = hooks.progress.clone();
-    let progress_fn = progress
-        .as_ref()
-        .map(|p| p.as_ref() as &(dyn Fn(bb_engine::ShardProgress) + Sync));
-    let engine_hooks = match progress_fn {
-        Some(hook) => RunHooks::on_progress(hook),
-        None => RunHooks::none(),
-    };
-    let (_, study, registry, _, report) = world
-        .fold_users_checkpointed(
-            plan,
-            &store,
-            true,
-            engine_hooks,
-            StreamStudy::new,
-            |s, r, u| s.absorb(r, u),
-        )
-        .map_err(|e| e.to_string())?;
-    let mut files = bundle::stream_run_files(spec.seed, &study, registry, hooks.ledger.clone());
+    let ((study, registry), _, _) = run_sharded_checkpointed(
+        population.n_users(),
+        plan,
+        &store,
+        true,
+        progress,
+        |_, range| population.fold(range, StreamStudy::new(), |s, r, u| s.absorb(r, u)),
+    )
+    .map_err(|e| e.to_string())?;
+    let mut files = bundle::stream_run_files(spec.seed, &study, registry, ledger);
     for id in bundle::stream_exhibit_ids(&study) {
         if let Some(md) = bundle::stream_exhibit_markdown(&study, &id) {
             files.push((format!("{id}.md"), md));
         }
     }
     files.push(("countries.json".to_string(), countries_json(&study)));
-    Ok((files, report))
+    Ok(files)
 }
 
 /// Round to 4 decimals for a byte-stable drill-down document.

@@ -15,7 +15,7 @@
 //! touching the cache counters.
 
 use crate::cache::{cache_key, ResultCache};
-use crate::runner::{self, JobHooks};
+use crate::runner;
 use crate::sse::Feed;
 use crate::telemetry::ServeTelemetry;
 use bb_dataset::RunSpec;
@@ -324,38 +324,38 @@ fn worker_loop(shared: &Shared) {
                 }
                 telemetry.cache_miss();
                 let checkpoint_dir = shared.checkpoints.join(format!("{key:016x}"));
-                let hooks = JobHooks {
-                    progress: Some({
-                        let feed = Arc::clone(&feed);
-                        let shards_done = Arc::clone(&telemetry.shards_done);
-                        Arc::new(move |p: bb_engine::ShardProgress| {
-                            shards_done.set(p.done as i64);
-                            feed.push(
-                                "shard",
-                                &format!(
-                                    "{{\"shard\": {}, \"done\": {}, \"total\": {}, \
-                                     \"items\": {}, \"restored\": {}}}",
-                                    p.shard, p.done, p.total, p.items, p.restored
-                                ),
-                            );
-                        })
-                    }),
-                    ledger: Some({
-                        let feed = Arc::clone(&feed);
-                        Arc::new(move |event: &bb_trace::Event| {
-                            feed.push("ledger", &event.to_json_line());
-                        })
-                    }),
+                let shards_done = &telemetry.shards_done;
+                let progress = |p: bb_engine::ShardProgress| {
+                    shards_done.set(p.done as i64);
+                    feed.push(
+                        "shard",
+                        &format!(
+                            "{{\"shard\": {}, \"done\": {}, \"total\": {}, \
+                             \"items\": {}, \"restored\": {}}}",
+                            p.shard, p.done, p.total, p.items, p.restored
+                        ),
+                    );
                 };
-                runner::run_job(&spec, shared.plan, &checkpoint_dir, &hooks).and_then(
-                    |(files, _report)| {
-                        shared
-                            .cache
-                            .store(key, &files)
-                            .map_err(|e| format!("cache store: {e}"))?;
-                        Ok((files, false))
-                    },
+                let ledger: bb_trace::EventTail = {
+                    let feed = Arc::clone(&feed);
+                    Arc::new(move |event: &bb_trace::Event| {
+                        feed.push("ledger", &event.to_json_line());
+                    })
+                };
+                runner::run_job(
+                    &spec,
+                    shared.plan,
+                    &checkpoint_dir,
+                    Some(&progress),
+                    Some(ledger),
                 )
+                .and_then(|files| {
+                    shared
+                        .cache
+                        .store(key, &files)
+                        .map_err(|e| format!("cache store: {e}"))?;
+                    Ok((files, false))
+                })
             }
         };
         telemetry

@@ -28,8 +28,8 @@ const PARALLEL: ShardPlan = ShardPlan {
 #[test]
 fn materialised_exhibits_are_byte_identical_across_plans() {
     let world = small_world(31);
-    let serial = world.generate_with(SERIAL);
-    let parallel = world.generate_with(PARALLEL);
+    let serial = world.generate_with_traced(SERIAL).0;
+    let parallel = world.generate_with_traced(PARALLEL).0;
 
     let (fig1a_s, fig1b_s, fig1c_s, _) = sec2::figure1(&serial, &mut bb_trace::EventLog::new());
     let (fig1a_p, fig1b_p, fig1c_p, _) = sec2::figure1(&parallel, &mut bb_trace::EventLog::new());
@@ -58,9 +58,10 @@ fn materialised_exhibits_are_byte_identical_across_plans() {
 fn streamed_exhibits_are_byte_identical_across_plans() {
     let world = small_world(32);
     let fold = |plan| {
-        let (_, study) = world.fold_users(plan, StreamStudy::new, |s: &mut StreamStudy, r, u| {
-            s.absorb(r, u)
-        });
+        let (_, study, _, _) =
+            world.fold_users_traced(plan, StreamStudy::new, |s: &mut StreamStudy, r, u| {
+                s.absorb(r, u)
+            });
         study
     };
     let serial = fold(SERIAL);
@@ -101,8 +102,8 @@ fn provenance_ledgers_are_byte_identical_across_plans() {
     // however generation was sharded. This is the `--ledger` guarantee,
     // pinned at the library layer.
     let world = small_world(35);
-    let serial = world.generate_with(SERIAL);
-    let parallel = world.generate_with(PARALLEL);
+    let serial = world.generate_with_traced(SERIAL).0;
+    let parallel = world.generate_with_traced(PARALLEL).0;
     let run = |ds: &needwant::dataset::Dataset| {
         let mut ledger = bb_trace::EventLog::new();
         needwant::study::StudyReport::run_with_ledger(ds, &world.profiles, 10, &mut ledger);
@@ -164,9 +165,10 @@ fn metrics_registries_are_byte_identical_across_plans() {
 fn streamed_study_matches_materialised_dataset_counts() {
     let world = small_world(33);
     let dataset = world.generate();
-    let (_, study) = world.fold_users(PARALLEL, StreamStudy::new, |s: &mut StreamStudy, r, u| {
-        s.absorb(r, u)
-    });
+    let (_, study, _, _) =
+        world.fold_users_traced(PARALLEL, StreamStudy::new, |s: &mut StreamStudy, r, u| {
+            s.absorb(r, u)
+        });
     assert_eq!(study.users as usize, dataset.records.len());
     assert_eq!(study.movers as usize, dataset.upgrades.len());
 }
