@@ -16,6 +16,12 @@
 //! * a socket sits silent past `io_deadline` — the half-open peer is
 //!   dropped with a counted deadline expiry, never a hung thread.
 //!
+//! Nothing on a job's path runs on a tick. A request that finds nothing
+//! to claim waits on a condition variable that every requeue and merge
+//! notifies, expired leases are swept on each request and at the
+//! earliest lease deadline, and the thread that commits the last shard
+//! wakes the blocking `accept` by connecting to it.
+//!
 //! Determinism does not depend on any of this machinery: payloads are
 //! stored *by shard index* and handed back in shard order once every
 //! index is filled, so the merge is a pure function of the job,
@@ -29,10 +35,10 @@ use bb_engine::ShardPlan;
 use bb_trace::Telemetry;
 use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Tuning knobs for a [`Coordinator`].
 #[derive(Clone, Debug)]
@@ -42,7 +48,10 @@ pub struct CoordinatorConfig {
     /// How long a leased shard may go without a result or heartbeat
     /// before it is reassigned.
     pub lease_timeout: Duration,
-    /// The sleep a [`Message::Wait`] directive suggests.
+    /// How long a `Ready` (or `Result`) that finds no pending shard is
+    /// held waiting for one to requeue or for the job to end. A hold
+    /// that runs out is answered `Wait { poll_ms: 0 }`, and the worker
+    /// asks again at once. Workers' socket deadlines must exceed it.
     pub poll_ms: u64,
     /// Read/write deadline on every worker socket: a peer silent for
     /// this long is dropped (leases requeued) instead of hanging its
@@ -52,7 +61,7 @@ pub struct CoordinatorConfig {
 }
 
 impl CoordinatorConfig {
-    /// A config with the default 30 s lease, 200 ms poll, and 30 s
+    /// A config with the default 30 s lease, 200 ms hold, and 30 s
     /// socket deadline.
     pub fn new(job: JobSpec) -> Self {
         CoordinatorConfig {
@@ -106,16 +115,32 @@ struct State {
     pending: VecDeque<usize>,
     leases: HashMap<usize, Lease>,
     payloads: Vec<Option<String>>,
+    /// Shards with no merged payload yet.
     remaining: usize,
+    /// Merged shards whose `persist` hook has not returned yet.
+    committing: usize,
     report: FederationReport,
-    done: bool,
+}
+
+impl State {
+    /// Every shard merged and every commit returned: `run_with` may
+    /// hand the payloads back.
+    fn done(&self) -> bool {
+        self.remaining == 0 && self.committing == 0
+    }
 }
 
 struct Shared {
     state: Mutex<State>,
+    /// Notified when a held request's answer may have changed: a shard
+    /// merged or requeued, or the job completed.
+    changed: Condvar,
     cfg: CoordinatorConfig,
     ranges: Vec<Range<u64>>,
     telemetry: Arc<Telemetry>,
+    /// Where the thread that completes the job connects to wake the
+    /// blocking `accept` in [`Coordinator::run_with`], which sets it.
+    wake: OnceLock<SocketAddr>,
 }
 
 impl Shared {
@@ -123,21 +148,31 @@ impl Shared {
         self.telemetry.now_micros()
     }
 
-    /// Move every expired lease back to the queue. Callers hold no lock.
-    fn sweep_expired(&self) {
-        let now = self.now_us();
-        let mut state = self.state.lock().expect("federation state");
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("federation state")
+    }
+
+    fn done(&self) -> bool {
+        self.lock().done()
+    }
+
+    /// Move every lease whose deadline passed by `now` back to the
+    /// queue, waking held requests to claim them.
+    fn sweep_expired(&self, state: &mut State, now: u64) {
         let expired: Vec<usize> = state
             .leases
             .iter()
             .filter(|(_, lease)| lease.deadline_us < now)
             .map(|(&shard, _)| shard)
             .collect();
+        if expired.is_empty() {
+            return;
+        }
         for shard in expired {
             let lease = state.leases.remove(&shard).expect("swept lease");
             state.pending.push_back(shard);
             self.count_reassignment(
-                &mut state,
+                state,
                 "lease-expired",
                 format!(
                     "shard {shard}: lease held by worker {} expired",
@@ -145,17 +180,21 @@ impl Shared {
                 ),
             );
         }
+        self.changed.notify_all();
     }
 
     /// Requeue every lease held by `worker` (it died or misbehaved).
     fn drop_worker(&self, worker: u64, cause: &str) {
-        let mut state = self.state.lock().expect("federation state");
+        let mut state = self.lock();
         let held: Vec<usize> = state
             .leases
             .iter()
             .filter(|(_, lease)| lease.worker == worker)
             .map(|(&shard, _)| shard)
             .collect();
+        if held.is_empty() {
+            return;
+        }
         for shard in held {
             state.leases.remove(&shard);
             state.pending.push_back(shard);
@@ -165,6 +204,7 @@ impl Shared {
                 format!("shard {shard}: worker {worker} {cause}"),
             );
         }
+        self.changed.notify_all();
     }
 
     fn count_reassignment(&self, state: &mut State, reason: &'static str, detail: String) {
@@ -176,7 +216,7 @@ impl Shared {
     }
 
     fn count_rejected_frame(&self, detail: String) {
-        let mut state = self.state.lock().expect("federation state");
+        let mut state = self.lock();
         state.report.frames_rejected += 1;
         state.report.reasons.push(detail);
         self.telemetry.counter("federate.frames.rejected").inc();
@@ -185,7 +225,7 @@ impl Shared {
     /// A socket deadline fired: count it, with the phase (`handshake`,
     /// `session`, `write`) as the instrument label.
     fn count_deadline(&self, phase: &'static str, detail: String) {
-        let mut state = self.state.lock().expect("federation state");
+        let mut state = self.lock();
         state.report.deadline_expiries += 1;
         state.report.reasons.push(detail);
         self.telemetry
@@ -193,47 +233,67 @@ impl Shared {
             .inc();
     }
 
-    /// Answer a `Ready` (or a just-merged `Result`): hand out a shard,
-    /// ask the worker to poll again, or finish it.
+    /// Answer a `Ready` (or a just-merged `Result`): hand out a shard or
+    /// finish the worker. With nothing to claim, the request is held
+    /// until a shard requeues or the last one merges, waking at the
+    /// earliest lease deadline to sweep it; a hold that outlasts
+    /// `poll_ms` is answered `Wait { poll_ms: 0 }`.
     fn next_directive(&self, worker: u64) -> Message {
-        self.sweep_expired();
-        let now = self.now_us();
-        let mut state = self.state.lock().expect("federation state");
-        if state.remaining == 0 {
-            return Message::Finished;
-        }
-        if let Some(shard) = state.pending.pop_front() {
-            state.leases.insert(
-                shard,
-                Lease {
-                    worker,
-                    issued_us: now,
-                    deadline_us: now + self.cfg.lease_timeout.as_micros() as u64,
-                },
-            );
-            drop(state);
-            self.telemetry
-                .counter_with(
-                    "federate.worker.assigned",
-                    &[("worker", &worker.to_string())],
-                )
-                .inc();
-            let range = &self.ranges[shard];
-            return Message::Assign {
-                shard: shard as u64,
-                start: range.start,
-                end: range.end,
-            };
-        }
-        Message::Wait {
-            poll_ms: self.cfg.poll_ms,
+        let hold_until = Instant::now() + Duration::from_millis(self.cfg.poll_ms);
+        let mut state = self.lock();
+        let (shard, now) = loop {
+            let now = self.now_us();
+            self.sweep_expired(&mut state, now);
+            if state.remaining == 0 {
+                return Message::Finished;
+            }
+            if let Some(shard) = state.pending.pop_front() {
+                break (shard, now);
+            }
+            let hold = hold_until.saturating_duration_since(Instant::now());
+            if hold.is_zero() {
+                return Message::Wait { poll_ms: 0 };
+            }
+            // A lease expires once the clock passes its deadline.
+            let expiry = state
+                .leases
+                .values()
+                .map(|lease| Duration::from_micros(lease.deadline_us.saturating_sub(now) + 1))
+                .min();
+            let timeout = expiry.map_or(hold, |expiry| expiry.min(hold));
+            state = self
+                .changed
+                .wait_timeout(state, timeout)
+                .expect("federation state")
+                .0;
+        };
+        state.leases.insert(
+            shard,
+            Lease {
+                worker,
+                issued_us: now,
+                deadline_us: now + self.cfg.lease_timeout.as_micros() as u64,
+            },
+        );
+        drop(state);
+        self.telemetry
+            .counter_with(
+                "federate.worker.assigned",
+                &[("worker", &worker.to_string())],
+            )
+            .inc();
+        let range = &self.ranges[shard];
+        Message::Assign {
+            shard: shard as u64,
+            start: range.start,
+            end: range.end,
         }
     }
 
     /// Extend the lease of a shard still being computed.
     fn heartbeat(&self, worker: u64, shard: u64) {
         let deadline = self.now_us() + self.cfg.lease_timeout.as_micros() as u64;
-        let mut state = self.state.lock().expect("federation state");
+        let mut state = self.lock();
         if let Some(lease) = state.leases.get_mut(&(shard as usize)) {
             if lease.worker == worker {
                 lease.deadline_us = deadline;
@@ -277,12 +337,14 @@ impl Coordinator {
                 leases: HashMap::new(),
                 payloads: vec![None; n],
                 remaining: n,
+                committing: 0,
                 report: FederationReport::default(),
-                done: false,
             }),
+            changed: Condvar::new(),
             cfg,
             ranges,
             telemetry,
+            wake: OnceLock::new(),
         });
         Ok(Coordinator { listener, shared })
     }
@@ -303,7 +365,7 @@ impl Coordinator {
     /// report. Returns the number of shards restored. Out-of-range
     /// indices and repeats of an already-filled slot are ignored.
     pub fn preload(&self, payloads: impl IntoIterator<Item = (usize, String)>) -> usize {
-        let mut state = self.shared.state.lock().expect("federation state");
+        let mut state = self.shared.lock();
         let mut restored = 0;
         for (index, payload) in payloads {
             if index >= self.shared.ranges.len() || state.payloads[index].is_some() {
@@ -316,20 +378,19 @@ impl Coordinator {
             state.report.resumed_shards += 1;
             restored += 1;
         }
-        if state.remaining == 0 {
-            state.done = true;
-        }
         restored
     }
 
     /// Accept workers until every shard has a validated payload, then
-    /// return the payloads **in shard order** plus the report.
+    /// return the payloads **in shard order** plus the report. The
+    /// listener is closed before this returns.
     ///
     /// `validate` vets each result payload (shard index, payload text)
     /// before it is merged; returning `Err` counts a rejection, requeues
     /// the shard, and drops the sender. Connection threads are detached:
-    /// a worker still blocked mid-compute when the job completes
-    /// receives `Finished` on its next request.
+    /// a worker held waiting for work receives `Finished` when the last
+    /// shard merges, and one still blocked mid-compute receives it on
+    /// its next request.
     pub fn run<V>(self, validate: V) -> (Vec<String>, FederationReport)
     where
         V: Fn(u64, &str) -> Result<(), String> + Send + Sync + 'static,
@@ -339,10 +400,11 @@ impl Coordinator {
 
     /// [`run`](Coordinator::run) with a durability hook: `persist` is
     /// called once per freshly merged shard (index, payload text),
-    /// after the in-memory merge and outside any lock. A persist
-    /// failure never aborts the run — it degrades durability and is
-    /// recorded as a reason — so a full-disk coordinator still finishes
-    /// the job it was asked for.
+    /// after the in-memory merge and outside any lock, before the
+    /// sending worker gets its next directive. This returns only after
+    /// every `persist` call has. A persist failure never aborts the run
+    /// — it degrades durability and is recorded as a reason — so a
+    /// full-disk coordinator still finishes the job it was asked for.
     pub fn run_with<V, P>(self, validate: V, persist: P) -> (Vec<String>, FederationReport)
     where
         V: Fn(u64, &str) -> Result<(), String> + Send + Sync + 'static,
@@ -350,15 +412,13 @@ impl Coordinator {
     {
         let validate = Arc::new(validate);
         let persist: Arc<PersistFn> = Arc::new(persist);
-        self.listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        loop {
-            if self.shared.state.lock().expect("federation state").done {
-                break;
-            }
-            self.shared.sweep_expired();
+        let addr = self.listener.local_addr().expect("bound listener address");
+        let _ = self.shared.wake.set(wake_address(addr));
+        while !self.shared.done() {
             match self.listener.accept() {
+                // The completing thread's wake-up call, or a worker that
+                // arrived too late: either way the job is over.
+                Ok(_) if self.shared.done() => break,
                 Ok((stream, _)) => {
                     let shared = Arc::clone(&self.shared);
                     let validate = Arc::clone(&validate);
@@ -367,13 +427,20 @@ impl Coordinator {
                         handle_connection(&shared, stream, &*validate, &*persist)
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
+                // Out of descriptors or a connection aborted in the
+                // backlog: retry after the next event, or 20 ms.
+                Err(_) => {
+                    let state = self.shared.lock();
+                    if !state.done() {
+                        let _ = self
+                            .shared
+                            .changed
+                            .wait_timeout(state, Duration::from_millis(20));
+                    }
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         }
-        let mut state = self.shared.state.lock().expect("federation state");
+        let mut state = self.shared.lock();
         let payloads = state
             .payloads
             .iter_mut()
@@ -381,6 +448,18 @@ impl Coordinator {
             .collect();
         (payloads, std::mem::take(&mut state.report))
     }
+}
+
+/// Where to connect to reach a listener bound to `addr`: an unspecified
+/// bind address (`0.0.0.0`, `::`) is reached through loopback.
+fn wake_address(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
 }
 
 /// The durability hook [`Coordinator::run_with`] threads through to
@@ -413,7 +492,7 @@ fn handle_connection(
     let worker = match read_frame(&mut reader) {
         Ok(text) => match Message::decode(&text) {
             Ok(Message::Hello { protocol, prior }) if protocol == PROTOCOL_VERSION => {
-                let mut state = shared.state.lock().expect("federation state");
+                let mut state = shared.lock();
                 state.report.workers_seen += 1;
                 let worker = state.report.workers_seen;
                 if prior != 0 {
@@ -592,17 +671,13 @@ fn accept_result(
             shared.ranges.len()
         ));
     }
-    {
-        let state = shared.state.lock().expect("federation state");
-        if state.payloads[index].is_some() {
-            drop(state);
-            return record_duplicate(shared);
-        }
+    if shared.lock().payloads[index].is_some() {
+        return record_duplicate(shared);
     }
     // Validation can decode a multi-hundred-KiB snapshot: do it outside
     // the lock, then re-check for a racing merge of the same shard.
     if let Err(reason) = validate(shard, payload) {
-        let mut state = shared.state.lock().expect("federation state");
+        let mut state = shared.lock();
         state.report.results_rejected += 1;
         let detail = format!("shard {shard}: worker {worker} payload rejected: {reason}");
         state.report.reasons.push(detail.clone());
@@ -612,6 +687,7 @@ fn accept_result(
         }
         state.report.reassignments += 1;
         drop(state);
+        shared.changed.notify_all();
         shared.telemetry.counter("federate.results.rejected").inc();
         shared
             .telemetry
@@ -620,7 +696,7 @@ fn accept_result(
         return Accepted::Invalid(detail);
     }
     let now = shared.now_us();
-    let mut state = shared.state.lock().expect("federation state");
+    let mut state = shared.lock();
     if state.payloads[index].is_some() {
         drop(state);
         return record_duplicate(shared);
@@ -636,10 +712,10 @@ fn accept_result(
     state.pending.retain(|&p| p != index);
     state.payloads[index] = Some(payload.to_string());
     state.remaining -= 1;
-    if state.remaining == 0 {
-        state.done = true;
-    }
+    state.committing += 1;
+    let _commit = Commit(shared);
     drop(state);
+    shared.changed.notify_all();
     shared
         .telemetry
         .counter_with("federate.worker.merged", &[("worker", &worker.to_string())])
@@ -648,16 +724,40 @@ fn accept_result(
     // durability — a crash-restart would recompute this shard — but the
     // in-memory merge stands, so the run itself still completes.
     if let Err(reason) = persist(index, payload) {
-        let mut state = shared.state.lock().expect("federation state");
-        state.report.reasons.push(format!(
+        shared.lock().report.reasons.push(format!(
             "shard {shard}: checkpoint persist failed: {reason}"
         ));
     }
     Accepted::Merged
 }
 
+/// One merged shard's commit in flight. Dropping it, even while a
+/// panicking `persist` unwinds, ends the commit, so a broken hook cannot
+/// wedge `run_with`. The last commit to end completes the job: it wakes
+/// every waiter, and connects to wake the acceptor.
+struct Commit<'a>(&'a Shared);
+
+impl Drop for Commit<'_> {
+    fn drop(&mut self) {
+        let shared = self.0;
+        // No panic in drop: a poisoned lock still holds a valid count.
+        let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.committing -= 1;
+        if !state.done() {
+            return;
+        }
+        drop(state);
+        shared.changed.notify_all();
+        if let Some(addr) = shared.wake.get() {
+            // The acceptor drops this connection unread; if it has
+            // already closed the listener, the refusal is just as good.
+            let _ = TcpStream::connect(addr);
+        }
+    }
+}
+
 fn record_duplicate(shared: &Shared) -> Accepted {
-    let mut state = shared.state.lock().expect("federation state");
+    let mut state = shared.lock();
     state.report.duplicate_results += 1;
     drop(state);
     shared.telemetry.counter("federate.results.duplicate").inc();

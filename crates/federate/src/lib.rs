@@ -17,9 +17,13 @@
 //!   back in pending. Telemetry (reassignment counters, per-worker
 //!   gauges, round-trip histograms) registers on a `bb_trace::Telemetry`.
 //! * [`worker`] — the claim loop: `Hello` → `Welcome(job)` →
-//!   `Ready`/`Result` ↔ `Assign`/`Wait`/`Finished`, with a heartbeat
-//!   side thread while a shard computes and a deterministic
-//!   backoff-reconnect loop when the coordinator goes away.
+//!   `Ready`/`Result` ↔ `Assign`/`Wait`/`Finished`. The coordinator
+//!   holds a request that finds nothing to claim until a shard requeues
+//!   or the job ends, so an idle worker blocks on its answer and exits
+//!   on `Finished` the moment the last shard merges. A heartbeat side
+//!   thread runs while a shard computes and stops the instant the shard
+//!   is done; a deterministic backoff-reconnect loop takes over when
+//!   the coordinator goes away.
 //! * [`backoff`] — the capped-exponential, seeded-jitter schedule that
 //!   reconnect loop follows: a pure function of `(seed, attempt)`, so
 //!   tests replay it exactly.

@@ -227,9 +227,11 @@ pub enum Message {
         /// One past the last user index of the range.
         end: u64,
     },
-    /// Coordinator → worker: nothing unleased right now; poll again.
+    /// Coordinator → worker: the request was held for the coordinator's
+    /// `poll_ms` and nothing became claimable; ask again.
     Wait {
-        /// Suggested sleep before the next `Ready`, in milliseconds.
+        /// Suggested sleep before the next `Ready`, in milliseconds
+        /// (0: the coordinator holds requests, so ask at once).
         poll_ms: u64,
     },
     /// Coordinator → worker: every shard is merged; disconnect.

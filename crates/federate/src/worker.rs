@@ -2,9 +2,12 @@
 //!
 //! A worker is a strict request–response client: it sends `Hello`, gets
 //! the job from `Welcome`, then loops `Ready`/`Result` → directive.
-//! While a shard computes, a side thread sends one-way `Heartbeat`
-//! frames so a slow-but-alive shard keeps its lease; the two writers
-//! share the socket behind a mutex so frames never interleave.
+//! With nothing to claim, the coordinator holds the request until work
+//! appears or the job ends, so an idle worker simply blocks on the
+//! answer. While a shard computes, a side thread sends one-way
+//! `Heartbeat` frames so a slow-but-alive shard keeps its lease; the
+//! two writers share the socket behind a mutex so frames never
+//! interleave.
 //!
 //! Losing the coordinator is *not* fatal: the worker re-dials through a
 //! deterministic capped-exponential [`Backoff`] (seeded jitter, so a
@@ -24,7 +27,7 @@ use crate::protocol::{
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -225,6 +228,8 @@ where
                         Err(WireError::Fatal(e)) => return Err(e),
                     }
                 }
+                // A coordinator that holds requests sends `poll_ms: 0`
+                // when a hold runs out; an older one names a pause.
                 Message::Wait { poll_ms } => {
                     std::thread::sleep(Duration::from_millis(poll_ms.min(1_000)));
                     match send(&session.writer, &Message::Ready { worker }) {
@@ -339,9 +344,11 @@ fn recv(reader: &mut BufReader<TcpStream>) -> Result<Message, WireError> {
     Message::decode(&text).map_err(WireError::Fatal)
 }
 
-/// Sends `Heartbeat` every `interval` until dropped.
+/// Sends `Heartbeat` every `interval` until dropped. The beating thread
+/// waits on a channel, so dropping wakes it and joins it at once
+/// instead of after its next beat.
 struct Heartbeater {
-    stop: Arc<AtomicBool>,
+    stop: mpsc::Sender<()>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -352,28 +359,18 @@ impl Heartbeater {
         shard: u64,
         interval: Duration,
     ) -> Heartbeater {
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let stop = Arc::clone(&stop);
-            let writer = Arc::clone(writer);
-            std::thread::spawn(move || {
-                let tick = Duration::from_millis(20);
-                let mut since_beat = Duration::ZERO;
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(tick);
-                    since_beat += tick;
-                    if since_beat >= interval {
-                        since_beat = Duration::ZERO;
-                        // A send failure here means the coordinator is
-                        // gone; the main thread will see it on its next
-                        // send/recv, so just stop beating.
-                        if send(&writer, &Message::Heartbeat { worker, shard }).is_err() {
-                            return;
-                        }
-                    }
+        let (stop, stopped) = mpsc::channel();
+        let writer = Arc::clone(writer);
+        let handle = std::thread::spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                // A send failure here means the coordinator is gone;
+                // the main thread will see it on its next send/recv,
+                // so just stop beating.
+                if send(&writer, &Message::Heartbeat { worker, shard }).is_err() {
+                    return;
                 }
-            })
-        };
+            }
+        });
         Heartbeater {
             stop,
             handle: Some(handle),
@@ -383,7 +380,7 @@ impl Heartbeater {
 
 impl Drop for Heartbeater {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        let _ = self.stop.send(());
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -395,6 +392,7 @@ mod tests {
     use super::*;
     use std::io::Read;
     use std::net::TcpListener;
+    use std::time::Instant;
 
     /// Satellite regression: a panic while holding the writer lock used
     /// to poison the mutex and make every later `send` panic via
@@ -443,5 +441,54 @@ mod tests {
         drop(writer);
         let received = sink.join().expect("sink thread");
         assert!(received > 0, "the frame must have reached the socket");
+    }
+
+    /// A socket pair: the write side as the worker's shared writer, the
+    /// read side as what the coordinator would receive.
+    fn writer_and_sink() -> (Arc<Mutex<TcpStream>>, BufReader<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (sink, _) = listener.accept().expect("accept");
+        // A missing frame fails the test instead of hanging it.
+        sink.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        (Arc::new(Mutex::new(stream)), BufReader::new(sink))
+    }
+
+    /// Dropping a heartbeater wakes its thread instead of waiting out a
+    /// tick, and a running one beats on its interval.
+    #[test]
+    fn heartbeater_stops_at_once_and_beats_on_time() {
+        let (writer, mut sink) = writer_and_sink();
+        let within = |limit_ms: u64, took: Duration, what: &str| {
+            assert!(
+                took < Duration::from_millis(limit_ms),
+                "{what} took {took:?}"
+            );
+        };
+
+        let started = Instant::now();
+        drop(Heartbeater::start(&writer, 1, 0, Duration::from_secs(5)));
+        within(10, started.elapsed(), "starting and dropping");
+
+        let running = Heartbeater::start(&writer, 1, 3, Duration::from_millis(30));
+        let started = Instant::now();
+        for _ in 0..2 {
+            let text = read_frame(&mut sink).expect("a heartbeat frame");
+            let message = Message::decode(&text).expect("decode");
+            assert_eq!(
+                message,
+                Message::Heartbeat {
+                    worker: 1,
+                    shard: 3
+                }
+            );
+        }
+        within(100, started.elapsed(), "two beats at a 30 ms interval");
+
+        // The thread has just sent a beat and is waiting for the next.
+        let started = Instant::now();
+        drop(running);
+        within(10, started.elapsed(), "dropping between beats");
     }
 }

@@ -5,7 +5,9 @@
 //! the coordinator's shard-ordered merge is byte-identical to a serial
 //! single-process fold of the same `ShardPlan`. A second set of cases
 //! pins the lease machinery: an expired claim is reassigned and a
-//! heartbeating slow worker is not.
+//! heartbeating slow worker is not. A third pins the coordinator's start
+//! and end: a fully preloaded job needs no worker, and a finished run
+//! leaves no listener behind.
 
 use bb_engine::{ExactMoments, Mergeable, ShardPlan, Snapshot};
 use bb_federate::{
@@ -248,4 +250,53 @@ fn heartbeat_keeps_a_slow_lease_alive() {
     );
     assert_eq!(report.duplicate_results, 0);
     assert_eq!(merge_payloads(&payloads), serial_reference(n_items, 2));
+}
+
+/// A job whose every shard is preloaded is complete before anyone
+/// connects: `run` returns the preloaded payloads without accepting.
+#[test]
+fn fully_preloaded_job_returns_without_a_worker() {
+    let (n_items, shards) = (40, 4);
+    let coordinator = Coordinator::bind(
+        "127.0.0.1:0",
+        CoordinatorConfig::new(toy_job(n_items, shards)),
+        Arc::new(Telemetry::system()),
+    )
+    .expect("bind");
+    let ranges = ShardPlan::new(shards as usize, 1).ranges(n_items);
+    let restored = coordinator.preload(
+        ranges
+            .iter()
+            .enumerate()
+            .map(|(index, range)| (index, shard_payload(range.clone()))),
+    );
+    assert_eq!(restored, ranges.len());
+
+    // An accept that blocked before checking for completion would hang
+    // here: bound the wait so that shows as a failure.
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(coordinator.run(|_, _| Ok(()))));
+    let (payloads, report) = finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a fully preloaded run returns without a worker");
+    assert_eq!(report.resumed_shards, shards);
+    assert_eq!(report.workers_seen, 0);
+    assert_eq!(merge_payloads(&payloads), serial_reference(n_items, shards));
+}
+
+/// Once `run` returns, its listener is closed: a new connection to the
+/// address is refused rather than left waiting in a leaked backlog.
+#[test]
+fn finished_run_refuses_new_connections() {
+    let (n_items, shards) = (30, 3);
+    let (addr, handle) = spawn_coordinator(CoordinatorConfig::new(toy_job(n_items, shards)));
+    run_worker(&addr, &WorkerOptions::default(), |_job| {
+        Ok(|_shard, range: Range<u64>| shard_payload(range))
+    })
+    .expect("worker");
+    let (payloads, _) = handle.join().expect("coordinator thread");
+    assert_eq!(merge_payloads(&payloads), serial_reference(n_items, shards));
+
+    let refused = TcpStream::connect(&addr).expect_err("the listener must be closed");
+    assert_eq!(refused.kind(), std::io::ErrorKind::ConnectionRefused);
 }

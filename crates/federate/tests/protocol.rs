@@ -9,8 +9,8 @@
 
 use bb_engine::{fnv1a64, ExactMoments, Mergeable, ShardPlan, Snapshot};
 use bb_federate::{
-    read_frame, run_worker, write_frame, Coordinator, CoordinatorConfig, FederationReport, JobSpec,
-    Message, WorkerOptions, MAX_FRAME_BYTES,
+    read_frame, run_worker, write_frame, Coordinator, CoordinatorConfig, FederationReport,
+    FrameError, JobSpec, Message, WorkerOptions, MAX_FRAME_BYTES,
 };
 use bb_trace::Telemetry;
 use std::io::{BufReader, Read, Write};
@@ -18,7 +18,7 @@ use std::net::TcpStream;
 use std::ops::Range;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------- fixture
 
@@ -181,6 +181,19 @@ impl Script {
     fn ready(&mut self, worker: u64) -> Message {
         self.send(&Message::Ready { worker });
         self.recv()
+    }
+
+    /// Assert that no directive arrives within `quiet`: the request
+    /// sent last is being held.
+    fn assert_held(&mut self, quiet: Duration) {
+        self.writer
+            .set_read_timeout(Some(quiet))
+            .expect("set timeout");
+        match read_frame(&mut self.reader) {
+            Err(FrameError::Io(e)) if bb_federate::is_timeout(&e) => {}
+            other => panic!("expected the request to be held, got {other:?}"),
+        }
+        self.writer.set_read_timeout(None).expect("clear timeout");
     }
 }
 
@@ -470,4 +483,140 @@ fn duplicate_result_after_reassignment_is_benign() {
         .expect("payloads")
         .to_snapshot_string();
     assert_eq!(merged, serial_reference(n_items, 4));
+}
+
+// ------------------------------------------------------- held requests
+
+/// A one-shard coordinator holding requests for up to 10 s: an answer
+/// driven by that timer would arrive as a `Wait`, and late.
+fn spawn_holding_coordinator(
+    n_items: u64,
+    lease_timeout: Duration,
+) -> (String, JoinHandle<(Vec<String>, FederationReport)>) {
+    let mut cfg = CoordinatorConfig::new(toy_job(n_items, 1));
+    cfg.poll_ms = 10_000;
+    cfg.lease_timeout = lease_timeout;
+    let coordinator =
+        Coordinator::bind("127.0.0.1:0", cfg, Arc::new(Telemetry::system())).expect("bind");
+    let addr = coordinator.local_addr().expect("local addr").to_string();
+    let handle = std::thread::spawn(move || coordinator.run(|_, _| Ok(())));
+    (addr, handle)
+}
+
+/// Two clients on a one-shard job: the lessee holds the only shard, and
+/// the waiter has sent `Ready`. Returns both, with the lessee's id and
+/// the shard's range.
+fn lessee_and_waiter(addr: &str) -> (Script, u64, Range<u64>, Script, u64) {
+    let mut lessee = Script::connect(addr);
+    let lessee_id = lessee.handshake();
+    let range = match lessee.ready(lessee_id) {
+        Message::Assign {
+            shard: 0,
+            start,
+            end,
+        } => start..end,
+        other => panic!("expected Assign for shard 0, got {other:?}"),
+    };
+    let mut waiter = Script::connect(addr);
+    let waiter_id = waiter.handshake();
+    waiter.send(&Message::Ready { worker: waiter_id });
+    (lessee, lessee_id, range, waiter, waiter_id)
+}
+
+/// A held `Ready` is answered `Finished` the moment the lessee's result
+/// merges, not when the hold times out.
+#[test]
+fn held_ready_is_finished_by_the_merge() {
+    let n_items = 12;
+    let (addr, handle) = spawn_holding_coordinator(n_items, Duration::from_secs(30));
+    let (mut lessee, lessee_id, range, mut waiter, _) = lessee_and_waiter(&addr);
+    waiter.assert_held(Duration::from_millis(100));
+
+    let merged = Instant::now();
+    lessee.send(&Message::Result {
+        worker: lessee_id,
+        shard: 0,
+        payload: shard_payload(range),
+    });
+    assert!(matches!(lessee.recv(), Message::Finished));
+    let answer = waiter.recv();
+    let waited = merged.elapsed();
+    assert!(matches!(answer, Message::Finished), "{answer:?}");
+    assert!(waited < Duration::from_secs(5), "answered after {waited:?}");
+
+    let (payloads, _) = handle.join().expect("coordinator thread");
+    assert_eq!(payloads.len(), 1);
+}
+
+/// A held `Ready` is handed the shard the moment its lessee disconnects.
+#[test]
+fn held_ready_is_assigned_when_the_lessee_disconnects() {
+    let n_items = 12;
+    let (addr, handle) = spawn_holding_coordinator(n_items, Duration::from_secs(30));
+    let (lessee, _, range, mut waiter, waiter_id) = lessee_and_waiter(&addr);
+    waiter.assert_held(Duration::from_millis(100));
+
+    let lost = Instant::now();
+    drop(lessee);
+    let answer = waiter.recv();
+    let waited = lost.elapsed();
+    assert_eq!(
+        answer,
+        Message::Assign {
+            shard: 0,
+            start: range.start,
+            end: range.end,
+        }
+    );
+    assert!(waited < Duration::from_secs(5), "answered after {waited:?}");
+
+    waiter.send(&Message::Result {
+        worker: waiter_id,
+        shard: 0,
+        payload: shard_payload(range),
+    });
+    assert!(matches!(waiter.recv(), Message::Finished));
+    let (_, report) = handle.join().expect("coordinator thread");
+    assert_eq!(report.reassignments, 1, "reasons: {:?}", report.reasons);
+}
+
+/// A held `Ready` is handed the shard once a silent lessee's lease
+/// expires: the sweep runs at the lease deadline, not on the hold's
+/// timer.
+#[test]
+fn held_ready_is_assigned_at_the_lease_deadline() {
+    let n_items = 12;
+    let lease = Duration::from_millis(150);
+    let (addr, handle) = spawn_holding_coordinator(n_items, lease);
+    let leased = Instant::now();
+    let (_lessee, _, range, mut waiter, waiter_id) = lessee_and_waiter(&addr);
+
+    let answer = waiter.recv();
+    let waited = leased.elapsed();
+    assert_eq!(
+        answer,
+        Message::Assign {
+            shard: 0,
+            start: range.start,
+            end: range.end,
+        }
+    );
+    assert!(
+        waited >= lease,
+        "assigned after {waited:?}, before the lease ran out"
+    );
+    assert!(waited < Duration::from_secs(5), "answered after {waited:?}");
+
+    waiter.send(&Message::Result {
+        worker: waiter_id,
+        shard: 0,
+        payload: shard_payload(range),
+    });
+    assert!(matches!(waiter.recv(), Message::Finished));
+    let (_, report) = handle.join().expect("coordinator thread");
+    assert!(
+        report.reasons.iter().any(|r| r.contains("expired")),
+        "reasons: {:?}",
+        report.reasons
+    );
 }

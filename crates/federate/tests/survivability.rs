@@ -11,7 +11,9 @@
 //! * a peer that connects and never speaks is dropped by the socket
 //!   deadline, not hung forever;
 //! * a [`ChaosProxy`] stall (half-open link) and a mid-frame cut both
-//!   end in a counted reconnect and serial-identical bytes.
+//!   end in a counted reconnect and serial-identical bytes;
+//! * `run_with` returns only after every merged shard's durability hook
+//!   has, so a coordinator never publishes ahead of its checkpoint.
 
 use bb_engine::{ExactMoments, Mergeable, ShardPlan, Snapshot};
 use bb_federate::{
@@ -23,6 +25,7 @@ use proptest::{run_property, TestRng};
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -471,5 +474,48 @@ fn chaosnet_cut_mid_result_is_healed_by_the_resend() {
     );
     // Shard 0 was computed once and re-sent, never recomputed.
     assert_eq!(worker_report.computed, shards);
+    assert_eq!(merge_payloads(&payloads), serial_reference(n_items, shards));
+}
+
+// ---------------------------------------------------------------------------
+// 5. Durability hooks finish before the run does.
+
+/// A slow `persist` hook on the final shard must not be overtaken:
+/// `run_with` returns only once every merged shard's hook has returned,
+/// so a checkpointing coordinator never exits with a commit in flight.
+#[test]
+fn run_with_returns_after_every_persist_hook() {
+    let (n_items, shards) = (40, 4);
+    let coordinator = Coordinator::bind(
+        "127.0.0.1:0",
+        CoordinatorConfig::new(toy_job(n_items, shards)),
+        Arc::new(Telemetry::system()),
+    )
+    .expect("bind");
+    let addr = coordinator.local_addr().expect("local addr").to_string();
+    let committed = Arc::new(AtomicUsize::new(0));
+    let hook = Arc::clone(&committed);
+    let handle = std::thread::spawn(move || {
+        let (payloads, _) = coordinator.run_with(
+            |_, _| Ok(()),
+            move |_, _| {
+                std::thread::sleep(Duration::from_millis(200));
+                hook.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            },
+        );
+        // Counted the moment `run_with` returns: the worker below only
+        // finishes after its last hook, so a later count proves nothing.
+        (payloads, committed.load(Ordering::SeqCst))
+    });
+    run_worker(&addr, &WorkerOptions::default(), |_job| {
+        Ok(|_shard: u64, range: Range<u64>| shard_payload(range))
+    })
+    .expect("worker");
+    let (payloads, committed) = handle.join().expect("coordinator thread");
+    assert_eq!(
+        committed, shards as usize,
+        "run_with returned with a persist hook still running"
+    );
     assert_eq!(merge_payloads(&payloads), serial_reference(n_items, shards));
 }
