@@ -4,13 +4,18 @@
 //!
 //! ```text
 //! cargo run --release -p bb-bench --bin reproduce -- [--scale N] [--days D] [--seed S] [--out DIR]
-//!     [--threads T] [--shards S] [--users U]
+//!     [--threads T] [--shards S] [--users U] [--sweep N] [--chaos-sweep]
 //! ```
 //!
-//! Outputs: rendered text exhibits on stdout plus `DIR/` with one `.txt`,
-//! `.csv` and `.json` file per exhibit, and `DIR/experiments.md` with the
-//! paper-vs-measured comparison (the source of the repository's
-//! `EXPERIMENTS.md`).
+//! This binary parses flags and dispatches; the runs themselves are
+//! library calls. A batch run generates its panel here — in memory, or
+//! durably with `--checkpoint` — and hands it to `bb_bench::publish`:
+//! [`publish::paper`] makes the materialised run's artifact set (one
+//! `.txt`, `.csv` and `.json` file per exhibit, plus a gnuplot script per
+//! figure, `ext.txt`, `chaos.json` and `experiments.md`, the source of
+//! the repository's `EXPERIMENTS.md`), [`publish::stream`] the streaming
+//! run's, and [`publish::write_run`] writes either. `experiments.md` is
+//! also printed on stdout.
 //!
 //! `--threads`/`--shards` parallelise world generation through
 //! `bb-engine`; the output is bit-identical for every plan. `--users U`
@@ -46,24 +51,19 @@
 //! has computed N shards, each of which is durable before it is reported.
 
 use bb_bench::federation::CoordinatorArgs;
-use bb_bench::publish::{self, Folded, Outputs};
+use bb_bench::publish::{self, Folded, Outputs, Sweeps};
 use bb_bench::REPRO_SEED;
-use bb_dataset::{Dataset, RunSpec, WorldConfig};
+use bb_dataset::{Dataset, RunSpec};
 use bb_engine::{
     run_sharded, run_sharded_checkpointed, CheckpointReport, CheckpointStore, Mergeable, RunStats,
     ShardPlan, ShardProgress, Snapshot,
 };
-use bb_netsim::chaos::{ChaosScenario, ChaosSpec};
-use bb_report::csv;
-use bb_report::gnuplot;
-use bb_report::json;
-use bb_report::text;
+use bb_netsim::chaos::ChaosSpec;
 use bb_serve::{Server, ServerConfig};
-use bb_study::{provenance, StreamStudy, StudyReport};
-use bb_trace::{EventLog, Timings};
-use std::fmt::Write as _;
+use bb_study::StreamStudy;
+use bb_trace::Timings;
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -293,8 +293,9 @@ fn main() {
     }
 }
 
-/// The materialised paper pipeline: generate the panel, run the full
-/// analysis battery, and write every exhibit plus `experiments.md`.
+/// The materialised paper run: generate the panel here, then write the
+/// artifact set [`publish::paper`] makes of it and print its
+/// `experiments.md`.
 fn run_materialised(args: &Args) {
     let plan = args.plan();
     let spec = args.spec;
@@ -333,101 +334,27 @@ fn run_materialised(args: &Args) {
         dataset.survey.len(),
         stats.total
     );
-
-    let t1 = std::time::Instant::now();
-    timings.begin("analysis");
-    let mut ledger = EventLog::new();
-    ledger
-        .emit("dataset")
-        .u64("seed", spec.seed)
-        .u64("records", dataset.records.len() as u64)
-        .u64("dasu", dataset.dasu().count() as u64)
-        .u64("fcc", dataset.fcc().count() as u64)
-        .u64("movers", dataset.upgrades.len() as u64)
-        .u64("markets", dataset.survey.len() as u64);
-    provenance::log_data_quality(&mut ledger, &registry);
-    let report = StudyReport::run_with_ledger(&dataset, &world.profiles, 30, &mut ledger);
-    timings.end();
-    progress!(args, "analysis pipeline finished in {:.1?}", t1.elapsed());
-    let extensions = bb_study::ext::extension_table(&dataset);
-    let separations = bb_study::ext::cdf_separations(&dataset);
-    let personas = bb_study::ext::persona_breakdown(&dataset);
-    let uploads = bb_study::ext::upload_breakdown(&dataset);
-
-    let out = &args.outputs.out;
-    create_dir(out);
-    timings.begin("render");
-    or_fail(publish::run_files(
-        &args.outputs,
-        &registry.to_json(),
-        &runtime_json(&stats, ckpt.as_ref()),
-        &ledger.to_jsonl(),
-    ));
-    write_exhibits(&report, out);
-    write(out, "ext.txt", &text::render_experiment_table(&extensions));
-    let mut comparison = comparison_markdown(&report);
-    comparison.push_str(&extensions_markdown(
-        &extensions,
-        &separations,
-        &personas,
-        &uploads,
-    ));
-    // The seed and chaos sweeps regenerate a reduced world per cell to
-    // stay affordable.
-    let mut reduced = WorldConfig::small(spec.seed);
-    reduced.user_scale = (spec.scale / 3.0).max(1.0);
-    reduced.days = 3;
-    reduced.fcc_users = spec.fcc_users / 2;
-    if args.sweep_seeds > 0 {
-        progress!(
-            args,
-            "running robustness sweep over {} seeds…",
-            args.sweep_seeds
-        );
-        let rows = bb_study::robustness::seed_sweep_with(&reduced, args.sweep_seeds, plan);
-        let mut md = String::from("## Robustness across seeds\n\n");
-        let _ = writeln!(
-            md,
-            "Each experiment pooled and re-run over {} regenerated worlds (reduced scale):\n",
-            args.sweep_seeds
-        );
-        md.push_str(&bb_report::markdown::sweep_table(&rows));
-        md.push('\n');
-        comparison.push_str(&md);
+    let quiet = args.outputs.quiet;
+    let files = publish::paper(
+        &world,
+        &dataset,
+        &registry,
+        args.sweeps,
+        plan,
+        quiet,
+        &mut timings,
+    );
+    let runtime = publish::runtime_json(&stats, ckpt.as_ref());
+    or_fail(publish::write_run(&args.outputs, &runtime, &files));
+    if args.sweeps.chaos {
+        let matrix = args.outputs.out.join("chaos.json");
+        progress!(args, "wrote survival matrix to {}", matrix.display());
     }
-    if args.chaos_sweep {
-        let scenario = spec.chaos.map_or(ChaosScenario::Omnibus, |c| c.scenario);
-        progress!(
-            args,
-            "running chaos campaign: scenario {} over severities {:?}…",
-            scenario.name(),
-            CHAOS_GRID
-        );
-        let matrix = bb_study::robustness::chaos_sweep(&reduced, scenario, CHAOS_GRID, plan);
-        let mut md = String::from("## Robustness under degraded collection\n\n");
-        let _ = writeln!(
-            md,
-            "The full experiment battery re-run while the `{}` fault scenario degrades \
-             collection at increasing severity (reduced-scale world, deterministic in the seed):\n",
-            matrix.scenario
-        );
-        md.push_str(&bb_report::markdown::survival_matrix(&matrix));
-        md.push('\n');
-        comparison.push_str(&md);
-        write(out, "chaos.json", &matrix.to_json());
-        progress!(
-            args,
-            "wrote survival matrix to {}",
-            out.join("chaos.json").display()
-        );
-    }
-    comparison.push_str(&bb_report::markdown::provenance(&ledger));
-    write(out, "experiments.md", &comparison);
-    println!("{comparison}");
-    timings.end();
+    let (_, experiments) = files.last().expect("experiments.md closes the set");
+    println!("{experiments}");
     timings.end();
     write_chrome_trace(args, &timings);
-    progress!(args, "wrote exhibits to {}", out.display());
+    progress!(args, "wrote exhibits to {}", args.outputs.out.display());
 }
 
 /// The `--users U` scale path, folded in this process: stream ~U users
@@ -465,7 +392,7 @@ fn run_streaming(args: &Args) {
         study.users as f64 / stats.total.as_secs_f64().max(1e-9)
     );
     timings.begin("render");
-    let runtime = runtime_json(&stats, ckpt.as_ref());
+    let runtime = publish::runtime_json(&stats, ckpt.as_ref());
     or_fail(publish::stream(
         &args.outputs,
         args.spec.seed,
@@ -484,8 +411,7 @@ fn run_streaming(args: &Args) {
 struct Args {
     spec: RunSpec,
     outputs: Outputs,
-    sweep_seeds: u64,
-    chaos_sweep: bool,
+    sweeps: Sweeps,
     threads: usize,
     shards: Option<usize>,
     chrome_trace: Option<PathBuf>,
@@ -909,11 +835,7 @@ impl SpecFlags {
         match flag {
             "--seed" => spec.seed = num(flag, &take(it, flag)?, "an integer")?,
             "--scale" => {
-                let scale: f64 = num(flag, &take(it, flag)?, "a number")?;
-                if !scale.is_finite() || scale <= 0.0 {
-                    return Err(format!("--scale must be a finite number > 0, got {scale}"));
-                }
-                spec.scale = scale;
+                spec.scale = num(flag, &take(it, flag)?, "a number")?;
                 self.scale_set = true;
             }
             "--days" => spec.days = positive(flag, it, "an integer")?,
@@ -958,8 +880,7 @@ impl Args {
                 ledger: None,
                 quiet: false,
             },
-            sweep_seeds: 0,
-            chaos_sweep: false,
+            sweeps: Sweeps::default(),
             threads: 1,
             shards: None,
             chrome_trace: None,
@@ -974,9 +895,9 @@ impl Args {
             match flag.as_str() {
                 "--out" => args.outputs.out = PathBuf::from(take(&mut it, &flag)?),
                 "--sweep" => {
-                    args.sweep_seeds = num(&flag, &take(&mut it, &flag)?, "a seed count")?;
+                    args.sweeps.seeds = num(&flag, &take(&mut it, &flag)?, "a seed count")?;
                 }
-                "--chaos-sweep" => args.chaos_sweep = true,
+                "--chaos-sweep" => args.sweeps.chaos = true,
                 "--threads" => args.threads = positive(&flag, &mut it, "an integer")?,
                 "--shards" => args.shards = Some(positive(&flag, &mut it, "an integer")?),
                 "--metrics" => args.outputs.metrics = Some(PathBuf::from(take(&mut it, &flag)?)),
@@ -995,17 +916,15 @@ impl Args {
             }
         }
         args.spec = identity.finish()?;
-        if args.spec.users.is_some() {
-            if args.chaos_sweep {
-                return Err(
-                    "--chaos-sweep needs the materialised experiment battery; drop --users".into(),
-                );
-            }
-            if args.sweep_seeds > 0 {
-                return Err(
-                    "--sweep needs the materialised experiment battery; drop --users".into(),
-                );
-            }
+        if args.spec.users.is_some() && (args.sweeps.chaos || args.sweeps.seeds > 0) {
+            let flag = if args.sweeps.chaos {
+                "--chaos-sweep"
+            } else {
+                "--sweep"
+            };
+            return Err(format!(
+                "{flag} needs the materialised experiment battery; drop --users"
+            ));
         }
         if args.resume && args.checkpoint.is_none() {
             return Err("--resume requires --checkpoint DIR".into());
@@ -1107,53 +1026,6 @@ fn announce_chaos(spec: &RunSpec, quiet: bool) {
     }
 }
 
-/// Create `dir` (and parents), exiting 1 with a message on failure.
-fn create_dir(dir: &Path) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        fail(&format!("create {}: {e}", dir.display()));
-    }
-}
-
-fn write(out: &Path, name: &str, content: &str) {
-    if let Err(e) = std::fs::write(out.join(name), content) {
-        fail(&format!("write {name}: {e}"));
-    }
-}
-
-/// The in-process run's `.runtime.json` sidecar: the shard plan, steal
-/// counts and wall times, plus the `checkpoint.*` counters when the run
-/// was checkpointed (process-dependent, like the wall times).
-fn runtime_json(stats: &RunStats, ckpt: Option<&CheckpointReport>) -> String {
-    let mut walls = String::new();
-    for (i, (bucket, count)) in stats.shard_wall_us.buckets().enumerate() {
-        if i > 0 {
-            walls.push_str(", ");
-        }
-        let _ = write!(walls, "[{bucket}, {count}]");
-    }
-    let checkpoint = match ckpt {
-        Some(report) => format!(
-            ",\n  \"checkpoint\": {{\"skipped\": {}, \"recomputed\": {}, \"rejected\": {}}}",
-            report.skipped, report.recomputed, report.rejected
-        ),
-        None => String::new(),
-    };
-    format!(
-        "{{\n  \"plan\": {{\"shards\": {}, \"threads\": {}}},\n  \"items\": {},\n  \"steals\": {},\n  \"work_us\": {},\n  \"merge_us\": {},\n  \"total_us\": {},\n  \"shard_wall_us_log2_buckets\": [{walls}]{checkpoint}\n}}\n",
-        stats.shards,
-        stats.threads,
-        stats.items,
-        stats.steals,
-        stats.work.as_micros(),
-        stats.merge.as_micros(),
-        stats.total.as_micros()
-    )
-}
-
-/// The `--chaos-sweep` severity grid. Starts at the mandatory fault-free
-/// baseline; the survival thresholds are derived against it.
-const CHAOS_GRID: &[f64] = &[0.0, 0.25, 0.5, 0.75, 1.0];
-
 /// Write the plan-dependent Chrome trace of the harness phases.
 fn write_chrome_trace(args: &Args, timings: &Timings) {
     let Some(path) = &args.chrome_trace else {
@@ -1165,450 +1037,4 @@ fn write_chrome_trace(args: &Args, timings: &Timings) {
         "wrote chrome trace to {} (open in Perfetto or chrome://tracing)",
         path.display()
     );
-}
-
-fn write_exhibits(r: &StudyReport, out: &Path) {
-    // CDF figures.
-    let cdfs = [
-        &r.fig1.0, &r.fig1.1, &r.fig1.2, &r.fig4[0], &r.fig4[1], &r.fig7[0], &r.fig7[1],
-        &r.fig10.0, &r.fig11, &r.fig12,
-    ];
-    for f in cdfs.into_iter().chain(r.fig8.iter()) {
-        write(out, &format!("{}.txt", f.id), &text::render_cdf_figure(f));
-        write(out, &format!("{}.csv", f.id), &csv::cdf_to_csv(f));
-        write(out, &format!("{}.gp", f.id), &gnuplot::cdf_script(f));
-        write(
-            out,
-            &format!("{}.json", f.id),
-            &serde_json::to_string_pretty(&json::cdf_to_json(f)).expect("serialise"),
-        );
-    }
-    // Binned figures.
-    for f in r.fig2.iter().chain(r.fig3.iter()).chain(r.fig6.iter()) {
-        write(
-            out,
-            &format!("{}.txt", f.id),
-            &text::render_binned_figure(f),
-        );
-        write(out, &format!("{}.csv", f.id), &csv::binned_to_csv(f));
-        write(out, &format!("{}.gp", f.id), &gnuplot::binned_script(f));
-        write(
-            out,
-            &format!("{}.json", f.id),
-            &serde_json::to_string_pretty(&json::binned_to_json(f)).expect("serialise"),
-        );
-    }
-    // Bar figures.
-    for f in r.fig5.iter().chain([&r.fig9]) {
-        write(out, &format!("{}.txt", f.id), &text::render_bar_figure(f));
-        write(out, &format!("{}.csv", f.id), &csv::bar_to_csv(f));
-        write(out, &format!("{}.gp", f.id), &gnuplot::bar_script(f));
-        write(
-            out,
-            &format!("{}.json", f.id),
-            &serde_json::to_string_pretty(&json::bar_to_json(f)).expect("serialise"),
-        );
-    }
-    // Experiment tables.
-    for t in r.experiment_tables() {
-        write(
-            out,
-            &format!("{}.txt", t.id),
-            &text::render_experiment_table(t),
-        );
-        write(out, &format!("{}.csv", t.id), &csv::experiment_to_csv(t));
-        write(
-            out,
-            &format!("{}.json", t.id),
-            &serde_json::to_string_pretty(&json::experiment_to_json(t)).expect("serialise"),
-        );
-    }
-}
-
-/// Render the paper-vs-measured comparison for every exhibit.
-fn comparison_markdown(r: &StudyReport) -> String {
-    let mut md = String::new();
-    let _ = writeln!(md, "# Paper vs measured (seed-deterministic run)\n");
-    let _ = writeln!(
-        md,
-        "Success criteria are *shape, ordering and significance*, not absolute"
-    );
-    let _ = writeln!(
-        md,
-        "traffic volumes — the substrate is a simulator (see DESIGN.md §1).\n"
-    );
-
-    // §2.2 / Figure 1.
-    let s = &r.fig1.3;
-    let _ = writeln!(md, "## Figure 1 — population characteristics (§2.2)\n");
-    let _ = writeln!(md, "| quantity | paper | measured |");
-    let _ = writeln!(md, "|---|---|---|");
-    let _ = writeln!(
-        md,
-        "| median download capacity | 7.4 Mbps | {:.1} Mbps |",
-        s.median_capacity_mbps
-    );
-    let _ = writeln!(
-        md,
-        "| capacity IQR | 14.3 Mbps | {:.1} Mbps |",
-        s.capacity_iqr_mbps
-    );
-    let _ = writeln!(
-        md,
-        "| share below 1 Mbps | ~10% | {:.0}% |",
-        s.frac_below_1mbps * 100.0
-    );
-    let _ = writeln!(
-        md,
-        "| share above 30 Mbps | ~10% | {:.0}% |",
-        s.frac_above_30mbps * 100.0
-    );
-    let _ = writeln!(
-        md,
-        "| median latency | ~100 ms | {:.0} ms |",
-        s.median_latency_ms
-    );
-    let _ = writeln!(
-        md,
-        "| share with latency > 500 ms | ~5% | {:.1}% |",
-        s.frac_latency_above_500ms * 100.0
-    );
-    let _ = writeln!(
-        md,
-        "| share with loss > 1% | ~14% | {:.1}% |\n",
-        s.frac_loss_above_1pct * 100.0
-    );
-
-    // Figure 2.
-    let _ = writeln!(md, "## Figure 2 — usage vs capacity (§3.1)\n");
-    let _ = writeln!(md, "| panel | paper r | measured r | bins |");
-    let _ = writeln!(md, "|---|---|---|---|");
-    let paper_r = [0.870, 0.913, 0.885, 0.890];
-    for (fig, pr) in r.fig2.iter().zip(paper_r) {
-        let _ = writeln!(
-            md,
-            "| {} | {:.3} | {} | {} |",
-            fig.title,
-            pr,
-            fig.series[0]
-                .r_log
-                .map(|v| format!("{v:.3}"))
-                .unwrap_or_else(|| "n/a".into()),
-            fig.series[0].points.len()
-        );
-    }
-    let _ = writeln!(md);
-
-    // Table 1.
-    let _ = writeln!(md, "## Table 1 — individual upgrades (§3.2)\n");
-    let _ = writeln!(md, "| metric | paper %H (p) | measured %H (p) | pairs |");
-    let _ = writeln!(md, "|---|---|---|---|");
-    let paper_t1 = [
-        ("Average usage", 66.8, 1.94e-25),
-        ("Peak usage", 70.3, 1.13e-36),
-    ];
-    for ((label, ph, pp), row) in paper_t1.iter().zip(&r.table1.rows) {
-        let _ = writeln!(
-            md,
-            "| {label} | {ph}% ({pp:.2e}) | {:.1}% ({:.2e}) | {} |",
-            row.percent_holds, row.p_value, row.n_pairs
-        );
-    }
-    let _ = writeln!(md);
-
-    // Figure 4 medians.
-    let _ = writeln!(md, "## Figure 4 — movers' demand CDFs (§3.2)\n");
-    let _ = writeln!(
-        md,
-        "Paper: median mean usage roughly doubles (95 → 189 kbps); median"
-    );
-    let _ = writeln!(md, "peak usage more than triples (192 → 634 kbps).\n");
-    for fig in &r.fig4 {
-        if fig.series.len() == 2 {
-            let _ = writeln!(
-                md,
-                "- {}: slow median {:.0} kbps → fast median {:.0} kbps (×{:.1})",
-                fig.title,
-                fig.series[0].median * 1e3,
-                fig.series[1].median * 1e3,
-                fig.series[1].median / fig.series[0].median.max(1e-9)
-            );
-        }
-    }
-    let _ = writeln!(md);
-
-    // Table 2.
-    for (label, table) in [("Dasu", &r.table2.0), ("FCC", &r.table2.1)] {
-        let _ = writeln!(md, "## Table 2 ({label}) — matched capacity bins (§3.2)\n");
-        let _ = writeln!(md, "```\n{}```\n", text::render_experiment_table(table));
-    }
-    let _ = writeln!(
-        md,
-        "Paper: the Dasu effect is strongest below ~6.4 Mbps and fades above"
-    );
-    let _ = writeln!(
-        md,
-        "12.8 Mbps; the FCC (US-only) effect persists across all bins.\n"
-    );
-
-    // §4.
-    let _ = writeln!(md, "## §4 — longitudinal (Fig. 6 + per-tier experiment)\n");
-    let share = bb_study::sec4::share_of_tiers_with_significant_change(&r.year_experiment);
-    let _ = writeln!(
-        md,
-        "Paper: no significant per-tier change between 2011 and 2013."
-    );
-    let _ = writeln!(
-        md,
-        "Measured: {:.0}% of testable tiers show a conclusive change ({} tiers tested).\n",
-        share * 100.0,
-        r.year_experiment.rows.len()
-    );
-
-    // Table 3.
-    let _ = writeln!(md, "## Table 3 — price of access (§5)\n");
-    let _ = writeln!(
-        md,
-        "| comparison | paper %H (p) | measured %H (p) | pairs |"
-    );
-    let _ = writeln!(md, "|---|---|---|---|");
-    let paper_t3 = [
-        ("($0,$25] vs ($25,$60]", 63.4, 8.89e-22),
-        ("($0,$25] vs ($60,∞)", 72.2, 5.40e-10),
-    ];
-    for (i, row) in r.table3.rows.iter().enumerate() {
-        let (label, ph, pp) = paper_t3.get(i).copied().unwrap_or(("extra", 0.0, 1.0));
-        let _ = writeln!(
-            md,
-            "| {label} | {ph}% ({pp:.2e}) | {:.1}% ({:.2e}) | {} |",
-            row.percent_holds, row.p_value, row.n_pairs
-        );
-    }
-    let _ = writeln!(md);
-
-    // Table 4.
-    let _ = writeln!(md, "## Table 4 — case study (§5)\n");
-    let _ = writeln!(
-        md,
-        "| country | users (paper) | median cap (paper) | price (paper) | share of income (paper) | users | median cap | price | share |"
-    );
-    let _ = writeln!(md, "|---|---|---|---|---|---|---|---|---|");
-    let paper_t4 = [
-        ("BW", 67, 0.517, 100.0, 8.0),
-        ("SA", 120, 4.21, 79.0, 3.3),
-        ("US", 3759, 17.6, 53.0, 1.3),
-        ("JP", 73, 29.0, 37.0, 1.3),
-    ];
-    for ((code, pu, pc, pp, ps), row) in paper_t4.iter().zip(&r.table4) {
-        let _ = writeln!(
-            md,
-            "| {code} | {pu} | {pc} Mbps | ${pp} | {ps}% | {} | {:.2} Mbps | ${:.0} | {:.1}% |",
-            row.n_users,
-            row.median_capacity.mbps(),
-            row.price.usd(),
-            row.price_share_of_income * 100.0
-        );
-    }
-    let _ = writeln!(md);
-
-    // Figure 7b ordering.
-    let _ = writeln!(md, "## Figures 7–9 — utilisation orderings (§5)\n");
-    if r.fig7[1].series.len() == 4 {
-        let medians: Vec<String> = r.fig7[1]
-            .series
-            .iter()
-            .map(|s| format!("{} {:.0}%", s.label, s.median * 100.0))
-            .collect();
-        let _ = writeln!(
-            md,
-            "Paper: peak utilisation orders BW > SA > US > JP. Measured medians: {}.\n",
-            medians.join(", ")
-        );
-    }
-
-    // Figure 10 / Table 5 / census.
-    let _ = writeln!(md, "## Figure 10 / Table 5 / census (§6)\n");
-    let _ = writeln!(
-        md,
-        "Measured upgrade-cost CDF spans {} markets (median ${:.2}/Mbps).",
-        r.fig10.0.series[0].n, r.fig10.0.series[0].median
-    );
-    let _ = writeln!(
-        md,
-        "Correlation census: paper 66% strong / 81% moderate; measured {:.0}% / {:.0}%.\n",
-        r.census.share_strong * 100.0,
-        r.census.share_moderate * 100.0
-    );
-    let _ = writeln!(
-        md,
-        "| region | paper >$1/$5/$10 | measured >$1/$5/$10 | countries |"
-    );
-    let _ = writeln!(md, "|---|---|---|---|");
-    let paper_t5: &[(&str, &str)] = &[
-        ("Africa", "100/84/74"),
-        ("Asia (all)", "67/47/33"),
-        ("Asia (developed)", "0/0/0"),
-        ("Asia (developing)", "83/58/42"),
-        ("Central America/Caribbean", "100/86/14"),
-        ("Europe", "10/0/0"),
-        ("Middle East", "86/57/43"),
-        ("North America", "0/0/0"),
-        ("South America", "78/55/33"),
-    ];
-    for row in &r.table5 {
-        let paper = paper_t5
-            .iter()
-            .find(|(name, _)| *name == row.region)
-            .map(|(_, v)| *v)
-            .unwrap_or("—");
-        let _ = writeln!(
-            md,
-            "| {} | {paper} | {:.0}/{:.0}/{:.0} | {} |",
-            row.region,
-            row.share_above_1 * 100.0,
-            row.share_above_5 * 100.0,
-            row.share_above_10 * 100.0,
-            row.n_countries
-        );
-    }
-    let _ = writeln!(md);
-
-    // Table 6.
-    let _ = writeln!(md, "## Table 6 — cost of increasing capacity (§6)\n");
-    let paper_t6 = [
-        ("w/ BitTorrent", vec![(53.8, 0.00717), (58.7, 0.0110)]),
-        ("w/o BitTorrent", vec![(52.2, 0.0947), (56.3, 0.0265)]),
-    ];
-    for ((label, paper_rows), table) in paper_t6.iter().zip(&r.table6) {
-        let _ = writeln!(md, "### {label}\n");
-        let _ = writeln!(
-            md,
-            "| comparison | paper %H (p) | measured %H (p) | pairs |"
-        );
-        let _ = writeln!(md, "|---|---|---|---|");
-        for (i, row) in table.rows.iter().enumerate() {
-            let (ph, pp) = paper_rows.get(i).copied().unwrap_or((0.0, 1.0));
-            let _ = writeln!(
-                md,
-                "| {} vs {} | {ph}% ({pp:.2e}) | {:.1}% ({:.2e}) | {} |",
-                row.control, row.treatment, row.percent_holds, row.p_value, row.n_pairs
-            );
-        }
-        let _ = writeln!(md);
-    }
-
-    // Table 7.
-    let _ = writeln!(md, "## Table 7 — latency (§7.1)\n");
-    let paper_t7 = [
-        (63.5, 0.00825),
-        (63.4, 0.00620),
-        (59.4, 0.00766),
-        (56.3, 0.0330),
-    ];
-    let _ = writeln!(
-        md,
-        "| treatment bin | paper %H (p) | measured %H (p) | pairs |"
-    );
-    let _ = writeln!(md, "|---|---|---|---|");
-    for (i, row) in r.table7.rows.iter().enumerate() {
-        let (ph, pp) = paper_t7.get(i).copied().unwrap_or((0.0, 1.0));
-        let _ = writeln!(
-            md,
-            "| {} | {ph}% ({pp:.2e}) | {:.1}% ({:.2e}) | {} |",
-            row.treatment, row.percent_holds, row.p_value, row.n_pairs
-        );
-    }
-    if let Some(row) = &r.india_vs_us {
-        let _ = writeln!(
-            md,
-            "\nIndia vs capacity-matched US (paper: lower demand 62% of the time,"
-        );
-        let _ = writeln!(
-            md,
-            "p < 0.001): measured {:.1}% ({:.2e}) over {} pairs.\n",
-            row.percent_holds, row.p_value, row.n_pairs
-        );
-    }
-
-    // Table 8.
-    let _ = writeln!(md, "## Table 8 — packet loss (§7.2)\n");
-    let paper_t8 = [
-        (55.4, 5.85e-6),
-        (53.4, 8.55e-4),
-        (58.9, 2.16e-5),
-        (53.8, 0.0360),
-    ];
-    let _ = writeln!(
-        md,
-        "| comparison | paper %H (p) | measured %H (p) | pairs |"
-    );
-    let _ = writeln!(md, "|---|---|---|---|");
-    for (i, row) in r.table8.rows.iter().enumerate() {
-        let (ph, pp) = paper_t8.get(i).copied().unwrap_or((0.0, 1.0));
-        let _ = writeln!(
-            md,
-            "| {} vs {} | {ph}% ({pp:.2e}) | {:.1}% ({:.2e}) | {} |",
-            row.control, row.treatment, row.percent_holds, row.p_value, row.n_pairs
-        );
-    }
-    let _ = writeln!(md);
-    md
-}
-
-/// Markdown for the beyond-the-paper extensions.
-fn extensions_markdown(
-    table: &bb_study::exhibit::ExperimentTable,
-    separations: &Option<bb_study::ext::CdfSeparations>,
-    personas: &[bb_study::ext::PersonaRow],
-    uploads: &[bb_study::ext::UploadRow],
-) -> String {
-    let mut md = String::new();
-    let _ = writeln!(md, "## Extensions (beyond the paper)\n");
-    let _ = writeln!(
-        md,
-        "Usage caps (Chetty et al., §8), user personas (§10 future work),"
-    );
-    let _ = writeln!(
-        md,
-        "and the natural-experiment vs stratified-QED design comparison (§8):\n"
-    );
-    let _ = writeln!(md, "```\n{}```\n", text::render_experiment_table(table));
-    if let Some(sep) = separations {
-        let _ = writeln!(
-            md,
-            "KS separation of India vs the rest: latency D = {:.2} (p = {:.1e}), loss D = {:.2} (p = {:.1e}).\n",
-            sep.latency.statistic, sep.latency.p_value, sep.loss.statistic, sep.loss.p_value
-        );
-    }
-    if !uploads.is_empty() {
-        let _ = writeln!(md, "| group | users | down (Mbps) | up (Mbps) | up/down |");
-        let _ = writeln!(md, "|---|---|---|---|---|");
-        for row in uploads {
-            let _ = writeln!(
-                md,
-                "| {} | {} | {:.2} | {:.2} | {:.2} |",
-                row.group, row.n_users, row.down_mbps, row.up_mbps, row.ratio
-            );
-        }
-        let _ = writeln!(md);
-    }
-    if !personas.is_empty() {
-        let _ = writeln!(
-            md,
-            "| persona | users | mean demand (Mbps) | BitTorrent share |"
-        );
-        let _ = writeln!(md, "|---|---|---|---|");
-        for row in personas {
-            let _ = writeln!(
-                md,
-                "| {} | {} | {:.2} | {:.0}% |",
-                row.persona,
-                row.n_users,
-                row.mean_demand_mbps,
-                row.bt_share * 100.0
-            );
-        }
-        let _ = writeln!(md);
-    }
-    md
 }

@@ -316,5 +316,10 @@ mod tests {
             let err = wire_spec(&job).expect_err("job must be refused");
             assert!(err.contains("overflows the u64 user index"), "{err}");
         }
+        // An empty window would pass the layout and panic at the first lease.
+        let mut job = wire_job(&spec, 900, 912, 4);
+        job.days = 0;
+        let err = wire_spec(&job).expect_err("job must be refused");
+        assert!(err.contains("at least 1 day"), "{err}");
     }
 }

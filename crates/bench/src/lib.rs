@@ -1,10 +1,13 @@
 //! # bb-bench — the reproduce harness and its shared fixtures.
 //!
 //! The `reproduce` binary runs the paper's pipeline as a batch run, a
-//! served gateway, or a federated coordinator and its workers; the
-//! [`federation`] and [`publish`] modules hold what those share. The
-//! ablation benches operate on one generated world; [`bench_dataset`]
-//! centralises it so every ablation sees exactly the same data.
+//! served gateway, or a federated coordinator and its workers. The binary
+//! only parses flags, dispatches and generates; every run is a library
+//! call here: [`publish`] turns a generated panel or a merged streaming
+//! fold into the run's artifact set and writes it, and [`federation`]
+//! runs the coordinator and the workers. The ablation benches operate on
+//! one generated world; [`bench_dataset`] centralises it so every
+//! ablation sees exactly the same data.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

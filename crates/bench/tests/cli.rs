@@ -503,3 +503,109 @@ fn worlds_that_overflow_the_user_index_exit_2_not_a_wrapped_run() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn the_out_tree_is_exactly_the_artifact_set_the_library_returns() {
+    use bb_bench::publish::{self, Sweeps};
+    use bb_dataset::RunSpec;
+    use bb_engine::ShardPlan;
+    use bb_study::StudyReport;
+    use bb_trace::Timings;
+
+    let dir = tmpdir("cli-paper-artifacts");
+    let _ = std::fs::remove_dir_all(dir.join("out"));
+    let out = reproduce(
+        &[
+            "--scale",
+            "0.5",
+            "--days",
+            "1",
+            "--fcc",
+            "20",
+            "--sweep",
+            "1",
+            "--quiet",
+            "--out",
+            "out",
+            "--metrics",
+            "run/metrics.json",
+            "--ledger",
+            "run/ledger.jsonl",
+        ],
+        &dir,
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{:?}\nstderr: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let spec = RunSpec {
+        scale: 0.5,
+        days: 1,
+        fcc_users: 20,
+        ..RunSpec::paper(bb_bench::REPRO_SEED)
+    };
+    let world = spec.world();
+    let (dataset, registry, _) = world.generate_with_traced(ShardPlan::serial());
+    let sweeps = Sweeps {
+        seeds: 1,
+        chaos: false,
+    };
+    let serial = ShardPlan::serial();
+    let files = publish::paper(
+        &world,
+        &dataset,
+        &registry,
+        sweeps,
+        serial,
+        true,
+        &mut Timings::new(),
+    );
+    let [(metrics_name, metrics), (ledger_name, ledger), exhibits @ ..] = files.as_slice() else {
+        panic!("the artifact set leads with metrics and ledger");
+    };
+    assert_eq!(metrics_name, "metrics.json");
+    assert_eq!(ledger_name, "ledger.jsonl");
+    let read = |path: PathBuf| std::fs::read_to_string(&path).expect("written artifact");
+    assert_eq!(&read(dir.join("run/metrics.json")), metrics);
+    assert_eq!(&read(dir.join("run/ledger.jsonl")), ledger);
+
+    // The --out tree holds exactly the rest, byte for byte.
+    let mut written: Vec<String> = std::fs::read_dir(dir.join("out"))
+        .expect("out dir")
+        .map(|e| e.expect("dir entry").file_name().into_string().unwrap())
+        .collect();
+    written.sort();
+    let mut expected: Vec<String> = exhibits.iter().map(|(name, _)| name.clone()).collect();
+    expected.sort();
+    assert_eq!(written, expected);
+    for (name, content) in exhibits {
+        assert_eq!(&read(dir.join("out").join(name)), content, "{name}");
+    }
+
+    // stdout is experiments.md, which closes the set.
+    let (last, experiments) = exhibits.last().expect("non-empty set");
+    assert_eq!(last, "experiments.md");
+    assert!(experiments.contains("## Robustness across seeds"));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!("{experiments}\n")
+    );
+
+    // Inventory ids are unique, and each has exactly one text render.
+    let report = StudyReport::run(&dataset, &world.profiles, 30);
+    let exhibits_of = report.exhibits();
+    let ids: Vec<&str> = exhibits_of.iter().map(|e| e.id()).collect();
+    let unique: std::collections::BTreeSet<&str> = ids.iter().copied().collect();
+    assert_eq!(unique.len(), ids.len(), "{ids:?}");
+    let txt: Vec<&str> = files
+        .iter()
+        .filter_map(|(name, _)| name.strip_suffix(".txt"))
+        .collect();
+    let mut with_ext = ids.clone();
+    with_ext.push("ext");
+    assert_eq!(txt, with_ext);
+}

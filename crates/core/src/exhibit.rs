@@ -156,6 +156,32 @@ pub struct Bar {
     pub n: usize,
 }
 
+/// Any one exhibit, by kind: an entry of
+/// [`StudyReport::exhibits`](crate::StudyReport::exhibits).
+#[derive(Clone, Copy, Debug)]
+pub enum Exhibit<'a> {
+    /// A CDF figure.
+    Cdf(&'a CdfFigure),
+    /// A binned-mean figure.
+    Binned(&'a BinnedFigure),
+    /// A grouped bar figure.
+    Bar(&'a BarFigure),
+    /// A natural-experiment table.
+    Table(&'a ExperimentTable),
+}
+
+impl Exhibit<'_> {
+    /// The exhibit id, e.g. `"fig1a"` or `"table2_dasu"`.
+    pub fn id(&self) -> &str {
+        match self {
+            Exhibit::Cdf(f) => &f.id,
+            Exhibit::Binned(f) => &f.id,
+            Exhibit::Bar(f) => &f.id,
+            Exhibit::Table(t) => &t.id,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

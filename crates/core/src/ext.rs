@@ -293,6 +293,31 @@ pub fn extension_table(dataset: &Dataset) -> ExperimentTable {
     }
 }
 
+/// Every extension finding the paper run reports, computed at once.
+#[derive(Clone, Debug)]
+pub struct Extensions {
+    /// [`extension_table`].
+    pub table: ExperimentTable,
+    /// [`cdf_separations`].
+    pub separations: Option<CdfSeparations>,
+    /// [`persona_breakdown`].
+    pub personas: Vec<PersonaRow>,
+    /// [`upload_breakdown`].
+    pub uploads: Vec<UploadRow>,
+}
+
+impl Extensions {
+    /// Compute every extension on `dataset`.
+    pub fn run(dataset: &Dataset) -> Self {
+        Extensions {
+            table: extension_table(dataset),
+            separations: cdf_separations(dataset),
+            personas: persona_breakdown(dataset),
+            uploads: upload_breakdown(dataset),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,6 @@
 //! The full study: every exhibit in one pass.
 
-use crate::exhibit::{BarFigure, BinnedFigure, CdfFigure, ExperimentRow, ExperimentTable};
+use crate::exhibit::{BarFigure, BinnedFigure, CdfFigure, Exhibit, ExperimentRow, ExperimentTable};
 use crate::sec5::CaseStudyRow;
 use crate::{sec2, sec3, sec4, sec5, sec6, sec7};
 use bb_dataset::{CountryProfile, Dataset};
@@ -106,6 +106,35 @@ impl StudyReport {
         }
     }
 
+    /// The one ordered inventory of every figure and table, in the order
+    /// `reproduce` writes them: the CDF figures (Fig. 1, 4, 7, 10, 11, 12,
+    /// then the Fig. 8 panels), the binned figures (Fig. 2, 3, 6), the bar
+    /// figures (Fig. 5, 9), then the non-empty
+    /// [`experiment_tables`](Self::experiment_tables). Ids are unique.
+    pub fn exhibits(&self) -> Vec<Exhibit<'_>> {
+        let r = self;
+        let cdfs = [
+            &r.fig1.0, &r.fig1.1, &r.fig1.2, &r.fig4[0], &r.fig4[1], &r.fig7[0], &r.fig7[1],
+            &r.fig10.0, &r.fig11, &r.fig12,
+        ];
+        let binned = r.fig2.iter().chain(&r.fig3).chain(&r.fig6);
+        let bars = r.fig5.iter().chain([&r.fig9]);
+        cdfs.into_iter()
+            .chain(&r.fig8)
+            .map(Exhibit::Cdf)
+            .chain(binned.map(Exhibit::Binned))
+            .chain(bars.map(Exhibit::Bar))
+            .chain(self.experiment_tables().into_iter().map(Exhibit::Table))
+            .collect()
+    }
+
+    /// The inventory entry with this id, if the report has it; `"table2"`
+    /// names Table 2's Dasu panel, `"table2_dasu"`.
+    pub fn exhibit(&self, id: &str) -> Option<Exhibit<'_>> {
+        let id = if id == "table2" { "table2_dasu" } else { id };
+        self.exhibits().into_iter().find(|e| e.id() == id)
+    }
+
     /// All experiment tables, for bulk rendering.
     pub fn experiment_tables(&self) -> Vec<&ExperimentTable> {
         let mut v = vec![
@@ -153,5 +182,14 @@ mod tests {
         assert!(!report.table5.is_empty());
         assert!(report.census.n_markets > 80);
         assert!(!report.experiment_tables().is_empty());
+        // The inventory names every exhibit once, and resolves the alias.
+        let exhibits = report.exhibits();
+        let ids: Vec<&str> = exhibits.iter().map(|e| e.id()).collect();
+        let unique: std::collections::BTreeSet<&str> = ids.iter().copied().collect();
+        assert_eq!(unique.len(), ids.len(), "{ids:?}");
+        assert!(ids.contains(&"fig12") && ids.contains(&"table1"), "{ids:?}");
+        let alias = report.exhibit("table2").map(|e| e.id().to_string());
+        assert_eq!(alias.as_deref(), Some("table2_dasu"));
+        assert!(report.exhibit("fig99").is_none());
     }
 }

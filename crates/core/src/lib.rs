@@ -50,6 +50,6 @@ pub mod sec6;
 pub mod sec7;
 pub mod stream;
 
-pub use exhibit::{BarFigure, BinnedFigure, CdfFigure, ExperimentTable};
+pub use exhibit::{BarFigure, BinnedFigure, CdfFigure, Exhibit, ExperimentTable};
 pub use full::StudyReport;
 pub use stream::StreamStudy;

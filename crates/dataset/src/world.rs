@@ -328,12 +328,23 @@ impl RunSpec {
             )
     }
 
-    /// Check that this run's world fits the `u64` user index space. Every
-    /// surface that reads a spec from outside — command-line flags, a
-    /// federation wire job — calls this before building the world, so an
-    /// absurd size is refused instead of wrapping around to a small world
-    /// that pins the absurd one in its manifest.
+    /// Check that this run's world can be laid out: a window of at least
+    /// one day, a finite positive scale, and cohorts that fit the `u64`
+    /// user index space. Every surface that reads a spec from outside —
+    /// command-line flags, a federation wire job — calls this before
+    /// building the world, so an absurd size is refused instead of
+    /// panicking later or wrapping around to a small world that pins the
+    /// absurd one in its manifest.
     pub fn validate(&self) -> Result<(), String> {
+        if self.days == 0 {
+            return Err("the observation window must be at least 1 day".into());
+        }
+        let scale = self.scale;
+        if !scale.is_finite() || scale <= 0.0 {
+            return Err(format!(
+                "the user scale must be a finite number > 0, got {scale}"
+            ));
+        }
         self.world().cohort_ends().map(drop)
     }
 }
@@ -1927,6 +1938,23 @@ mod tests {
             ..RunSpec::paper(1)
         };
         assert_eq!(floor.world().n_users(), floor.world().profiles.len() as u64);
+    }
+
+    #[test]
+    fn empty_windows_and_degenerate_scales_are_refused() {
+        let empty = RunSpec {
+            days: 0,
+            ..RunSpec::paper(1)
+        };
+        assert!(empty.validate().unwrap_err().contains("at least 1 day"));
+        for scale in [0.0, -3.0, f64::NAN, f64::INFINITY] {
+            let spec = RunSpec {
+                scale,
+                ..RunSpec::paper(1)
+            };
+            let err = spec.validate().expect_err("degenerate scale");
+            assert!(err.contains("user scale"), "{scale}: {err}");
+        }
     }
 
     fn param_text(spec: &RunSpec) -> String {

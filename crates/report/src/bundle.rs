@@ -1,4 +1,4 @@
-//! The streaming run's artifacts, as one shared file set.
+//! The runs' artifacts, as shared file sets.
 //!
 //! The batch CLI (`reproduce --users U`), the federation coordinator and
 //! the serve gateway's job runner all publish the same artifacts for a
@@ -8,10 +8,12 @@
 //! Keeping the file list (names, contents, order) in one place is what
 //! makes the serve cache's byte-identity guarantee cheap: every path
 //! calls [`stream_run_files`] and diverges only in where the bytes land
-//! (a directory vs. a cache entry).
+//! (a directory vs. a cache entry). The materialised paper run renders
+//! its whole exhibit inventory the same way, through
+//! [`paper_exhibit_files`].
 
 use crate::{csv, gnuplot, json, markdown, text};
-use bb_study::{provenance, StreamStudy};
+use bb_study::{provenance, Exhibit, ExperimentTable, StreamStudy, StudyReport};
 use bb_trace::{EventLog, EventTail, Registry};
 
 /// Render a pretty JSON document, which cannot fail for exhibit trees.
@@ -51,17 +53,51 @@ pub fn stream_run_files(
 pub fn stream_exhibit_files(study: &StreamStudy) -> Vec<(String, String)> {
     let mut files = Vec::new();
     for f in study.figure1().iter().chain(study.figure7().iter()) {
-        files.push((format!("{}.txt", f.id), text::render_cdf_figure(f)));
-        files.push((format!("{}.csv", f.id), csv::cdf_to_csv(f)));
-        files.push((format!("{}.gp", f.id), gnuplot::cdf_script(f)));
-        files.push((format!("{}.json", f.id), pretty(&json::cdf_to_json(f))));
+        push_exhibit(&mut files, Exhibit::Cdf(f), true);
     }
     for f in &study.figure2() {
-        files.push((format!("{}.txt", f.id), text::render_binned_figure(f)));
-        files.push((format!("{}.csv", f.id), csv::binned_to_csv(f)));
-        files.push((format!("{}.json", f.id), pretty(&json::binned_to_json(f))));
+        push_exhibit(&mut files, Exhibit::Binned(f), false);
     }
     files
+}
+
+/// The paper run's exhibit files as `(file name, contents)` pairs, in the
+/// order `reproduce` writes them: per entry of
+/// [`StudyReport::exhibits`] a text render, a CSV, a gnuplot script
+/// (figures only) and a JSON document, then the `extensions` table as
+/// `ext.txt`.
+pub fn paper_exhibit_files(
+    report: &StudyReport,
+    extensions: &ExperimentTable,
+) -> Vec<(String, String)> {
+    let mut files = Vec::new();
+    for e in report.exhibits() {
+        push_exhibit(&mut files, e, true);
+    }
+    files.push(("ext.txt".into(), text::render_experiment_table(extensions)));
+    files
+}
+
+/// Append one exhibit's files: its text render, CSV, gnuplot script (a
+/// figure's, when `script`) and JSON document.
+fn push_exhibit(files: &mut Vec<(String, String)>, e: Exhibit, script: bool) {
+    let (csv, json) = match e {
+        Exhibit::Cdf(f) => (csv::cdf_to_csv(f), json::cdf_to_json(f)),
+        Exhibit::Binned(f) => (csv::binned_to_csv(f), json::binned_to_json(f)),
+        Exhibit::Bar(f) => (csv::bar_to_csv(f), json::bar_to_json(f)),
+        Exhibit::Table(t) => (csv::experiment_to_csv(t), json::experiment_to_json(t)),
+    };
+    let gp = match e {
+        Exhibit::Cdf(f) if script => Some(gnuplot::cdf_script(f)),
+        Exhibit::Binned(f) if script => Some(gnuplot::binned_script(f)),
+        Exhibit::Bar(f) if script => Some(gnuplot::bar_script(f)),
+        _ => None,
+    };
+    let id = e.id();
+    files.push((format!("{id}.txt"), text::render_exhibit(&e)));
+    files.push((format!("{id}.csv"), csv));
+    files.extend(gp.map(|gp| (format!("{id}.gp"), gp)));
+    files.push((format!("{id}.json"), pretty(&json)));
 }
 
 /// The exhibit ids the streaming bundle can serve, in bundle order.

@@ -16,5 +16,6 @@ pub mod markdown;
 pub mod text;
 
 pub use text::{
-    render_bar_figure, render_binned_figure, render_cdf_figure, render_experiment_table,
+    render_bar_figure, render_binned_figure, render_cdf_figure, render_exhibit,
+    render_experiment_table,
 };

@@ -1,6 +1,6 @@
 //! Monospace text rendering.
 
-use bb_study::exhibit::{BarFigure, BinnedFigure, CdfFigure, ExperimentTable};
+use bb_study::exhibit::{BarFigure, BinnedFigure, CdfFigure, Exhibit, ExperimentTable};
 use std::fmt::Write as _;
 
 /// Width of the plot area in characters.
@@ -191,6 +191,17 @@ pub fn render_bar_figure(f: &BarFigure) -> String {
         }
     }
     out
+}
+
+/// Render any exhibit with its kind's renderer: the `.txt` file
+/// `reproduce` writes and the text `needwant exhibit` prints.
+pub fn render_exhibit(e: &Exhibit) -> String {
+    match e {
+        Exhibit::Cdf(f) => render_cdf_figure(f),
+        Exhibit::Binned(f) => render_binned_figure(f),
+        Exhibit::Bar(f) => render_bar_figure(f),
+        Exhibit::Table(t) => render_experiment_table(t),
+    }
 }
 
 /// Compact number formatting for axis annotations.

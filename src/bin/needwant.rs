@@ -8,9 +8,11 @@
 //! needwant sweep --seeds 5                # robustness across seeds
 //! ```
 //!
-//! Common options: `--seed S`, `--scale N`, `--days D`, `--fcc N`.
+//! Common options: `--seed S`, `--scale N`, `--days D`, `--fcc N`. They
+//! describe a materialised [`RunSpec`], validated like every other
+//! surface's: a world that cannot be laid out exits 2 with a message.
 
-use needwant::dataset::{Dataset, World, WorldConfig};
+use needwant::dataset::RunSpec;
 use needwant::report::text;
 use needwant::study::{robustness, StudyReport};
 use std::process::exit;
@@ -23,11 +25,13 @@ fn main() {
     }
     let command = args.remove(0);
 
-    // Shared world options.
-    let mut cfg = WorldConfig::small(20141105);
-    cfg.user_scale = 4.0;
-    cfg.days = 3;
-    cfg.fcc_users = 300;
+    // Shared world options: a small materialised world.
+    let mut spec = RunSpec {
+        scale: 4.0,
+        days: 3,
+        fcc_users: 300,
+        ..RunSpec::paper(20141105)
+    };
     let mut csv_path: Option<String> = None;
     let mut n_seeds: u64 = 5;
     let mut positional: Vec<String> = Vec::new();
@@ -40,10 +44,10 @@ fn main() {
             })
         };
         match flag.as_str() {
-            "--seed" => cfg.seed = parse(&val(), "--seed"),
-            "--scale" => cfg.user_scale = parse(&val(), "--scale"),
-            "--days" => cfg.days = parse(&val(), "--days"),
-            "--fcc" => cfg.fcc_users = parse(&val(), "--fcc"),
+            "--seed" => spec.seed = parse(&val(), "--seed"),
+            "--scale" => spec.scale = parse(&val(), "--scale"),
+            "--days" => spec.days = parse(&val(), "--days"),
+            "--fcc" => spec.fcc_users = parse(&val(), "--fcc"),
             "--seeds" => n_seeds = parse(&val(), "--seeds"),
             "--csv" => csv_path = Some(val()),
             "--help" | "-h" => {
@@ -58,17 +62,26 @@ fn main() {
         }
     }
 
+    let valid = match n_seeds {
+        0 => Err("--seeds must be at least 1".to_string()),
+        _ => spec.validate(),
+    };
+    if let Err(err) = valid {
+        eprintln!("{err}");
+        exit(2);
+    }
+
     match command.as_str() {
-        "survey" => survey(&cfg),
-        "generate" => generate(&cfg, csv_path.as_deref()),
+        "survey" => survey(&spec),
+        "generate" => generate(&spec, csv_path.as_deref()),
         "exhibit" => {
             let Some(id) = positional.first() else {
                 eprintln!("usage: needwant exhibit <id>   (e.g. fig1a, table1, table7)");
                 exit(2);
             };
-            exhibit(&cfg, id);
+            exhibit(&spec, id);
         }
-        "sweep" => sweep(&cfg, n_seeds),
+        "sweep" => sweep(&spec, n_seeds),
         other => {
             eprintln!("unknown command {other}");
             usage();
@@ -89,14 +102,8 @@ fn usage() {
     eprintln!("  options: --seed S --scale N --days D --fcc N --csv FILE --seeds N");
 }
 
-fn build(cfg: &WorldConfig) -> (World, Dataset) {
-    let world = World::new(cfg.clone());
-    let ds = world.generate();
-    (world, ds)
-}
-
-fn survey(cfg: &WorldConfig) {
-    let (_, ds) = build(cfg);
+fn survey(spec: &RunSpec) {
+    let ds = spec.world().generate();
     println!(
         "{} markets, {} plans\n",
         ds.survey.len(),
@@ -138,8 +145,8 @@ fn survey(cfg: &WorldConfig) {
     }
 }
 
-fn generate(cfg: &WorldConfig, csv_path: Option<&str>) {
-    let (_, ds) = build(cfg);
+fn generate(spec: &RunSpec, csv_path: Option<&str>) {
+    let ds = spec.world().generate();
     let mut csv = String::from(
         "user,country,year,vantage,capacity_mbps,latency_ms,loss_pct,mean_mbps,peak_mbps,\
          plan_mbps,plan_price,access_price,capped,bt_user,persona\n",
@@ -180,64 +187,19 @@ fn generate(cfg: &WorldConfig, csv_path: Option<&str>) {
     }
 }
 
-fn exhibit(cfg: &WorldConfig, id: &str) {
-    let (world, ds) = build(cfg);
-    let report = StudyReport::run(&ds, &world.profiles, 30);
-    let out = match id {
-        "fig1a" => text::render_cdf_figure(&report.fig1.0),
-        "fig1b" => text::render_cdf_figure(&report.fig1.1),
-        "fig1c" => text::render_cdf_figure(&report.fig1.2),
-        "fig2a" => text::render_binned_figure(&report.fig2[0]),
-        "fig2b" => text::render_binned_figure(&report.fig2[1]),
-        "fig2c" => text::render_binned_figure(&report.fig2[2]),
-        "fig2d" => text::render_binned_figure(&report.fig2[3]),
-        "fig3a" => text::render_binned_figure(&report.fig3[0]),
-        "fig3b" => text::render_binned_figure(&report.fig3[1]),
-        "fig4a" => text::render_cdf_figure(&report.fig4[0]),
-        "fig4b" => text::render_cdf_figure(&report.fig4[1]),
-        "fig5a" => text::render_bar_figure(&report.fig5[0]),
-        "fig5b" => text::render_bar_figure(&report.fig5[1]),
-        "fig5c" => text::render_bar_figure(&report.fig5[2]),
-        "fig5d" => text::render_bar_figure(&report.fig5[3]),
-        "fig6a" => text::render_binned_figure(&report.fig6[0]),
-        "fig6b" => text::render_binned_figure(&report.fig6[1]),
-        "fig6c" => text::render_binned_figure(&report.fig6[2]),
-        "fig6d" => text::render_binned_figure(&report.fig6[3]),
-        "fig7a" => text::render_cdf_figure(&report.fig7[0]),
-        "fig7b" => text::render_cdf_figure(&report.fig7[1]),
-        "fig9" => text::render_bar_figure(&report.fig9),
-        "fig10" => text::render_cdf_figure(&report.fig10.0),
-        "fig11" => text::render_cdf_figure(&report.fig11),
-        "fig12" => text::render_cdf_figure(&report.fig12),
-        "table1" => text::render_experiment_table(&report.table1),
-        "table2" | "table2_dasu" => text::render_experiment_table(&report.table2.0),
-        "table2_fcc" => text::render_experiment_table(&report.table2.1),
-        "table3" => text::render_experiment_table(&report.table3),
-        "table6a" => text::render_experiment_table(&report.table6[0]),
-        "table6b" => text::render_experiment_table(&report.table6[1]),
-        "table7" => text::render_experiment_table(&report.table7),
-        "table8" => text::render_experiment_table(&report.table8),
-        other if other.starts_with("fig8") => {
-            let idx = other.as_bytes().get(4).map(|b| (b - b'a') as usize);
-            match idx.and_then(|i| report.fig8.get(i)) {
-                Some(f) => text::render_cdf_figure(f),
-                None => {
-                    eprintln!("no {other} in this dataset (too few users per tier)");
-                    exit(1);
-                }
-            }
-        }
-        other => {
-            eprintln!("unknown exhibit {other} (try fig1a…fig12, table1…table8)");
-            exit(2);
-        }
+fn exhibit(spec: &RunSpec, id: &str) {
+    let world = spec.world();
+    let report = StudyReport::run(&world.generate(), &world.profiles, 30);
+    let Some(exhibit) = report.exhibit(id) else {
+        eprintln!("unknown exhibit {id} (try fig1a…fig12, table1…table8)");
+        exit(2);
     };
-    print!("{out}");
+    print!("{}", text::render_exhibit(&exhibit));
 }
 
-fn sweep(cfg: &WorldConfig, n_seeds: u64) {
-    eprintln!("sweeping {n_seeds} seeds at scale {}…", cfg.user_scale);
-    let rows = robustness::seed_sweep(cfg, n_seeds);
+fn sweep(spec: &RunSpec, n_seeds: u64) {
+    eprintln!("sweeping {n_seeds} seeds at scale {}…", spec.scale);
+    let rows = robustness::seed_sweep(&spec.world_config(), n_seeds);
     print!("{}", robustness::render_sweep(&rows));
     let unstable: Vec<&str> = rows
         .iter()
