@@ -613,13 +613,15 @@ impl World {
         (population.into_survey(), folded, registry, stats)
     }
 
-    /// Total users (Dasu + FCC) the current config implies.
+    /// Total users (Dasu + FCC) the current config implies: the last end
+    /// of the cohort layout, with no market instantiated.
     ///
     /// # Panics
     /// When the cohort layout overflows the `u64` user index space (see
     /// [`RunSpec::validate`]).
     pub fn n_users(&self) -> u64 {
-        self.population().n_users()
+        let ends = self.cohort_ends().unwrap_or_else(|err| panic!("{err}"));
+        ends.last().copied().unwrap_or(0)
     }
 
     /// Instantiate every market from the master stream and lay the users
@@ -1047,6 +1049,7 @@ impl World {
                     &scratch.truth,
                     &dasu_polling(*source, &s.link, chaos),
                     polls,
+                    &mut scratch.collect.draws,
                     chaos_rng,
                     reg,
                 );
@@ -1875,6 +1878,42 @@ mod tests {
             .filter(|r| r.demand_no_bt.is_some())
             .count();
         assert!(observed as f64 > 0.95 * ds.records.len() as f64);
+    }
+
+    #[test]
+    fn n_users_counts_the_layout_the_population_uses() {
+        let mut floor = WorldConfig::small(7);
+        floor.user_scale = 1e-9; // every country at its one-user floor
+        floor.fcc_users = 0;
+        let worlds = [
+            ("small", World::new(WorldConfig::small(7))),
+            ("paper_scale", World::new(WorldConfig::paper_scale(7))),
+            (
+                "streaming",
+                World::new(WorldConfig::streaming(7, 10_000, 1, 50)),
+            ),
+            ("floor", World::new(floor)),
+            ("empty", World::with_countries(WorldConfig::small(7), &[])),
+            (
+                "no US, no FCC cohort",
+                World::with_countries(WorldConfig::small(7), &["JP", "BW", "IN"]),
+            ),
+        ];
+        for (name, world) in &worlds {
+            assert_eq!(world.n_users(), world.population().n_users(), "{name}");
+        }
+        assert_eq!(worlds[3].1.n_users(), worlds[3].1.profiles.len() as u64);
+        assert_eq!(worlds[4].1.n_users(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the u64 user index")]
+    fn n_users_refuses_a_layout_that_overflows() {
+        let spec = RunSpec {
+            scale: 1e300,
+            ..RunSpec::paper(1)
+        };
+        spec.world().n_users();
     }
 
     #[test]

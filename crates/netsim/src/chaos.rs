@@ -100,15 +100,140 @@ impl ChaosPlan {
         self
     }
 
-    /// Degrade a raw poll sequence. Applied between polling and delta
-    /// reconstruction; the reconstruction layer is hardened to survive
-    /// (and count) whatever comes out of here.
+    /// Degrade a raw poll sequence in place. Applied between polling and
+    /// delta reconstruction; the reconstruction layer is hardened to
+    /// survive (and count) whatever comes out of here.
     ///
     /// Mechanisms fire in a fixed order — bursts, resets, skew,
     /// duplication, reordering — each drawing from `rng` only when its
     /// knob is non-zero, so [`ChaosPlan::NONE`] consumes zero draws and
     /// leaves both `polls` and `reg` untouched.
+    ///
+    /// The reset and duplication passes draw exactly one uniform per
+    /// poll, so they fill `uniforms` (a buffer reused across calls) with
+    /// [`rand::RngCore::fill_standard_f64`], which consumes the stream as
+    /// the same sequential draws. Bursts and reordering skip polls after
+    /// a hit, so their draw counts depend on the data and they draw one
+    /// at a time. The result, the registry and the words drawn are those
+    /// of the one-poll-at-a-time passes (kept as the test oracle
+    /// `apply_to_polls_reference`).
     pub fn apply_to_polls<R: Rng + ?Sized>(
+        &self,
+        polls: &mut Vec<RawPoll>,
+        uniforms: &mut Vec<f64>,
+        rng: &mut R,
+        reg: &mut Registry,
+    ) {
+        if self.is_none() {
+            return;
+        }
+        let mut bursts = 0u64;
+        let mut burst_dropped = 0u64;
+        let mut resets = 0u64;
+        let mut skewed = 0u64;
+        let mut duplicated = 0u64;
+        let mut reordered = 0u64;
+
+        // Burst outages: the client goes dark for a run of polls. The
+        // kept polls move down over the dropped ones.
+        if self.burst_start_prob > 0.0 {
+            let mut kept = 0;
+            let mut remaining = 0u32;
+            for i in 0..polls.len() {
+                if remaining > 0 {
+                    remaining -= 1;
+                    burst_dropped += 1;
+                    continue;
+                }
+                if rng.gen::<f64>() < self.burst_start_prob {
+                    bursts += 1;
+                    burst_dropped += 1;
+                    remaining = self.burst_len_polls.saturating_sub(1);
+                    continue;
+                }
+                polls[kept] = polls[i];
+                kept += 1;
+            }
+            polls.truncate(kept);
+        }
+
+        // Reset storm: a reboot zeroes the cumulative registers, so every
+        // reading from the reset poll onward is re-based on the value at
+        // the reboot. The detected-cross estimate is client-side state
+        // and survives gateway reboots, so it is left alone.
+        if self.reset_prob > 0.0 {
+            let mut off_down = 0u64;
+            let mut off_up = 0u64;
+            let u = fill_uniforms(uniforms, polls.len(), rng);
+            for (p, &u) in polls.iter_mut().zip(u) {
+                if u < self.reset_prob {
+                    off_down = p.1;
+                    off_up = p.2;
+                    resets += 1;
+                }
+                p.1 = p.1.saturating_sub(off_down);
+                p.2 = p.2.saturating_sub(off_up);
+            }
+        }
+
+        // Clock skew: perturb each poll's slot index. Offsets can push a
+        // timestamp past a neighbour (out-of-order), onto a neighbour
+        // (duplicate slot) or past the end of the window. A zero offset
+        // leaves the index as it is, so the update needs no branch.
+        if self.skew_max_slots > 0 {
+            let s = self.skew_max_slots as i64;
+            for p in polls.iter_mut() {
+                let off = rng.gen_range(-s..=s);
+                skewed += (off != 0) as u64;
+                p.0 = p.0.saturating_add_signed(off as isize);
+            }
+        }
+
+        // Duplicate delivery: count the duplicates, grow the buffer by
+        // that many, and fill it from the back. Each poll is written
+        // twice; without a duplicate the second write lands on the first.
+        if self.duplicate_prob > 0.0 {
+            let n = polls.len();
+            let u = fill_uniforms(uniforms, n, rng);
+            duplicated = u.iter().filter(|&&u| u < self.duplicate_prob).count() as u64;
+            polls.resize(n + duplicated as usize, (0, 0, 0, 0.0));
+            let mut w = polls.len();
+            for i in (0..n).rev() {
+                let p = polls[i];
+                polls[w - 1] = p;
+                w -= (u[i] < self.duplicate_prob) as usize;
+                polls[w - 1] = p;
+                w -= 1;
+            }
+        }
+
+        // Reordered delivery: swap a poll with its successor. Swapped
+        // pairs are skipped so one draw never cascades down the vector.
+        if self.reorder_prob > 0.0 && polls.len() >= 2 {
+            let mut i = 0;
+            while i + 1 < polls.len() {
+                if rng.gen::<f64>() < self.reorder_prob {
+                    polls.swap(i, i + 1);
+                    reordered += 1;
+                    i += 2;
+                } else {
+                    i += 1;
+                }
+            }
+        }
+
+        reg.add("netsim.chaos.bursts", bursts);
+        reg.add("netsim.chaos.burst_dropped_polls", burst_dropped);
+        reg.add("netsim.chaos.resets_injected", resets);
+        reg.add("netsim.chaos.polls_skewed", skewed);
+        reg.add("netsim.chaos.polls_duplicated", duplicated);
+        reg.add("netsim.chaos.polls_reordered", reordered);
+    }
+
+    /// The one-poll-at-a-time passes, kept verbatim as the oracle
+    /// [`ChaosPlan::apply_to_polls`] is pinned against.
+    #[cfg(test)]
+    pub(crate) fn apply_to_polls_reference<R: Rng + ?Sized>(
         &self,
         mut polls: Vec<RawPoll>,
         rng: &mut R,
@@ -213,6 +338,21 @@ impl ChaosPlan {
         reg.add("netsim.chaos.polls_reordered", reordered);
         polls
     }
+}
+
+/// `n` standard uniforms from `rng` in `uniforms[..n]`, drawn as `n`
+/// sequential draws would be. The buffer only ever grows.
+fn fill_uniforms<'a, R: Rng + ?Sized>(
+    uniforms: &'a mut Vec<f64>,
+    n: usize,
+    rng: &mut R,
+) -> &'a [f64] {
+    if uniforms.len() < n {
+        uniforms.resize(n, 0.0);
+    }
+    let u = &mut uniforms[..n];
+    rng.fill_standard_f64(u);
+    u
 }
 
 /// A named, severity-parameterised degradation scenario.
@@ -413,12 +553,23 @@ mod tests {
             .collect()
     }
 
+    /// `polls` degraded by `plan`, with a fresh uniform buffer.
+    fn degraded(
+        plan: &ChaosPlan,
+        mut polls: Vec<RawPoll>,
+        rng: &mut ChaCha8Rng,
+        reg: &mut Registry,
+    ) -> Vec<RawPoll> {
+        plan.apply_to_polls(&mut polls, &mut Vec::new(), rng, reg);
+        polls
+    }
+
     #[test]
     fn none_plan_is_identity_and_draws_nothing() {
         let p = polls(50);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut reg = Registry::new();
-        let out = ChaosPlan::NONE.apply_to_polls(p.clone(), &mut rng, &mut reg);
+        let out = degraded(&ChaosPlan::NONE, p.clone(), &mut rng, &mut reg);
         assert_eq!(out, p);
         assert_eq!(reg.to_json(), Registry::new().to_json(), "no counters");
         // Zero draws: the RNG is still at its initial state.
@@ -464,11 +615,121 @@ mod tests {
     }
 
     #[test]
+    fn in_place_passes_match_the_one_poll_at_a_time_oracle() {
+        // Each knob alone (at a middling value and at its extreme), then
+        // every scenario's plan over the severity grid.
+        let mut plans: Vec<(String, ChaosPlan)> = [
+            (
+                "burst",
+                ChaosPlan {
+                    burst_start_prob: 0.3,
+                    burst_len_polls: 4,
+                    ..ChaosPlan::NONE
+                },
+            ),
+            (
+                "burst-all",
+                ChaosPlan {
+                    burst_start_prob: 1.0,
+                    burst_len_polls: 1,
+                    ..ChaosPlan::NONE
+                },
+            ),
+            (
+                "skew",
+                ChaosPlan {
+                    skew_max_slots: 2,
+                    ..ChaosPlan::NONE
+                },
+            ),
+            (
+                "reset",
+                ChaosPlan {
+                    reset_prob: 0.3,
+                    ..ChaosPlan::NONE
+                },
+            ),
+            (
+                "reset-all",
+                ChaosPlan {
+                    reset_prob: 1.0,
+                    ..ChaosPlan::NONE
+                },
+            ),
+            (
+                "duplicate",
+                ChaosPlan {
+                    duplicate_prob: 0.3,
+                    ..ChaosPlan::NONE
+                },
+            ),
+            (
+                "duplicate-all",
+                ChaosPlan {
+                    duplicate_prob: 1.0,
+                    ..ChaosPlan::NONE
+                },
+            ),
+            (
+                "reorder",
+                ChaosPlan {
+                    reorder_prob: 0.3,
+                    ..ChaosPlan::NONE
+                },
+            ),
+            (
+                "reorder-all",
+                ChaosPlan {
+                    reorder_prob: 1.0,
+                    ..ChaosPlan::NONE
+                },
+            ),
+            (
+                "probe",
+                ChaosPlan {
+                    probe_failure_prob: 0.5,
+                    ..ChaosPlan::NONE
+                },
+            ),
+        ]
+        .map(|(name, plan)| (name.to_string(), plan.validated()))
+        .into();
+        for sc in ChaosScenario::ALL {
+            for s in [0.25, 0.5, 0.75, 1.0] {
+                plans.push((format!("{}@{s}", sc.name()), sc.plan(s)));
+            }
+        }
+        // One poll and one uniform buffer across every case, both left
+        // holding stale values by the previous one.
+        let mut got = Vec::new();
+        let mut uniforms = vec![0.5; 7];
+        for (name, plan) in &plans {
+            for n in [0, 1, 2, 2880] {
+                for seed in [3u64, 4] {
+                    let mut rng_ref = ChaCha8Rng::seed_from_u64(seed);
+                    let mut reg_ref = Registry::new();
+                    let expect =
+                        plan.apply_to_polls_reference(polls(n), &mut rng_ref, &mut reg_ref);
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                    let mut reg = Registry::new();
+                    got.clear();
+                    got.extend(polls(n));
+                    plan.apply_to_polls(&mut got, &mut uniforms, &mut rng, &mut reg);
+                    let case = format!("{name}, {n} polls, seed {seed}");
+                    assert_eq!(got, expect, "polls, {case}");
+                    assert_eq!(reg.to_json(), reg_ref.to_json(), "registry, {case}");
+                    assert_eq!(rng.gen::<u64>(), rng_ref.gen::<u64>(), "next draw, {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn bursts_drop_runs_of_polls() {
         let plan = ChaosScenario::BurstOutage.plan(1.0);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut reg = Registry::new();
-        let out = plan.apply_to_polls(polls(2000), &mut rng, &mut reg);
+        let out = degraded(&plan, polls(2000), &mut rng, &mut reg);
         assert!(out.len() < 2000);
         assert!(reg.counter("netsim.chaos.bursts") > 0);
         assert_eq!(
@@ -485,7 +746,7 @@ mod tests {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let mut reg = Registry::new();
-        let out = plan.apply_to_polls(polls(10), &mut rng, &mut reg);
+        let out = degraded(&plan, polls(10), &mut rng, &mut reg);
         assert_eq!(reg.counter("netsim.chaos.resets_injected"), 10);
         // Every poll re-bases on itself: readings are all zero.
         assert!(out.iter().all(|p| p.1 == 0 && p.2 == 0));
@@ -496,7 +757,7 @@ mod tests {
         let plan = ChaosScenario::PollChurn.plan(1.0);
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let mut reg = Registry::new();
-        let out = plan.apply_to_polls(polls(1000), &mut rng, &mut reg);
+        let out = degraded(&plan, polls(1000), &mut rng, &mut reg);
         assert!(out.len() > 1000, "duplicates grow the sequence");
         assert!(reg.counter("netsim.chaos.polls_duplicated") > 0);
         assert!(reg.counter("netsim.chaos.polls_reordered") > 0);
@@ -512,7 +773,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(13);
         let mut reg = Registry::new();
         let input = polls(500);
-        let out = plan.apply_to_polls(input.clone(), &mut rng, &mut reg);
+        let out = degraded(&plan, input.clone(), &mut rng, &mut reg);
         assert_eq!(out.len(), input.len());
         for (a, b) in input.iter().zip(&out) {
             let diff = (a.0 as i64 - b.0 as i64).abs();

@@ -32,7 +32,8 @@ use rand::Rng;
 #[derive(Clone, Debug, Default)]
 pub struct CollectScratch {
     /// Per-slot standard-uniform acceptance draws, filled block-at-a-time
-    /// from the generator's key stream.
+    /// from the generator's key stream. Once the polls are taken, the
+    /// chaos passes reuse it for their uniforms.
     pub draws: Vec<f64>,
     /// Raw poll buffer `(slot, down, up, cross)` reused across users.
     pub polls: Vec<RawPoll>,
@@ -225,7 +226,14 @@ impl UsageSeries {
         scratch: &mut CollectScratch,
     ) -> Self {
         Self::poll_counters(truth, polling, rng, scratch);
-        Self::reconstruct_polls(truth, polling, &mut scratch.polls, chaos_rng, reg)
+        Self::reconstruct_polls(
+            truth,
+            polling,
+            &mut scratch.polls,
+            &mut scratch.draws,
+            chaos_rng,
+            reg,
+        )
     }
 
     /// The poll half of [`UsageSeries::collect_via_counters`]: draw the
@@ -264,10 +272,21 @@ impl UsageSeries {
         }
         scratch.draws.resize(n_slots, 0.0);
         rng.fill_standard_f64(&mut scratch.draws);
+        let draws = &scratch.draws[..n_slots];
+        let slot_bytes = &truth.slot_bytes[..n_slots];
+        let up_slot_bytes = &truth.up_slot_bytes[..n_slots];
 
         // (slot index, down reading, up reading, detected cross estimate)
-        scratch.polls.clear();
-        let mut polls = std::mem::take(&mut scratch.polls);
+        //
+        // Every slot writes its reading at `len`, and the acceptance bit
+        // advances `len`: a rejected reading is overwritten by the next
+        // slot's, so the accepted ones land in order with no branch on a
+        // draw taken about half the time. `len <= j`, so the window-sized
+        // buffer always has room. Entries past the previous user's polls
+        // are initialised here; the rest are overwritten or truncated.
+        let polls = &mut scratch.polls;
+        polls.resize(n_slots, (0, 0, 0, 0.0));
+        let mut len = 0usize;
         // Only the active source's counter pair is materialised — the
         // scalar reference drives all four in lockstep, but the inactive
         // pair's readings never reach the poll stream, so skipping them
@@ -276,6 +295,7 @@ impl UsageSeries {
         // modulo/divide drops out of the inner loop.
         match source {
             CounterSource::Upnp => {
+                let cross_slot_bytes = &truth.cross_slot_bytes[..n_slots];
                 let mut down = UpnpCounter::new();
                 let mut up = UpnpCounter::new();
                 let mut detected_cross = 0.0f64;
@@ -284,13 +304,12 @@ impl UsageSeries {
                     let p = p_by_hour[(i % 2880) / SLOTS_PER_HOUR];
                     let end = n_slots.min(i + (SLOTS_PER_HOUR - i % SLOTS_PER_HOUR));
                     for j in i..end {
-                        let cross = truth.cross_slot_bytes[j];
-                        down.add((truth.slot_bytes[j] + cross) as u64);
-                        up.add(truth.up_slot_bytes[j] as u64);
+                        let cross = cross_slot_bytes[j];
+                        down.add((slot_bytes[j] + cross) as u64);
+                        up.add(up_slot_bytes[j] as u64);
                         detected_cross += cross * CROSS_DETECTION;
-                        if scratch.draws[j] < p {
-                            polls.push((j, down.read() as u64, up.read() as u64, detected_cross));
-                        }
+                        polls[len] = (j, down.read() as u64, up.read() as u64, detected_cross);
+                        len += (draws[j] < p) as usize;
                     }
                     i = end;
                 }
@@ -303,20 +322,19 @@ impl UsageSeries {
                     let p = p_by_hour[(i % 2880) / SLOTS_PER_HOUR];
                     let end = n_slots.min(i + (SLOTS_PER_HOUR - i % SLOTS_PER_HOUR));
                     for j in i..end {
-                        down.add(truth.slot_bytes[j] as u64);
-                        up.add(truth.up_slot_bytes[j] as u64);
+                        down.add(slot_bytes[j] as u64);
+                        up.add(up_slot_bytes[j] as u64);
                         // Cross traffic never reaches the host's netstat,
                         // and the detected-cross estimate is only read on
                         // the UPnP decode path — the poll carries 0 here.
-                        if scratch.draws[j] < p {
-                            polls.push((j, down.read(), up.read(), 0.0));
-                        }
+                        polls[len] = (j, down.read(), up.read(), 0.0);
+                        len += (draws[j] < p) as usize;
                     }
                     i = end;
                 }
             }
         }
-        scratch.polls = polls;
+        polls.truncate(len);
     }
 
     /// The degrade-and-reconstruct half of
@@ -327,12 +345,15 @@ impl UsageSeries {
     /// `polling.link_capacity` and `polling.chaos`.
     ///
     /// `polls` is left holding the degraded sequence, so its buffer is
-    /// reused. A [`ChaosPlan::NONE`] plan leaves it untouched: several
-    /// clean reconstructions may share one poll sequence.
+    /// reused, and `uniforms` is the chaos passes' reusable draw buffer
+    /// (see [`ChaosPlan::apply_to_polls`]). A [`ChaosPlan::NONE`] plan
+    /// leaves both untouched: several clean reconstructions may share one
+    /// poll sequence.
     pub fn reconstruct_polls<C: Rng + ?Sized>(
         truth: &GroundTruth,
         polling: &CounterPolling<'_>,
         polls: &mut Vec<RawPoll>,
+        uniforms: &mut Vec<f64>,
         chaos_rng: &mut C,
         reg: &mut Registry,
     ) -> Self {
@@ -347,7 +368,7 @@ impl UsageSeries {
 
         // Degrade the raw poll sequence. A NONE plan is an exact no-op
         // that neither draws from `chaos_rng` nor touches `reg`.
-        *polls = chaos.apply_to_polls(std::mem::take(polls), chaos_rng, reg);
+        chaos.apply_to_polls(polls, uniforms, chaos_rng, reg);
 
         // Reconstruct deltas; UPnP readings may have wrapped. Heuristic
         // firings accumulate in locals and flush to `reg` after the loop.
@@ -481,7 +502,7 @@ impl UsageSeries {
             }
         }
 
-        let polls = chaos.apply_to_polls(polls, chaos_rng, reg);
+        let polls = chaos.apply_to_polls_reference(polls, chaos_rng, reg);
 
         let max_plausible =
             |gap: usize| max_plausible_bytes(link_capacity.bps(), gap as f64 * SLOT_SECS);
@@ -1125,6 +1146,7 @@ mod tests {
                     &t,
                     &polling,
                     polls,
+                    &mut scratch.draws,
                     &mut ChaCha8Rng::seed_from_u64(61),
                     &mut reg_b,
                 );

@@ -375,8 +375,95 @@ fn run_process<R: Rng + ?Sized>(
 
 /// Spread `bytes` at `rate` starting at time `start_secs` across slots,
 /// depositing the class's upload echo alongside.
+///
+/// Every slot gets exactly the additions the slot-by-slot loop (kept as
+/// the test oracle `deposit_reference`) makes, in the same order. Once the
+/// session is on a slot boundary, a run of full 30-s slots is added as
+/// one slice add: `remaining >= run_floor` proves `remaining /
+/// bytes_per_sec > SLOT_SECS` without dividing (DESIGN §13), so each of
+/// those slots gets the scalar loop's `SLOT_SECS * bytes_per_sec` chunk,
+/// and `remaining` still falls one subtraction at a time. The partial
+/// first and last slots, and a slot whose `remaining` lies within the
+/// margin of one full chunk, take the scalar path.
 #[allow(clippy::too_many_arguments)]
 fn deposit(
+    slot_bytes: &mut [f64],
+    up_slot_bytes: &mut [f64],
+    bt_flags: Option<&mut Vec<bool>>,
+    start_secs: f64,
+    bytes: f64,
+    rate: Bandwidth,
+    class: AppClass,
+) {
+    if bytes <= 0.0 || rate.is_zero() {
+        return;
+    }
+    // Cap session length at 6 hours: torrents left running forever are
+    // throttled/stopped by clients, and it bounds worst-case work.
+    const MAX_SESSION_SECS: f64 = 6.0 * 3600.0;
+    // 2^-40: far above the two roundings (2^-53 each) the floor must
+    // absorb, far below any rate's resolution.
+    const RUN_MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
+    let bytes_per_sec = rate.bps() / 8.0;
+    let duration = (bytes / bytes_per_sec).min(MAX_SESSION_SECS);
+    let mut remaining = bytes.min(duration * bytes_per_sec);
+
+    let upload_fraction = class.upload_fraction();
+    let full = SLOT_SECS * bytes_per_sec;
+    let up_full = full * upload_fraction;
+    // The proof needs relative rounding bounds, which a subnormal or
+    // infinite chunk does not have: such a session never takes a run.
+    let run_floor = if full.is_normal() {
+        full * (1.0 + RUN_MARGIN)
+    } else {
+        f64::INFINITY
+    };
+    let mut t = start_secs;
+    let n = slot_bytes.len();
+    let mut flags = bt_flags.filter(|_| class == AppClass::BitTorrent);
+    while remaining > 0.0 {
+        let slot = (t / SLOT_SECS) as usize;
+        if slot >= n {
+            break; // session runs past the observation window
+        }
+        let slot_end = (slot as f64 + 1.0) * SLOT_SECS;
+        let span = (slot_end - t).min(remaining / bytes_per_sec);
+        let chunk = span * bytes_per_sec;
+        slot_bytes[slot] += chunk;
+        up_slot_bytes[slot] += chunk * upload_fraction;
+        if let Some(f) = flags.as_deref_mut() {
+            f[slot] = true;
+        }
+        remaining -= chunk;
+        t = slot_end;
+        if span <= 0.0 {
+            break;
+        }
+        // `t` is now the boundary `(slot + 1) * SLOT_SECS`, exactly.
+        let run = slot + 1;
+        let mut end = run;
+        while end < n && remaining >= run_floor {
+            remaining -= full;
+            end += 1;
+        }
+        if end > run {
+            slot_bytes[run..end].iter_mut().for_each(|b| *b += full);
+            up_slot_bytes[run..end]
+                .iter_mut()
+                .for_each(|b| *b += up_full);
+            if let Some(f) = flags.as_deref_mut() {
+                f[run..end].fill(true);
+            }
+            t = end as f64 * SLOT_SECS;
+        }
+    }
+}
+
+/// The slot-by-slot `deposit`, kept verbatim as the oracle the run form
+/// is pinned against.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+fn deposit_reference(
     slot_bytes: &mut [f64],
     up_slot_bytes: &mut [f64],
     bt_flags: Option<&mut Vec<bool>>,
@@ -620,6 +707,171 @@ mod tests {
             &mut rng(8),
         );
         assert_eq!(gt.total_bytes(), 0.0);
+    }
+
+    /// Deposit `sessions` with the run form and with the slot-by-slot
+    /// oracle into copies of the same pre-filled buffers, then compare
+    /// every slot of both byte vectors by `to_bits`, and the flags. The
+    /// buffers start non-zero, as after earlier sessions, so the order of
+    /// each slot's additions shows.
+    fn assert_deposit_matches(
+        n_slots: usize,
+        flags: bool,
+        sessions: &[(f64, f64, Bandwidth, AppClass)],
+    ) {
+        let base: Vec<f64> = (0..n_slots)
+            .map(|i| (i as f64 * 0.37).fract() * 1e5)
+            .collect();
+        let (mut down, mut up, mut bt) = (base.clone(), base.clone(), vec![false; n_slots]);
+        let (mut down_ref, mut up_ref, mut bt_ref) = (base.clone(), base, vec![false; n_slots]);
+        for &(start, bytes, rate, class) in sessions {
+            deposit(
+                &mut down,
+                &mut up,
+                flags.then_some(&mut bt),
+                start,
+                bytes,
+                rate,
+                class,
+            );
+            deposit_reference(
+                &mut down_ref,
+                &mut up_ref,
+                flags.then_some(&mut bt_ref),
+                start,
+                bytes,
+                rate,
+                class,
+            );
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let case = format!("{n_slots} slots, flags {flags}: {sessions:?}");
+        assert_eq!(bits(&down), bits(&down_ref), "down bytes, {case}");
+        assert_eq!(bits(&up), bits(&up_ref), "up bytes, {case}");
+        assert_eq!(bt, bt_ref, "BitTorrent flags, {case}");
+    }
+
+    #[test]
+    fn full_slot_runs_match_the_slot_by_slot_deposit() {
+        // Longer than the 6-hour cap (720 slots), so both ends show.
+        let n_slots = 1000;
+        let window = n_slots as f64 * SLOT_SECS;
+        let rates = [
+            Bandwidth::from_kbps(1.0),
+            Bandwidth::from_kbps(64.0),
+            Bandwidth::from_mbps(1.0),
+            Bandwidth::from_mbps(7.0 / 3.0),
+            Bandwidth::from_mbps(3.7),
+            Bandwidth::from_mbps(10.0),
+            Bandwidth::from_mbps(123.456),
+            Bandwidth::from_gbps(1.0),
+            Bandwidth::from_gbps(10.0),
+        ];
+        // On a boundary, mid-slot, a hair either side of a boundary, near
+        // the end of the window and past it.
+        let starts = [
+            0.0,
+            30.0,
+            45.0,
+            17.3,
+            59.999_999,
+            60.000_001,
+            window - 10.0,
+            window - 95.0,
+            window + 5.0,
+        ];
+        // Every class flags its slots; BitTorrent also runs without a
+        // flag buffer.
+        let configs = AppClass::ALL
+            .map(|class| (class, true))
+            .into_iter()
+            .chain([(AppClass::BitTorrent, false)]);
+        for rate in rates {
+            let full = SLOT_SECS * (rate.bps() / 8.0);
+            // Less than a slot, a few slots, past the window for fast
+            // rates, and past the 6-hour cap for all.
+            let mut sizes = vec![
+                1.0,
+                full * 0.5,
+                full * 2.5,
+                full * 100.0 + 3.0,
+                rate.bytes_over(7.0 * 3600.0),
+                rate.bytes_over(2.0 * window),
+            ];
+            // Within a hair of a whole number of chunks, where the run
+            // floor decides between a full chunk and the scalar path.
+            for k in [1.0, 2.0, 3.0] {
+                for rel in [
+                    0.0,
+                    2f64.powi(-50),
+                    2f64.powi(-45),
+                    2f64.powi(-41),
+                    2f64.powi(-39),
+                ] {
+                    sizes.push(k * full * (1.0 - rel));
+                    sizes.push(k * full * (1.0 + rel));
+                }
+            }
+            for start in starts {
+                for &bytes in &sizes {
+                    for (class, flags) in configs.clone() {
+                        assert_deposit_matches(n_slots, flags, &[(start, bytes, rate, class)]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_chunk_that_divides_below_a_slot_stays_exact() {
+        // Found by searching rates: at 7/3 Mbps one full chunk
+        // `F = SLOT_SECS * bytes_per_sec`, divided back by the rate,
+        // rounds below SLOT_SECS, so `remaining == F` does not prove a
+        // full slot. Two chunks from a boundary leave exactly `F` for the
+        // second slot, which the run floor's margin keeps on the scalar
+        // path. The scalar chunk there, `(F / bps) * bps`, is `F` again
+        // (DESIGN §13 shows it always is), so a floor without the margin
+        // would add the same bytes; one below `F` would not, and the
+        // near-multiple sizes above catch that.
+        let rate = Bandwidth::from_mbps(7.0 / 3.0);
+        let bytes_per_sec = rate.bps() / 8.0;
+        let full = SLOT_SECS * bytes_per_sec;
+        assert!(
+            full / bytes_per_sec < SLOT_SECS,
+            "the rate no longer divides below a slot"
+        );
+        assert_eq!(2.0 * full - full, full);
+        assert_eq!((full / bytes_per_sec) * bytes_per_sec, full);
+        for class in AppClass::ALL {
+            assert_deposit_matches(8, true, &[(0.0, 2.0 * full, rate, class)]);
+            assert_deposit_matches(8, true, &[(60.0, 2.0 * full, rate, class)]);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn deposit_runs_match_the_oracle_for_any_session(
+            seed in 0u64..u64::MAX,
+            n_slots in 1usize..400,
+            n_sessions in 1usize..40,
+        ) {
+            // A burst of sessions into one window: start anywhere up to
+            // just past its end, sizes from a byte to 10 GB and rates from
+            // 1 kbps to 10 Gbps on log scales, every class, both flag
+            // modes.
+            let mut r = rng(seed);
+            let window = n_slots as f64 * SLOT_SECS;
+            let sessions: Vec<_> = (0..n_sessions)
+                .map(|_| {
+                    let start = r.gen_range(0.0..window + 60.0);
+                    let bytes = 10f64.powf(r.gen_range(0.0..10.0));
+                    let rate = Bandwidth::from_bps(10f64.powf(r.gen_range(3.0..10.0)));
+                    let class = AppClass::ALL[r.gen_range(0..AppClass::ALL.len())];
+                    (start, bytes, rate, class)
+                })
+                .collect();
+            assert_deposit_matches(n_slots, r.gen::<bool>(), &sessions);
+        }
     }
 
     #[test]
