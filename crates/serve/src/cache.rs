@@ -15,6 +15,11 @@
 //! exists, written last. A missing or mismatched digest on load counts
 //! as a rejection, invalidates the entry, and degrades to recompute:
 //! corruption can cost time, never correctness.
+//!
+//! An entry is loaded two ways. [`ResultCache::lookup`] decides whether
+//! a job computes and counts a hit or a miss; [`ResultCache::read`]
+//! serves a finished job's artifacts back to a reader and counts
+//! neither. Both verify every digest, and both count a rejection.
 
 use bb_engine::{atomic_write, fnv1a64, CheckpointParams};
 use std::fs;
@@ -39,6 +44,16 @@ pub fn cache_key(params: &CheckpointParams, shards: usize) -> u64 {
     }
     text.push_str(&format!("shards = {shards}\n"));
     fnv1a64(text.as_bytes())
+}
+
+/// Why [`ResultCache::lookup`] or [`ResultCache::read`] found nothing to
+/// serve.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Miss {
+    /// No valid entry: never stored, or invalidated earlier.
+    Absent,
+    /// The entry failed digest verification and was invalidated now.
+    Rejected,
 }
 
 /// An on-disk result cache with hit/miss/rejection counters.
@@ -81,31 +96,33 @@ impl ResultCache {
     }
 
     /// Look up `key`, counting the outcome: a valid entry is a hit and
-    /// returns its files; a missing entry is a miss; an entry whose
-    /// digests do not verify is a rejection — it is invalidated (the
-    /// `result.ok` marker removed) and reported as a miss so the caller
-    /// recomputes.
-    pub fn lookup(&self, key: u64) -> Option<Vec<(String, String)>> {
-        let entry = self.entry_dir(key);
-        let manifest = match fs::read_to_string(entry.join(RESULT_MANIFEST)) {
-            Ok(m) => m,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+    /// returns its files; anything else is a miss, which
+    /// [`read`](Self::read) tells apart as [`Miss::Absent`] or a counted
+    /// [`Miss::Rejected`], so the caller recomputes.
+    pub fn lookup(&self, key: u64) -> Result<Vec<(String, String)>, Miss> {
+        let loaded = self.read(key);
+        let counter = if loaded.is_ok() {
+            &self.hits
+        } else {
+            &self.misses
         };
-        match self.verify(&entry, &manifest) {
-            Ok(files) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(files)
-            }
-            Err(_) => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let _ = fs::remove_file(entry.join(RESULT_MANIFEST));
-                None
-            }
-        }
+        counter.fetch_add(1, Ordering::Relaxed);
+        loaded
+    }
+
+    /// Read `key`'s entry back, verifying every digest, without counting
+    /// a hit or a miss. An entry whose digests do not verify is a
+    /// rejection: it is counted and invalidated (the `result.ok` marker
+    /// removed), so its bytes are never returned and the next lookup of
+    /// `key` misses.
+    pub fn read(&self, key: u64) -> Result<Vec<(String, String)>, Miss> {
+        let entry = self.entry_dir(key);
+        let manifest = fs::read_to_string(entry.join(RESULT_MANIFEST)).map_err(|_| Miss::Absent)?;
+        self.verify(&entry, &manifest).map_err(|_| {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+            let _ = fs::remove_file(entry.join(RESULT_MANIFEST));
+            Miss::Rejected
+        })
     }
 
     /// Read and digest-verify every file the manifest lists.
@@ -198,22 +215,42 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let cache = ResultCache::new(&dir);
         let key = cache_key(&params(1), 4);
-        assert!(cache.lookup(key).is_none());
+        assert_eq!(cache.lookup(key), Err(Miss::Absent));
         assert_eq!(cache.misses(), 1);
         let files = vec![
             ("metrics.json".to_string(), "{\"a\": 1}".to_string()),
             ("fig1a.txt".to_string(), "figure\n".to_string()),
         ];
         cache.store(key, &files).unwrap();
-        assert_eq!(cache.lookup(key).as_deref(), Some(&files[..]));
+        assert_eq!(cache.lookup(key).as_deref(), Ok(&files[..]));
         assert_eq!((cache.hits(), cache.rejected()), (1, 0));
         // Corrupt one artifact: the entry is rejected, invalidated, and
         // stays invalid on the next probe (no marker file any more).
         fs::write(cache.entry_dir(key).join("fig1a.txt"), "tampered").unwrap();
-        assert!(cache.lookup(key).is_none());
+        assert_eq!(cache.lookup(key), Err(Miss::Rejected));
         assert_eq!((cache.hits(), cache.rejected()), (1, 1));
-        assert!(cache.lookup(key).is_none());
+        assert_eq!(cache.lookup(key), Err(Miss::Absent));
         assert_eq!(cache.rejected(), 1, "no marker left to reject");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn read_verifies_like_lookup_but_counts_no_hit_or_miss() {
+        let dir = std::env::temp_dir().join(format!("bb-serve-read-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cache = ResultCache::new(&dir);
+        let key = cache_key(&params(2), 4);
+        assert_eq!(cache.read(key), Err(Miss::Absent));
+        let files = vec![("metrics.json".to_string(), "{}".to_string())];
+        cache.store(key, &files).unwrap();
+        assert_eq!(cache.read(key).as_deref(), Ok(&files[..]));
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        fs::write(cache.entry_dir(key).join("metrics.json"), "{\"x\": 1}").unwrap();
+        assert_eq!(cache.read(key), Err(Miss::Rejected));
+        assert_eq!(cache.read(key), Err(Miss::Absent), "the marker is gone");
+        assert_eq!((cache.hits(), cache.misses(), cache.rejected()), (0, 0, 1));
+        // The invalidated entry is a plain miss for the next job.
+        assert_eq!(cache.lookup(key), Err(Miss::Absent));
         let _ = fs::remove_dir_all(&dir);
     }
 }

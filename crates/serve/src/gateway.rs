@@ -23,10 +23,17 @@
 //! Concurrency model: the listener thread accepts; a fixed pool handles
 //! connections; exactly one scheduler worker computes jobs, so requests
 //! never contend with each other for the simulation engine, and reads
-//! (`/metrics`, `/exhibits/...`) serve the in-memory artifacts of
-//! completed jobs even while the worker is busy resuming another job.
-//! All result-bearing responses are the exact artifact bytes the batch
-//! CLI writes for the same parameters.
+//! (`/metrics`, `/exhibits/...`) serve completed jobs' artifacts even
+//! while the worker is busy resuming another job: from the scheduler's
+//! hot set of recent artifact sets, or read back from the result cache
+//! and digest-verified. All result-bearing responses are the exact
+//! artifact bytes the batch CLI writes for the same parameters.
+//!
+//! No peer can hold a pool thread indefinitely: each connection has
+//! [`READ_DEADLINE`](crate::http::READ_DEADLINE) (5 s) to deliver its
+//! whole request, whose head is capped at 16 KiB, and each response or
+//! SSE chunk has 5 s to leave. An expired deadline is counted in
+//! `serve.conn.timeouts`, and an incomplete request is answered 408.
 //!
 //! Every request is instrumented end-to-end: a monotonic request id, the
 //! in-flight gauge, per-route RED metrics, and (with `--access-log`) one
@@ -35,7 +42,9 @@
 //! worker down. Telemetry labels always use the route *template*
 //! (`/jobs/{id}`), keeping metric cardinality bounded.
 
-use crate::http::{read_request, write_sse_head, Request, RequestError, Response, ThreadPool};
+use crate::http::{
+    read_request, write_sse_head, Conn, Request, RequestError, Response, ThreadPool,
+};
 use crate::runner;
 use crate::scheduler::Scheduler;
 use crate::sse::Feed;
@@ -63,7 +72,7 @@ const SURVIVAL_GRID: &[f64] = &[0.0, 0.5, 1.0];
 
 /// Connection-handling pool size. Jobs run on the scheduler's worker,
 /// so these threads only parse, route and serve bytes.
-const HTTP_THREADS: usize = 8;
+pub const HTTP_THREADS: usize = 8;
 
 /// Everything a server instance needs to know.
 #[derive(Clone, Debug)]
@@ -200,12 +209,13 @@ impl std::fmt::Debug for Server {
     }
 }
 
-fn handle_connection(inner: &Inner, mut stream: TcpStream) {
+fn handle_connection(inner: &Inner, stream: TcpStream) {
     let telemetry = &inner.telemetry;
     let req_id = telemetry.next_request_id();
     let start = telemetry.now_micros();
     telemetry.in_flight.add(1);
-    serve_one(inner, &mut stream, req_id, start);
+    let mut conn = Conn::new(stream, Arc::clone(&telemetry.conn_timeouts));
+    serve_one(inner, &mut conn, req_id, start);
     telemetry.in_flight.add(-1);
 }
 
@@ -227,43 +237,37 @@ fn finish_request(
     telemetry.log_access(req_id, method, template, path, status, bytes, micros);
 }
 
-fn serve_one(inner: &Inner, stream: &mut TcpStream, req_id: u64, start: u64) {
-    let request = match read_request(stream) {
+fn serve_one(inner: &Inner, stream: &mut Conn, req_id: u64, start: u64) {
+    let request = match read_request(&mut *stream) {
         Ok(request) => request,
-        // Parse-level rejections still get a proper HTTP answer; only a
-        // dead transport (which includes the shutdown nudge connection)
-        // is silently dropped.
-        Err(RequestError::Malformed(message)) => {
-            let response = Response::bad_request(&message);
+        // Parse-level rejections and expired read deadlines still get a
+        // proper HTTP answer; only a dead transport (which includes the
+        // shutdown nudge connection) is silently dropped.
+        Err(error) => {
+            let (response, template) = match error {
+                RequestError::Malformed(message) => {
+                    (Response::bad_request(&message), "(malformed)")
+                }
+                RequestError::TooLarge => (Response::payload_too_large(), "(too-large)"),
+                RequestError::HeadTooLarge => {
+                    (Response::header_fields_too_large(), "(head-too-large)")
+                }
+                RequestError::TimedOut => (Response::request_timeout(), "(timeout)"),
+                RequestError::Io(_) => return,
+            };
             let _ = response.write_to(stream);
             finish_request(
                 inner,
                 req_id,
                 start,
                 "-",
-                "(malformed)",
+                template,
                 "-",
                 response.status(),
                 response.body_len() as u64,
             );
             return;
         }
-        Err(RequestError::TooLarge) => {
-            let response = Response::payload_too_large();
-            let _ = response.write_to(stream);
-            finish_request(
-                inner,
-                req_id,
-                start,
-                "-",
-                "(too-large)",
-                "-",
-                response.status(),
-                response.body_len() as u64,
-            );
-            return;
-        }
-        Err(RequestError::Io(_)) => return,
     };
     // HEAD is GET with the body suppressed: route identically, answer
     // with identical headers (incl. Content-Length), write no body.
@@ -368,8 +372,9 @@ fn serve_one(inner: &Inner, stream: &mut TcpStream, req_id: u64, start: u64) {
     );
 }
 
-/// Stream an SSE feed to a subscriber, counting a dropped peer.
-fn stream_feed(inner: &Inner, feed: &Feed, stream: &mut TcpStream) {
+/// Stream an SSE feed to a subscriber, counting a dropped peer (one
+/// whose write deadline expired included).
+fn stream_feed(inner: &Inner, feed: &Feed, stream: &mut Conn) {
     if write_sse_head(stream).is_err() {
         inner.telemetry.sse_dropped.inc();
         return;

@@ -1,39 +1,66 @@
-//! Minimal HTTP/1.1 over std: request parsing, response writing, and a
-//! fixed-size thread pool. Enough protocol for the gateway's own routes
-//! and `curl` — not a general server. Connections are `Connection:
-//! close`; bodies require `Content-Length` and are capped *at header
-//! parse time* (the declared length is validated before any buffer is
-//! sized from it); query keys and values are percent-decoded, with `+`
-//! as space.
+//! Minimal HTTP/1.1 over std: request parsing, response writing,
+//! connection deadlines, and a fixed-size thread pool. Enough protocol
+//! for the gateway's own routes and `curl` — not a general server.
+//! Connections are `Connection: close`. The request line plus headers
+//! are capped at `MAX_HEAD` (16 KiB); bodies require `Content-Length`
+//! and are capped *at header parse time* (the declared length is
+//! validated before any buffer is sized from it); query keys and values
+//! are percent-decoded, with `+` as space. The gateway wraps each
+//! connection in a `Conn`, which bounds how long a peer may take to
+//! send its request ([`READ_DEADLINE`]) and to take each response.
 
+use bb_trace::telemetry::Counter;
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// Largest accepted request body; protects the scheduler from
 /// accidental uploads (job specs are a few dozen bytes).
 const MAX_BODY: usize = 1 << 20;
 
+/// Largest accepted request head: the request line plus every header
+/// line, terminators included. Longer heads are answered 431 after
+/// reading no more than this.
+pub(crate) const MAX_HEAD: usize = 16 << 10;
+
+/// How long a connection has to deliver its whole request, head and
+/// body, counted from when a pool thread takes it up.
+pub const READ_DEADLINE: Duration = Duration::from_secs(5);
+
+/// How long each response, and each SSE chunk, has to reach the peer.
+pub(crate) const WRITE_DEADLINE: Duration = Duration::from_secs(5);
+
 /// Why a request could not be parsed. The connection handler maps these
 /// onto proper HTTP responses instead of silently dropping the socket.
 #[derive(Debug)]
 pub enum RequestError {
-    /// Syntactically invalid request (bad request line, garbage
-    /// `Content-Length`, ...) — answer 400.
+    /// Syntactically invalid request (bad request line, a head that is
+    /// not UTF-8, garbage `Content-Length`, ...) — answer 400.
     Malformed(String),
     /// Declared body length exceeds `MAX_BODY` (1 MiB) — answer 413.
     /// Raised from the header alone, before any allocation.
     TooLarge,
-    /// Transport failure mid-read; there is nobody to answer.
+    /// The request line plus headers exceed 16 KiB — answer 431.
+    HeadTooLarge,
+    /// The read deadline passed before the request was complete —
+    /// answer 408, best-effort.
+    TimedOut,
+    /// Transport failure mid-read, or input that ended before the
+    /// declared body; there is nobody to answer.
     Io(io::Error),
 }
 
 impl From<io::Error> for RequestError {
     fn from(e: io::Error) -> Self {
-        RequestError::Io(e)
+        if e.kind() == io::ErrorKind::TimedOut {
+            RequestError::TimedOut
+        } else {
+            RequestError::Io(e)
+        }
     }
 }
 
@@ -112,15 +139,35 @@ impl Request {
     }
 }
 
+/// Read one head line, through its `\n`, charging its bytes to `budget`.
+/// A line that would overrun the budget is [`RequestError::HeadTooLarge`]
+/// and one that is not UTF-8 is [`RequestError::Malformed`]; at the end
+/// of the input the line is whatever is left, possibly empty.
+fn head_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<String, RequestError> {
+    let mut line = Vec::new();
+    let n = reader
+        .by_ref()
+        .take(*budget as u64)
+        .read_until(b'\n', &mut line)?;
+    if n == *budget && line.last() != Some(&b'\n') {
+        return Err(RequestError::HeadTooLarge);
+    }
+    *budget -= n;
+    String::from_utf8(line).map_err(|_| RequestError::Malformed("request head is not UTF-8".into()))
+}
+
 /// Read and parse one request from `stream`: I/O failures surface as
-/// [`RequestError::Io`], protocol problems as answerable
-/// [`RequestError::Malformed`]/[`RequestError::TooLarge`] variants. The
-/// declared `Content-Length` is validated while still a string — the
-/// body buffer is only ever sized from a value known to be ≤ the cap.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
+/// [`RequestError::Io`], an expired read deadline as
+/// [`RequestError::TimedOut`], protocol problems as answerable
+/// [`RequestError::Malformed`]/[`RequestError::TooLarge`]/
+/// [`RequestError::HeadTooLarge`] variants. No more than 16 KiB of
+/// head are read. The declared `Content-Length` is validated
+/// while still a string — the body buffer is only ever sized from a
+/// value known to be ≤ the cap.
+pub fn read_request(stream: impl Read) -> Result<Request, RequestError> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let mut budget = MAX_HEAD;
+    let line = head_line(&mut reader, &mut budget)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -141,10 +188,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
     // Headers: only Content-Length matters to us.
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
-        }
+        let header = head_line(&mut reader, &mut budget)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -243,6 +287,28 @@ impl Response {
         }
     }
 
+    /// 408 for a request not complete by the read deadline.
+    pub fn request_timeout() -> Self {
+        Response {
+            status: 408,
+            content_type: "text/plain; charset=utf-8",
+            body: format!(
+                "request not complete within {} s\n",
+                READ_DEADLINE.as_secs()
+            )
+            .into_bytes(),
+        }
+    }
+
+    /// 431 for a request line plus headers over the cap.
+    pub fn header_fields_too_large() -> Self {
+        Response {
+            status: 431,
+            content_type: "text/plain; charset=utf-8",
+            body: format!("request head exceeds {MAX_HEAD} bytes\n").into_bytes(),
+        }
+    }
+
     /// 500 with a plain-text reason (e.g. a caught handler panic).
     pub fn internal_error(msg: &str) -> Self {
         Response {
@@ -270,7 +336,9 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            408 => "Request Timeout",
             413 => "Payload Too Large",
+            431 => "Request Header Fields Too Large",
             _ => "Internal Server Error",
         }
     }
@@ -288,7 +356,7 @@ impl Response {
     }
 
     /// Serialise onto `stream` and flush.
-    pub fn write_to(&self, stream: &mut TcpStream) -> io::Result<()> {
+    pub fn write_to(&self, stream: &mut impl Write) -> io::Result<()> {
         stream.write_all(self.head().as_bytes())?;
         stream.write_all(&self.body)?;
         stream.flush()
@@ -297,7 +365,7 @@ impl Response {
     /// Serialise the head only — the `HEAD` answer to a `GET` route:
     /// identical status and headers (including the `Content-Length` the
     /// body *would* have), no body bytes.
-    pub fn write_head_to(&self, stream: &mut TcpStream) -> io::Result<()> {
+    pub fn write_head_to(&self, stream: &mut impl Write) -> io::Result<()> {
         stream.write_all(self.head().as_bytes())?;
         stream.flush()
     }
@@ -305,11 +373,85 @@ impl Response {
 
 /// Write the head of a `text/event-stream` response; the body is
 /// streamed afterwards by the SSE feed.
-pub fn write_sse_head(stream: &mut TcpStream) -> io::Result<()> {
+pub fn write_sse_head(stream: &mut impl Write) -> io::Result<()> {
     stream.write_all(
         b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-store\r\nConnection: close\r\n\r\n",
     )?;
     stream.flush()
+}
+
+/// An accepted connection under deadlines. All reads share one
+/// deadline, [`READ_DEADLINE`] after the connection was taken up, and
+/// each read is armed with the time left, so a peer trickling a byte at
+/// a time is cut off at the same bound as a silent one. Writes get a
+/// fresh [`WRITE_DEADLINE`] per flushed unit: a whole response, or one
+/// SSE chunk. An expired deadline is an [`io::ErrorKind::TimedOut`]
+/// error, counted into `timeouts`.
+#[derive(Debug)]
+pub(crate) struct Conn {
+    stream: TcpStream,
+    read_by: Instant,
+    write_by: Option<Instant>,
+    timeouts: Arc<Counter>,
+}
+
+impl Conn {
+    /// Take up `stream`: its read deadline starts now.
+    pub(crate) fn new(stream: TcpStream, timeouts: Arc<Counter>) -> Self {
+        Conn {
+            stream,
+            read_by: Instant::now() + READ_DEADLINE,
+            write_by: None,
+            timeouts,
+        }
+    }
+
+    /// The time left before `by`, or a counted expiry.
+    fn left(&self, by: Instant) -> io::Result<Duration> {
+        match by.checked_duration_since(Instant::now()) {
+            Some(left) if !left.is_zero() => Ok(left),
+            _ => Err(self.expired()),
+        }
+    }
+
+    fn expired(&self) -> io::Error {
+        self.timeouts.inc();
+        io::ErrorKind::TimedOut.into()
+    }
+
+    /// A socket timeout reads as `WouldBlock` on Unix and `TimedOut` on
+    /// Windows; both are an expired deadline.
+    fn timed_out(&self, e: io::Error) -> io::Error {
+        match e.kind() {
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => self.expired(),
+            _ => e,
+        }
+    }
+}
+
+impl Read for Conn {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.left(self.read_by)?;
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf).map_err(|e| self.timed_out(e))
+    }
+}
+
+impl Write for Conn {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let by = *self
+            .write_by
+            .get_or_insert_with(|| Instant::now() + WRITE_DEADLINE);
+        let left = self.left(by)?;
+        self.stream.set_write_timeout(Some(left))?;
+        self.stream.write(buf).map_err(|e| self.timed_out(e))
+    }
+
+    /// Ends the unit: the next write starts a fresh deadline.
+    fn flush(&mut self) -> io::Result<()> {
+        self.write_by = None;
+        self.stream.flush()
+    }
 }
 
 /// A fixed-size thread pool for connection handling. Jobs are closures;
@@ -491,6 +633,131 @@ mod tests {
         Response::json("{}").write_to(&mut conn).unwrap();
         drop(conn);
         client.join().unwrap();
+    }
+
+    #[test]
+    fn the_head_is_capped_and_must_be_utf8() {
+        let line = b"GET /healthz HTTP/1.1\r\n";
+        let padded = |len: usize| {
+            let mut head = line.to_vec();
+            head.extend_from_slice(b"X-Pad: ");
+            head.resize(len - 4, b'a');
+            head.extend_from_slice(b"\r\n\r\n");
+            head
+        };
+        // A head that ends exactly at the cap parses; one byte more is 431.
+        assert!(read_request(&padded(MAX_HEAD)[..]).is_ok());
+        assert!(matches!(
+            read_request(&padded(MAX_HEAD + 1)[..]),
+            Err(RequestError::HeadTooLarge)
+        ));
+        // A megabyte header line with no newline is refused after
+        // reading the cap plus one buffer's read-ahead, not the megabyte.
+        let mut endless = line.to_vec();
+        endless.resize(1 << 20, b'a');
+        let mut rest = &endless[..];
+        assert!(matches!(
+            read_request(&mut rest),
+            Err(RequestError::HeadTooLarge)
+        ));
+        assert!(endless.len() - rest.len() <= MAX_HEAD + (8 << 10));
+        for head in [
+            &b"GET /\xff HTTP/1.1\r\n\r\n"[..],
+            b"GET / HTTP/1.1\r\nX-Bad: \xc3\x28\r\n\r\n",
+        ] {
+            assert!(
+                matches!(read_request(head), Err(RequestError::Malformed(_))),
+                "{head:?}"
+            );
+        }
+    }
+
+    /// What the parser may make of bytes from outside: a request, a
+    /// 4xx-class rejection, or `Io` only when the input ended early.
+    fn answers_sanely(input: &[u8]) {
+        match read_request(input) {
+            Ok(_)
+            | Err(
+                RequestError::Malformed(_) | RequestError::TooLarge | RequestError::HeadTooLarge,
+            ) => {}
+            Err(RequestError::Io(e)) => {
+                assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "{input:?}")
+            }
+            Err(RequestError::TimedOut) => panic!("a byte slice has no deadline: {input:?}"),
+        }
+    }
+
+    /// Pieces of request heads, so random headers reach the
+    /// `Content-Length` and query paths and not only the UTF-8 check.
+    const HEAD_PIECES: [&[u8]; 11] = [
+        b"Content-Length:",
+        b"content-length: ",
+        b" ",
+        b"\r\n",
+        b"\n",
+        b":",
+        b"0",
+        b"7",
+        b"-",
+        b"%",
+        b"99999999999999999999",
+    ];
+
+    proptest::proptest! {
+        #[test]
+        fn the_parser_never_panics_on_arbitrary_bytes(
+            bytes in proptest::prop::collection::vec(0u8..=255, 0..4097)
+        ) {
+            answers_sanely(&bytes);
+        }
+
+        #[test]
+        fn the_parser_never_panics_on_random_headers(
+            picks in proptest::prop::collection::vec((0..HEAD_PIECES.len() + 1, 0u8..=127), 0..512),
+            cut in 0..1024usize
+        ) {
+            let mut input = b"POST /jobs?x=%zz&y=%4 HTTP/1.1\r\n".to_vec();
+            for (pick, byte) in picks {
+                match HEAD_PIECES.get(pick) {
+                    Some(piece) => input.extend_from_slice(piece),
+                    None => input.push(byte),
+                }
+            }
+            // Cut anywhere, the declared body included.
+            input.truncate(cut);
+            answers_sanely(&input);
+        }
+    }
+
+    #[test]
+    fn input_that_ends_inside_the_body_is_io() {
+        let cut = b"POST /jobs HTTP/1.1\r\nContent-Length: 5\r\n\r\nab";
+        assert!(matches!(
+            read_request(&cut[..]),
+            Err(RequestError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof
+        ));
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_times_out_the_write() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let timeouts = Arc::new(Counter::default());
+        let mut conn = Conn::new(stream, Arc::clone(&timeouts));
+        let chunk = vec![0u8; 64 << 10];
+        let started = Instant::now();
+        // One unflushed unit: the socket buffers fill, then the unit's
+        // one deadline expires.
+        let error = loop {
+            if let Err(e) = conn.write_all(&chunk) {
+                break e;
+            }
+        };
+        assert_eq!(error.kind(), io::ErrorKind::TimedOut);
+        assert!(started.elapsed() < WRITE_DEADLINE + Duration::from_secs(2));
+        assert_eq!(timeouts.get(), 1);
+        drop(peer);
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //! what the batch CLI writes for the same request — under any thread
 //! plan, from cache or cold. The pieces:
 //!
-//! * [`http`] — request parsing, response writing, thread pool;
+//! * [`http`] — request parsing (head capped at 16 KiB), response
+//!   writing, per-connection read and write deadlines, thread pool;
 //! * [`sse`] — a replayable `text/event-stream` feed per job;
 //! * [`cache`] — the manifest-keyed result cache (content-digest
 //!   manifest written last; corruption degrades to recompute, never to
 //!   a wrong answer);
-//! * [`scheduler`] — the job queue and worker;
+//! * [`scheduler`] — the job queue and worker, and the small hot set of
+//!   recent artifact sets (older ones are read back from the cache);
 //! * [`runner`] — one job = one checkpointed streaming run, assembled
 //!   from the exact code paths the batch CLI uses;
 //! * [`telemetry`] — the live instrumentation surface: per-route RED

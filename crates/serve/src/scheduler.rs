@@ -9,12 +9,21 @@
 //! resumes. Every job owns an SSE [`Feed`] that receives `status`,
 //! `shard` and `ledger` frames while it runs and a terminal
 //! `done`/`error` frame; readers can attach at any time and always get
-//! the full replay. Completed artifacts are additionally kept in memory
-//! on the job record, so the read-only endpoints (`/metrics`, `/ledger`,
-//! `/exhibits/{id}`, `/countries/{cc}`) serve concurrent readers without
-//! touching the cache counters.
+//! the full replay.
+//!
+//! A job record keeps its view and its feed, not its artifacts. The
+//! artifact sets of the [`HOT_ENTRIES`] most recently used cache keys
+//! stay in memory in one scheduler-wide hot set, so a cold job and its
+//! cached resubmissions share one copy. The read-only endpoints
+//! (`/metrics`, `/ledger`, `/exhibits/{id}`, `/countries/{cc}`) look
+//! there first and otherwise read the job's entry back from the result
+//! cache with [`ResultCache::read`], which verifies every digest but is
+//! not a lookup: reads never move the hit or miss counters. A read-back
+//! that fails verification counts a rejection and serves nothing; the
+//! next identical job recomputes. Memory therefore grows with the jobs
+//! served only by each job's view and SSE replay.
 
-use crate::cache::{cache_key, ResultCache};
+use crate::cache::{cache_key, Miss, ResultCache};
 use crate::runner;
 use crate::sse::Feed;
 use crate::telemetry::ServeTelemetry;
@@ -82,11 +91,51 @@ impl JobView {
     }
 }
 
-/// One job record: the public view plus the SSE feed and artifacts.
+/// How many finished artifact sets stay in memory. Every other finished
+/// job's artifacts are read back from the result cache when asked for.
+pub const HOT_ENTRIES: usize = 4;
+
+/// One job's artifacts: `(file name, content)` in the runner's order.
+type Files = Arc<Vec<(String, String)>>;
+
+/// One job record: the public view plus the SSE feed.
 struct JobRecord {
     view: JobView,
     feed: Arc<Feed>,
-    files: Option<Arc<Vec<(String, String)>>>,
+}
+
+/// The artifact sets of the [`HOT_ENTRIES`] most recently used cache
+/// keys, least recently used first.
+#[derive(Default)]
+struct HotSet {
+    entries: VecDeque<(u64, Files)>,
+}
+
+impl HotSet {
+    /// `key`'s set, now the most recently used.
+    fn get(&mut self, key: u64) -> Option<Files> {
+        let at = self.entries.iter().position(|(k, _)| *k == key)?;
+        let entry = self.entries.remove(at).expect("position is in range");
+        let files = Arc::clone(&entry.1);
+        self.entries.push_back(entry);
+        Some(files)
+    }
+
+    /// Keep `files` as `key`'s set, evicting the least recently used set
+    /// when full, and return the kept set. A set already kept for `key`
+    /// stays and `files` is dropped: both hold the same bytes, and every
+    /// job with that key then shares one copy.
+    fn insert(&mut self, key: u64, files: Vec<(String, String)>) -> Files {
+        if let Some(kept) = self.get(key) {
+            return kept;
+        }
+        if self.entries.len() == HOT_ENTRIES {
+            self.entries.pop_front();
+        }
+        let files = Arc::new(files);
+        self.entries.push_back((key, Arc::clone(&files)));
+        files
+    }
 }
 
 #[derive(Default)]
@@ -96,6 +145,7 @@ struct JobTable {
     /// Most recently completed job, the default data source for the
     /// read-only endpoints.
     latest_done: Option<u64>,
+    hot: HotSet,
 }
 
 struct Shared {
@@ -164,7 +214,6 @@ impl Scheduler {
                 error: None,
             },
             feed: Arc::new(Feed::new()),
-            files: None,
         });
         let index = table.jobs.len() - 1;
         table.queue.push_back(index);
@@ -200,17 +249,46 @@ impl Scheduler {
         table.jobs.get(id as usize).map(|r| Arc::clone(&r.feed))
     }
 
-    /// The artifacts of one completed job.
+    /// The artifacts of one completed job: from the hot set, or else
+    /// read back from the result cache and made hot. `None` while the
+    /// job is not done, and when its entry is gone or fails verification
+    /// (a counted rejection).
     pub fn files(&self, id: u64) -> Option<Arc<Vec<(String, String)>>> {
-        let table = self.shared.table.lock().expect("job table");
-        table.jobs.get(id as usize).and_then(|r| r.files.clone())
+        let key = {
+            let mut table = self.shared.table.lock().expect("job table");
+            let view = &table.jobs.get(id as usize)?.view;
+            if view.state != JobState::Done {
+                return None;
+            }
+            let key = view.cache_key;
+            if let Some(files) = table.hot.get(key) {
+                return Some(files);
+            }
+            key
+        };
+        // Off the table lock: the read-back touches the disk.
+        match self.shared.cache.read(key) {
+            Ok(files) => Some(
+                self.shared
+                    .table
+                    .lock()
+                    .expect("job table")
+                    .hot
+                    .insert(key, files),
+            ),
+            Err(miss) => {
+                if miss == Miss::Rejected {
+                    self.shared.telemetry.cache_rejection();
+                }
+                None
+            }
+        }
     }
 
     /// The artifacts of the most recently completed job.
     pub fn latest_files(&self) -> Option<Arc<Vec<(String, String)>>> {
-        let table = self.shared.table.lock().expect("job table");
-        let id = table.latest_done?;
-        table.jobs.get(id as usize).and_then(|r| r.files.clone())
+        let id = self.shared.table.lock().expect("job table").latest_done?;
+        self.files(id)
     }
 
     /// Block until job `id` reaches a terminal state, then snapshot it.
@@ -312,14 +390,13 @@ fn worker_loop(shared: &Shared) {
         // `lookup` bumps the cache's own counters; mirror the outcome
         // into the live time series (a digest mismatch reads as a miss
         // *and* a rejection, matching the cache's counting).
-        let rejected_before = shared.cache.rejected();
         let outcome = match shared.cache.lookup(key) {
-            Some(files) => {
+            Ok(files) => {
                 telemetry.cache_hit();
                 Ok((files, true))
             }
-            None => {
-                if shared.cache.rejected() > rejected_before {
+            Err(miss) => {
+                if miss == Miss::Rejected {
                     telemetry.cache_rejection();
                 }
                 telemetry.cache_miss();
@@ -366,10 +443,10 @@ fn worker_loop(shared: &Shared) {
             Ok((files, from_cache)) => {
                 telemetry.jobs_completed.inc();
                 let mut table = shared.table.lock().expect("job table");
+                table.hot.insert(key, files);
                 let record = &mut table.jobs[index];
                 record.view.state = JobState::Done;
                 record.view.from_cache = from_cache;
-                record.files = Some(Arc::new(files));
                 let id = record.view.id;
                 table.latest_done = Some(id);
                 drop(table);

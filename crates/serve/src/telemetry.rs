@@ -15,6 +15,7 @@
 //! | `serve.pool.busy` | gauge | — |
 //! | `serve.panics` | counter | — |
 //! | `serve.sse.dropped` | counter | — |
+//! | `serve.conn.timeouts` | counter | — |
 //! | `serve.queue.depth` | gauge | — |
 //! | `serve.job.shards_done` | gauge | — |
 //! | `serve.job.wall_us` | log₂ histogram | — |
@@ -42,8 +43,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Requests slower than this many microseconds bump
-/// `serve.slow_requests` (500 ms — a served artifact is in-memory bytes,
-/// so anything slower is a scheduling or survival-sweep stall).
+/// `serve.slow_requests` (500 ms — a served artifact is in-memory bytes
+/// or one verified read of its cache entry, so anything slower is a
+/// scheduling or survival-sweep stall).
 pub const SLOW_REQUEST_US: u64 = 500_000;
 
 /// The gateway's telemetry: registry + cached handles + access log.
@@ -59,6 +61,8 @@ pub struct ServeTelemetry {
     pub panics: Arc<Counter>,
     /// SSE subscribers that went away before their stream ended.
     pub sse_dropped: Arc<Counter>,
+    /// Connection read or write deadlines that expired.
+    pub conn_timeouts: Arc<Counter>,
     /// Requests slower than [`SLOW_REQUEST_US`].
     pub slow_requests: Arc<Counter>,
     /// Jobs queued but not yet picked up by the scheduler worker.
@@ -101,6 +105,7 @@ impl ServeTelemetry {
             pool_busy: telemetry.gauge("serve.pool.busy"),
             panics: telemetry.counter("serve.panics"),
             sse_dropped: telemetry.counter("serve.sse.dropped"),
+            conn_timeouts: telemetry.counter("serve.conn.timeouts"),
             slow_requests: telemetry.counter("serve.slow_requests"),
             queue_depth: telemetry.gauge("serve.queue.depth"),
             shards_done: telemetry.gauge("serve.job.shards_done"),
