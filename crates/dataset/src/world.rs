@@ -8,7 +8,7 @@ use bb_engine::{run_sharded, stream_rng, CheckpointParams, Mergeable, RunStats, 
 use bb_market::{MarketSurvey, Plan, PlanCatalog};
 use bb_netsim::chaos::{ChaosPlan, ChaosSpec, RawPoll};
 use bb_netsim::collect::{
-    BtFilter, CollectScratch, CounterPolling, CounterSource, UsageSeries, Vantage,
+    CollectScratch, CounterPolling, CounterSource, SeriesSummary, UsageSeries, Vantage,
 };
 use bb_netsim::link::AccessLink;
 use bb_netsim::probe::{web_latency, NdtProbe};
@@ -55,7 +55,9 @@ const FCC_BT_PROB: f64 = 0.12;
 struct GenScratch {
     /// Simulated ground truth (five window-length buffers).
     truth: GroundTruth,
-    /// Discarded uplink side of the cross-traffic process.
+    /// Discarded uplink side of the cross-traffic process; once the
+    /// window is simulated, the BitTorrent-excluded rates of the demand
+    /// summaries.
     cross_up: Vec<f64>,
     /// Poll/acceptance-draw buffers for counter-based collection; its
     /// `polls` hold the shared raw polls of the user being observed.
@@ -64,7 +66,7 @@ struct GenScratch {
     /// branches whose plan rewrites them while a later branch still
     /// needs the originals.
     branch_polls: Vec<RawPoll>,
-    /// Filtered per-bin rates for the demand summaries.
+    /// Per-bin rates for the demand summaries.
     rates: Vec<f64>,
 }
 
@@ -109,6 +111,10 @@ struct Mover {
     branch: usize,
     record: UserRecord,
     chaos: ChaosPlan,
+    /// The NDT runs that survived the branch's probe: the only thing the
+    /// tail draws from the main stream that a branch can change, so
+    /// movers that agree on it continue from equal main streams.
+    ndt_runs: u32,
     rng: ChaCha8Rng,
     chaos_rng: ChaCha8Rng,
 }
@@ -726,7 +732,12 @@ impl World {
     /// `run_averaged` draws once per surviving run, so the branches' main
     /// streams diverge from there on. Upgrade re-observations run after
     /// every branch's first observation, since they re-simulate into the
-    /// same scratch.
+    /// same scratch. Nothing else a branch does draws from the main
+    /// stream, so the movers of branches whose probes kept the same number
+    /// of runs continue from equal streams: the upgrade prefix (rungs,
+    /// provisioning, growth, simulation and poll pass) runs once per such
+    /// group, and each member runs only its own tail, from a clone of the
+    /// group's stream and with its own chaos stream.
     fn observe_branches<S>(
         &self,
         user_index: u64,
@@ -787,7 +798,7 @@ impl World {
             // plan rewrites them, so it works on a copy unless no later
             // branch needs them.
             let private_polls = branch != last && !chaos.is_none();
-            let mut record = self.observe_tail(
+            let (mut record, ndt_runs) = self.observe_tail(
                 &subject,
                 &polled,
                 private_polls,
@@ -808,6 +819,7 @@ impl World {
                     branch,
                     record,
                     chaos,
+                    ndt_runs,
                     rng,
                     chaos_rng,
                 });
@@ -815,23 +827,46 @@ impl World {
                 sink(branch, record, None);
             }
         }
-        for mut mover in movers {
-            let reg = &mut regs[mover.branch];
-            let upgrade = self
-                .observe_upgrade(
-                    &mover.record,
-                    &subject,
-                    &mover.chaos,
-                    &mut mover.rng,
-                    &mut mover.chaos_rng,
-                    reg,
-                    scratch,
-                )
-                .filter(|up| quality::screen_upgrade(up, reg) != DataQuality::Quarantine);
-            if upgrade.is_some() {
-                reg.inc("dataset.users.upgraded");
+        // One upgrade prefix per group of movers with equal main streams.
+        movers.sort_unstable_by_key(|m| m.ndt_runs);
+        let mut movers = movers.into_iter().peekable();
+        while let Some(mut lead) = movers.next() {
+            let after = self.upgrade_prefix(&subject, &mut lead.rng, scratch);
+            let mut group_rng = Some(lead.rng.clone());
+            let mut member = Some(lead);
+            while let Some(mut mover) = member.take() {
+                member = movers.next_if(|next| next.ndt_runs == mover.ndt_runs);
+                // As in the first observation: the last member takes the
+                // stream and the shared polls themselves.
+                let last = member.is_none();
+                let reg = &mut regs[mover.branch];
+                let upgrade = after
+                    .as_ref()
+                    .map(|(after, polled)| {
+                        let mut rng = if last {
+                            group_rng.take()
+                        } else {
+                            group_rng.clone()
+                        }
+                        .expect("only the last member takes the group's stream");
+                        let (after_record, _) = self.observe_tail(
+                            after,
+                            polled,
+                            !last && !mover.chaos.is_none(),
+                            &mover.chaos,
+                            &mut rng,
+                            &mut mover.chaos_rng,
+                            reg,
+                            scratch,
+                        );
+                        upgrade_observation(&mover.record, after_record)
+                    })
+                    .filter(|up| quality::screen_upgrade(up, reg) != DataQuality::Quarantine);
+                if upgrade.is_some() {
+                    reg.inc("dataset.users.upgraded");
+                }
+                sink(mover.branch, mover.record, upgrade);
             }
-            sink(mover.branch, mover.record, upgrade);
         }
     }
 
@@ -1013,7 +1048,8 @@ impl World {
     /// the shared polls, summarise demand, run the NDT and web probes and
     /// draw the network id. With `private_polls` the polls are
     /// reconstructed from a copy, leaving the shared ones for a later
-    /// branch.
+    /// branch. Returns the record and the number of NDT runs that
+    /// survived, which alone decides how far the tail advances `rng`.
     ///
     /// Degradation (`chaos`) applies at the two measurement surfaces:
     /// the raw poll sequence of counter-based Dasu collection, and the
@@ -1031,7 +1067,7 @@ impl World {
         chaos_rng: &mut ChaCha8Rng,
         reg: &mut Registry,
         scratch: &mut GenScratch,
-    ) -> UserRecord {
+    ) -> (UserRecord, u32) {
         let reconstructed;
         let (collected, counter_source) = match polled {
             Polled::Counters(source) => {
@@ -1060,15 +1096,13 @@ impl World {
                 (series, None)
             }
         };
-        let demand_with_bt = collected.demand_with(BtFilter::Include, &mut scratch.rates);
-        // With no BT-flagged bins the Exclude filter keeps every bin, so
-        // the summary is exactly the Include one — skip the second pass.
-        let demand_no_bt = if collected.any_bt() {
-            collected.demand_with(BtFilter::Exclude, &mut scratch.rates)
-        } else {
-            demand_with_bt
-        };
-        let upload_mean = collected.upload_mean(BtFilter::Include);
+        // The simulation is done with its cross-traffic uplink buffer, so
+        // it holds the BitTorrent-excluded rates.
+        let SeriesSummary {
+            demand_with_bt,
+            demand_no_bt,
+            upload_mean,
+        } = collected.summarise(&mut scratch.rates, &mut scratch.cross_up);
 
         // NDT probing under chaos: each of the 4 scheduled runs fails
         // independently with the plan's probe-failure probability. A
@@ -1118,7 +1152,7 @@ impl World {
                 bb_types::LossRate::ZERO,
             ),
         };
-        UserRecord {
+        let record = UserRecord {
             user: s.user,
             country: s.profile.country,
             network,
@@ -1139,11 +1173,16 @@ impl World {
             plan_capped: s.plan.cap_gb.is_some(),
             counter_source,
             persona: s.agent.persona,
-        }
+        };
+        (record, surviving_runs)
     }
 
-    /// Re-observe a user after a service upgrade: the cheapest strictly
-    /// faster, non-dedicated plan one to three rungs up the ladder.
+    /// The branch-independent start of a mover's re-observation after a
+    /// service upgrade: the plan one to three rungs up the ladder of
+    /// strictly faster, non-dedicated plans, its link, the grown appetite,
+    /// and the simulation and poll pass of the new window. `None`, before
+    /// any draw, when no faster plan exists. Draws only from `rng`, so
+    /// movers with equal main streams share it.
     ///
     /// Users "jump to a higher service when their demand grows" (§1), so
     /// the mover's appetite is scaled by a heavy-tailed growth factor
@@ -1152,17 +1191,12 @@ impl World {
     /// (usage roughly doubling at the median, H holding for two thirds of
     /// movers rather than all of them) reflect that mix plus the relaxed
     /// capacity constraint.
-    #[allow(clippy::too_many_arguments)]
-    fn observe_upgrade(
+    fn upgrade_prefix<'s>(
         &self,
-        before: &UserRecord,
-        subject: &Subject<'_>,
-        chaos: &ChaosPlan,
+        subject: &Subject<'s>,
         rng: &mut ChaCha8Rng,
-        chaos_rng: &mut ChaCha8Rng,
-        reg: &mut Registry,
         scratch: &mut GenScratch,
-    ) -> Option<UpgradeObservation> {
+    ) -> Option<(Subject<'s>, Polled)> {
         // Candidate faster plans, sorted by capacity.
         let mut faster: Vec<&Plan> = subject
             .catalog
@@ -1202,24 +1236,28 @@ impl World {
             ..*subject
         };
         let polled = self.simulate_and_poll(&after, rng, scratch);
-        let after_record =
-            self.observe_tail(&after, &polled, false, chaos, rng, chaos_rng, reg, scratch);
-        Some(UpgradeObservation {
-            user: before.user,
-            country: subject.profile.country,
-            before: UpgradeSnapshot {
-                network: before.network.clone(),
-                capacity: before.capacity,
-                demand_with_bt: before.demand_with_bt,
-                demand_no_bt: before.demand_no_bt,
-            },
-            after: UpgradeSnapshot {
-                network: after_record.network,
-                capacity: after_record.capacity,
-                demand_with_bt: after_record.demand_with_bt,
-                demand_no_bt: after_record.demand_no_bt,
-            },
-        })
+        Some((after, polled))
+    }
+}
+
+/// A mover's before/after pair: the kept first record and the record of
+/// the re-observation after the upgrade.
+fn upgrade_observation(before: &UserRecord, after: UserRecord) -> UpgradeObservation {
+    UpgradeObservation {
+        user: before.user,
+        country: before.country,
+        before: UpgradeSnapshot {
+            network: before.network.clone(),
+            capacity: before.capacity,
+            demand_with_bt: before.demand_with_bt,
+            demand_no_bt: before.demand_no_bt,
+        },
+        after: UpgradeSnapshot {
+            network: after.network,
+            capacity: after.capacity,
+            demand_with_bt: after.demand_with_bt,
+            demand_no_bt: after.demand_no_bt,
+        },
     }
 }
 
@@ -1379,6 +1417,18 @@ mod tests {
                 .collect();
             let plans = [ShardPlan::serial(), ShardPlan::new(8, 4)];
             assert_branches_match_separate_runs(&world, &specs, &plans, scenario.name());
+        }
+        // The CLI's sweep grid, under the two scenarios whose probe
+        // failures group the movers: several branches share one upgrade
+        // prefix where their probes kept the same runs, and branches whose
+        // surviving runs differ split.
+        for scenario in [ChaosScenario::Omnibus, ChaosScenario::ProbeBlackout] {
+            let specs: Vec<Option<ChaosSpec>> = [0.0, 0.25, 0.5, 0.75, 1.0]
+                .iter()
+                .map(|&s| Some(ChaosSpec::new(scenario, s)))
+                .collect();
+            let label = format!("{} sweep grid", scenario.name());
+            assert_branches_match_separate_runs(&world, &specs, &[ShardPlan::new(8, 4)], &label);
         }
         // Branches need not share a scenario, nor be chaotic at all.
         let mixed = [

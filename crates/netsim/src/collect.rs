@@ -137,6 +137,18 @@ pub struct BinObs {
     pub bt: bool,
 }
 
+/// The three per-series numbers an observation keeps, from
+/// [`UsageSeries::summarise`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SeriesSummary {
+    /// [`UsageSeries::demand_with`] under [`BtFilter::Include`].
+    pub demand_with_bt: Option<DemandSummary>,
+    /// [`UsageSeries::demand_with`] under [`BtFilter::Exclude`].
+    pub demand_no_bt: Option<DemandSummary>,
+    /// [`UsageSeries::upload_mean`] under [`BtFilter::Include`].
+    pub upload_mean: Option<Bandwidth>,
+}
+
 /// An observed usage series: byte counts per observed bin.
 #[derive(Clone, Debug, PartialEq)]
 pub struct UsageSeries {
@@ -584,14 +596,6 @@ impl UsageSeries {
         self.bins.is_empty()
     }
 
-    /// Whether any observed bin is BitTorrent-flagged. When none are,
-    /// the BT-excluding filter keeps every bin, so the BT-excluded
-    /// demand summary equals the BT-included one exactly — callers can
-    /// skip the second pass.
-    pub fn any_bt(&self) -> bool {
-        self.bins.iter().any(|b| b.bt)
-    }
-
     /// Per-bin downlink rates (bps) after applying the BitTorrent filter.
     pub fn rates(&self, filter: BtFilter) -> Vec<f64> {
         let secs = self.width.secs();
@@ -623,6 +627,54 @@ impl UsageSeries {
         Some(Bandwidth::from_bps(sum / n as f64))
     }
 
+    /// Both demand summaries and the BitTorrent-included upload mean in one
+    /// pass over the bins: the same three values as `demand_with` under
+    /// each filter and `upload_mean(BtFilter::Include)`, to the bit.
+    ///
+    /// The pass fills `with_bt` with every bin's downlink rate and `no_bt`
+    /// with the unflagged bins' rates, in bin order, and keeps three
+    /// independent running sums that add the same values in the same order
+    /// as the separate calls, each from that call's starting value. Each
+    /// buffer then gives its p95 by selection. With no flagged bin the
+    /// BitTorrent-excluded summary is the included one, so its selection is
+    /// skipped.
+    pub fn summarise(&self, with_bt: &mut Vec<f64>, no_bt: &mut Vec<f64>) -> SeriesSummary {
+        let secs = self.width.secs();
+        with_bt.clear();
+        no_bt.clear();
+        // `demand_with` sums its rates with `Iterator::sum`, whose starting
+        // value is the toolchain's neutral element (+0.0 or -0.0); fold
+        // from the same one so an all-(-0.0) series keeps its sign.
+        let neutral: f64 = std::iter::empty::<f64>().sum();
+        let (mut sum_with, mut sum_no, mut sum_up) = (neutral, neutral, 0.0f64);
+        for b in &self.bins {
+            let rate = b.down_bytes * 8.0 / secs;
+            with_bt.push(rate);
+            sum_with += rate;
+            sum_up += b.up_bytes * 8.0 / secs;
+            if !b.bt {
+                no_bt.push(rate);
+                sum_no += rate;
+            }
+        }
+        let demand_with_bt = summary_of(with_bt, sum_with);
+        let demand_no_bt = if no_bt.len() == with_bt.len() {
+            demand_with_bt
+        } else {
+            summary_of(no_bt, sum_no)
+        };
+        let upload_mean = if self.bins.is_empty() {
+            None
+        } else {
+            Some(Bandwidth::from_bps(sum_up / self.bins.len() as f64))
+        };
+        SeriesSummary {
+            demand_with_bt,
+            demand_no_bt,
+            upload_mean,
+        }
+    }
+
     /// The paper's demand summary: mean rate and 95th-percentile rate over
     /// observed bins. Returns `None` when no bins survive the filter.
     pub fn demand(&self, filter: BtFilter) -> Option<DemandSummary> {
@@ -643,19 +695,26 @@ impl UsageSeries {
                 .filter(|b| filter == BtFilter::Include || !b.bt)
                 .map(|b| b.down_bytes * 8.0 / secs),
         );
-        if rates.is_empty() {
-            return None;
-        }
-        let mean = rates.iter().sum::<f64>() / rates.len() as f64;
-        let peak = quantile_unstable(rates, 0.95);
-        // Guard against numeric jitter putting the p95 a hair below the
-        // mean for near-constant series.
-        let peak = peak.max(mean);
-        Some(DemandSummary::new(
-            Bandwidth::from_bps(mean),
-            Bandwidth::from_bps(peak),
-        ))
+        let sum = rates.iter().sum::<f64>();
+        summary_of(rates, sum)
     }
+}
+
+/// The demand summary of `rates` whose sum, in order, is `sum`: the mean
+/// and the p95 (selected in place), or `None` for no rates.
+fn summary_of(rates: &mut [f64], sum: f64) -> Option<DemandSummary> {
+    if rates.is_empty() {
+        return None;
+    }
+    let mean = sum / rates.len() as f64;
+    let peak = quantile_unstable(rates, 0.95);
+    // Guard against numeric jitter putting the p95 a hair below the
+    // mean for near-constant series.
+    let peak = peak.max(mean);
+    Some(DemandSummary::new(
+        Bandwidth::from_bps(mean),
+        Bandwidth::from_bps(peak),
+    ))
 }
 
 #[cfg(test)]
@@ -1191,6 +1250,50 @@ mod tests {
                     (g, e) => panic!("{filter:?} seed {seed}: {g:?} vs {e:?}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn one_pass_summaries_are_bit_identical_to_the_separate_calls() {
+        let bin = |down: f64, up: f64, bt: bool| BinObs {
+            down_bytes: down,
+            up_bytes: up,
+            bt,
+        };
+        let mut series = Vec::new();
+        for (seed, bt) in [(13u64, true), (17, false), (19, true)] {
+            let t = truth(seed, bt);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed + 100);
+            let polling = clean(0.7, CounterSource::Upnp, Bandwidth::from_mbps(10.0));
+            series.push(poll_counters(&t, &polling, &mut rng));
+            series.push(UsageSeries::collect(&t, Vantage::FccGateway, &mut rng));
+        }
+        let slots = |bins: Vec<BinObs>| UsageSeries {
+            width: BinWidth::Slot,
+            bins,
+        };
+        // Nothing observed; every bin flagged; a lone flagged bin; zeros of
+        // both signs, which only the sums' starting values tell apart.
+        series.push(slots(Vec::new()));
+        series.push(slots(vec![bin(1e6, 2e5, true), bin(3e6, 1e5, true)]));
+        series.push(slots(vec![bin(5e5, 0.0, false), bin(7e6, 4e4, true)]));
+        series.push(slots(vec![bin(-0.0, -0.0, false), bin(-0.0, -0.0, true)]));
+        series.push(slots(vec![bin(-0.0, 0.0, false), bin(0.0, -0.0, false)]));
+        let (mut with_bt, mut no_bt, mut rates) = (Vec::new(), Vec::new(), Vec::new());
+        let bits =
+            |d: Option<DemandSummary>| d.map(|d| (d.mean.bps().to_bits(), d.peak.bps().to_bits()));
+        for s in &series {
+            let got = s.summarise(&mut with_bt, &mut no_bt);
+            let label = format!("{:?} bins {:?}", s.width, &s.bins[..s.bins.len().min(2)]);
+            let want_with = s.demand_with(BtFilter::Include, &mut rates);
+            let want_no = s.demand_with(BtFilter::Exclude, &mut rates);
+            assert_eq!(bits(got.demand_with_bt), bits(want_with), "{label}");
+            assert_eq!(bits(got.demand_no_bt), bits(want_no), "{label}");
+            assert_eq!(
+                got.upload_mean.map(|u| u.bps().to_bits()),
+                s.upload_mean(BtFilter::Include).map(|u| u.bps().to_bits()),
+                "{label}"
+            );
         }
     }
 

@@ -4,12 +4,15 @@
 //! it first consults the [`ResultCache`] under the job's manifest key:
 //! a valid entry is served as-is (`from_cache: true`, no recomputation —
 //! the cache-hit counter is the test surface for that guarantee); a miss
-//! runs the checkpointed streaming fold via [`runner::run_job`], stores
-//! the artifacts, and leaves the checkpoint behind so an interrupted job
-//! resumes. Every job owns an SSE [`Feed`] that receives `status`,
-//! `shard` and `ledger` frames while it runs and a terminal
-//! `done`/`error` frame; readers can attach at any time and always get
-//! the full replay.
+//! runs the checkpointed streaming fold via [`runner::run_job`] under
+//! `cache_dir/checkpoints/<key>`, stores the artifacts, and then removes
+//! that checkpoint: once the result is stored, the cache serves the job,
+//! and a rejected entry is recomputed from the start. A job that fails or
+//! is interrupted before its result is stored keeps its checkpoint, so
+//! the next identical job resumes it. Every job owns an SSE [`Feed`] that
+//! receives `status`, `shard` and `ledger` frames while it runs and a
+//! terminal `done`/`error` frame; readers can attach at any time and
+//! always get the full replay.
 //!
 //! A job record keeps its view and its feed, not its artifacts. The
 //! artifact sets of the [`HOT_ENTRIES`] most recently used cache keys
@@ -431,6 +434,9 @@ fn worker_loop(shared: &Shared) {
                         .cache
                         .store(key, &files)
                         .map_err(|e| format!("cache store: {e}"))?;
+                    // The stored result supersedes the checkpoint. A
+                    // directory that will not go only costs disk.
+                    let _ = std::fs::remove_dir_all(&checkpoint_dir);
                     Ok((files, false))
                 })
             }

@@ -230,6 +230,47 @@ fn cache_hits_misses_and_corruption_are_counted_and_correct() {
     assert!(health.contains("\"rejected\":1"), "{health}");
 }
 
+#[test]
+fn a_stored_result_takes_the_place_of_its_checkpoint() {
+    let dir = tmpdir("gateway-checkpoint-cleanup");
+    let server = small_server(&dir);
+    let addr = server.addr();
+    let checkpoint = |key: u64| dir.join("checkpoints").join(format!("{key:016x}"));
+
+    // A cold job checkpoints its shards while it runs and removes them
+    // once its result is stored.
+    let first = run_job(&server, "{}");
+    assert!(!first.from_cache);
+    assert!(
+        !checkpoint(first.cache_key).exists(),
+        "checkpoint left behind"
+    );
+    let (_, baseline) = get(addr, "/metrics?job=0");
+
+    // With no checkpoint to resume, a tampered entry is recomputed from
+    // the start, to the same bytes, and again leaves no checkpoint.
+    let entry = dir
+        .join("results")
+        .join(format!("{:016x}", first.cache_key))
+        .join("metrics.json");
+    fs::write(&entry, "{\"tampered\": true}").expect("tamper with the entry");
+    let recomputed = run_job(&server, "{}");
+    assert!(
+        !recomputed.from_cache,
+        "a tampered entry must not be served"
+    );
+    assert_eq!(server.scheduler().cache_rejected(), 1);
+    assert_eq!(get(addr, "/metrics?job=1").1, baseline);
+    assert_eq!(
+        fs::read_to_string(&entry).expect("repaired entry"),
+        baseline
+    );
+    assert!(
+        !checkpoint(first.cache_key).exists(),
+        "checkpoint left behind"
+    );
+}
+
 /// Send raw header bytes (no body) and return the status line's code.
 /// Used for requests whose *headers* must be rejected — the server has
 /// to answer over HTTP rather than silently dropping the socket.
