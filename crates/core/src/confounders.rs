@@ -6,9 +6,16 @@
 //! out of the confounder set and (where relevant) capacity is swapped in.
 //! The caliper is the paper's 25% relative rule, with small absolute floors
 //! so near-zero covariates (clean links) remain matchable.
+//!
+//! Every matched table (Tables 2, 3, 6, 7, 8 and the §4 per-tier test) is
+//! built by one crate-private builder, `MatchedTable`: each arm matches
+//! its pools, sign-tests the pairs, logs both, and keeps its row exactly
+//! when the outcome is not `starved()`.
 
-use bb_causal::{Caliper, Unit};
+use crate::exhibit::{ExperimentRow, ExperimentTable};
+use bb_causal::{Caliper, ExperimentOutcome, NaturalExperiment, Unit, MIN_TRIALS};
 use bb_dataset::record::UserRecord;
+use bb_trace::EventLog;
 use bb_types::{Bandwidth, DemandMetric};
 
 /// Which covariates an experiment balances on.
@@ -169,6 +176,118 @@ pub fn capacity_mbps(record: &UserRecord) -> f64 {
 /// Convenience: a `Bandwidth` from an f64 bps outcome.
 pub fn bps(value: f64) -> Bandwidth {
     Bandwidth::from_bps(value.max(0.0))
+}
+
+/// Run `exp` on the two pools and record its `match_audit` and
+/// `sign_test` events under `exhibit`; the row is `kept` exactly when
+/// [`kept_row`] would keep it.
+pub(crate) fn run_logged(
+    exp: &NaturalExperiment,
+    exhibit: &str,
+    set: ConfounderSet,
+    control: &[Unit],
+    treatment: &[Unit],
+    ledger: &mut EventLog,
+) -> Option<ExperimentOutcome> {
+    let (outcome, audit) = exp.run_audited(control, treatment);
+    let kept = outcome.as_ref().is_some_and(|o| !o.starved());
+    let names = set.covariate_names();
+    exp.log_provenance(ledger, exhibit, &names, &audit, outcome.as_ref(), kept);
+    outcome
+}
+
+/// The table row for an experiment's outcome, or `None` when it did not
+/// run or is `starved()`: too few pairs to report at all.
+pub(crate) fn kept_row(
+    outcome: Option<&ExperimentOutcome>,
+    control: impl Into<String>,
+    treatment: impl Into<String>,
+) -> Option<ExperimentRow> {
+    let outcome = outcome.filter(|o| !o.starved())?;
+    Some(ExperimentRow {
+        control: control.into(),
+        treatment: treatment.into(),
+        n_pairs: outcome.test.trials as usize,
+        percent_holds: outcome.percent_holds(),
+        p_value: outcome.p_value(),
+        significant: outcome.significant(),
+    })
+}
+
+/// Builder for one matched-experiment table: each [`arm`](Self::arm) is
+/// either a row or one counted drop, and [`finish`](Self::finish) records
+/// the table's `exhibit` accounting event.
+pub(crate) struct MatchedTable<'a> {
+    id: &'a str,
+    set: ConfounderSet,
+    ledger: &'a mut EventLog,
+    rows: Vec<ExperimentRow>,
+    dropped_empty_bins: u64,
+    dropped_no_experiment: u64,
+    dropped_min_pairs: u64,
+}
+
+impl<'a> MatchedTable<'a> {
+    /// An empty table `id` whose arms all balance on `set`.
+    pub(crate) fn new(id: &'a str, set: ConfounderSet, ledger: &'a mut EventLog) -> Self {
+        MatchedTable {
+            id,
+            set,
+            ledger,
+            rows: Vec::new(),
+            dropped_empty_bins: 0,
+            dropped_no_experiment: 0,
+            dropped_min_pairs: 0,
+        }
+    }
+
+    /// Match `treatment` against `control` (units built under this table's
+    /// set) as the experiment `name`, and keep the outcome as the row
+    /// `control_label` vs `treatment_label`. An empty pool skips the arm.
+    pub(crate) fn arm(
+        &mut self,
+        name: String,
+        control: &[Unit],
+        treatment: &[Unit],
+        control_label: impl Into<String>,
+        treatment_label: impl Into<String>,
+    ) {
+        if control.is_empty() || treatment.is_empty() {
+            self.dropped_empty_bins += 1;
+            return;
+        }
+        let exp = NaturalExperiment::new(name, self.set.calipers());
+        let outcome = run_logged(&exp, self.id, self.set, control, treatment, self.ledger);
+        match kept_row(outcome.as_ref(), control_label, treatment_label) {
+            Some(row) => self.rows.push(row),
+            None if outcome.is_none() => self.dropped_no_experiment += 1,
+            None => self.dropped_min_pairs += 1,
+        }
+    }
+
+    /// Record the row and drop counts, and return the table.
+    pub(crate) fn finish(
+        self,
+        title: impl Into<String>,
+        control_label: &str,
+        treatment_label: &str,
+    ) -> ExperimentTable {
+        self.ledger
+            .emit("exhibit")
+            .str("id", self.id)
+            .u64("rows", self.rows.len() as u64)
+            .u64("dropped_empty_bins", self.dropped_empty_bins)
+            .u64("dropped_no_experiment", self.dropped_no_experiment)
+            .u64("dropped_min_pairs", self.dropped_min_pairs)
+            .u64("min_pairs", MIN_TRIALS);
+        ExperimentTable {
+            id: self.id.into(),
+            title: title.into(),
+            control_label: control_label.into(),
+            treatment_label: treatment_label.into(),
+            rows: self.rows,
+        }
+    }
 }
 
 #[cfg(test)]

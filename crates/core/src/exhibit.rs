@@ -6,6 +6,8 @@
 //! uniformly and `EXPERIMENTS.md` can diff them against the published
 //! values.
 
+use bb_stats::Ecdf;
+
 /// A CDF figure: one or more empirical distributions over a shared x-axis.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CdfFigure {
@@ -32,6 +34,19 @@ pub struct CdfSeries {
     pub median: f64,
     /// Plot points `(x, F(x))`, monotone in both coordinates.
     pub points: Vec<(f64, f64)>,
+}
+
+impl CdfSeries {
+    /// The line of `ecdf`, downsampled to at most `max_points` points;
+    /// each figure's count is part of its bytes.
+    pub(crate) fn from_ecdf(label: impl Into<String>, ecdf: &Ecdf, max_points: usize) -> Self {
+        CdfSeries {
+            label: label.into(),
+            n: ecdf.len(),
+            median: ecdf.median(),
+            points: ecdf.plot_points_downsampled(max_points),
+        }
+    }
 }
 
 /// A binned-mean figure (Figs. 2, 3, 6): per-bin mean with a 95% CI.

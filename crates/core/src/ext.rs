@@ -12,10 +12,10 @@
 //! * [`qed_cross_check`] — the §8 design comparison: the same price
 //!   question answered by a natural experiment and by a stratified QED.
 
-use crate::confounders::{to_units, ConfounderSet, OutcomeSpec};
+use crate::confounders::{kept_row, to_units, ConfounderSet, OutcomeSpec};
 use crate::exhibit::{ExperimentRow, ExperimentTable};
 use bb_causal::experiment::Direction;
-use bb_causal::{NaturalExperiment, StratifiedQed};
+use bb_causal::{NaturalExperiment, StratifiedQed, MIN_TRIALS};
 use bb_dataset::{Dataset, Persona};
 use bb_stats::ks::{ks_two_sample, KsTest};
 use bb_stats::mean_ci;
@@ -43,18 +43,8 @@ pub fn caps_experiment(dataset: &Dataset) -> Option<ExperimentRow> {
         ConfounderSet::ForUpgradeCostExperiment.calipers(),
     )
     .with_direction(Direction::TreatmentLower);
-    let outcome = exp.run(&uncapped, &capped)?;
-    if outcome.test.trials < crate::sec3::MIN_PAIRS as u64 {
-        return None;
-    }
-    Some(ExperimentRow {
-        control: "uncapped plan".into(),
-        treatment: "capped plan".into(),
-        n_pairs: outcome.test.trials as usize,
-        percent_holds: outcome.percent_holds(),
-        p_value: outcome.p_value(),
-        significant: outcome.significant(),
-    })
+    let outcome = exp.run(&uncapped, &capped);
+    kept_row(outcome.as_ref(), "uncapped plan", "capped plan")
 }
 
 /// Mean demand (Mbps, incl. BitTorrent) per persona with 95% CIs.
@@ -121,18 +111,8 @@ pub fn persona_experiment(dataset: &Dataset) -> Option<ExperimentRow> {
         "streamers out-consume browsers",
         ConfounderSet::ForUpgradeCostExperiment.calipers(),
     );
-    let outcome = exp.run(&browsers, &streamers)?;
-    if outcome.test.trials < crate::sec3::MIN_PAIRS as u64 {
-        return None;
-    }
-    Some(ExperimentRow {
-        control: "browsers".into(),
-        treatment: "streamers".into(),
-        n_pairs: outcome.test.trials as usize,
-        percent_holds: outcome.percent_holds(),
-        p_value: outcome.p_value(),
-        significant: outcome.significant(),
-    })
+    let outcome = exp.run(&browsers, &streamers);
+    kept_row(outcome.as_ref(), "browsers", "streamers")
 }
 
 /// Upload/download asymmetry by group: mean uplink and downlink rates and
@@ -245,21 +225,13 @@ pub fn qed_cross_check(dataset: &Dataset) -> DesignComparison {
         "price (natural experiment)",
         ConfounderSet::ForPriceExperiment.calipers(),
     )
-    .run(&control, &treatment)
-    .filter(|o| o.test.trials >= crate::sec3::MIN_PAIRS as u64)
-    .map(|o| ExperimentRow {
-        control: "($0, $25] (NE)".into(),
-        treatment: "($25, $60]".into(),
-        n_pairs: o.test.trials as usize,
-        percent_holds: o.percent_holds(),
-        p_value: o.p_value(),
-        significant: o.significant(),
-    });
+    .run(&control, &treatment);
+    let natural = kept_row(natural.as_ref(), "($0, $25] (NE)", "($25, $60]");
 
     let qed = StratifiedQed::new("price (stratified QED)")
         .with_buckets(4)
         .run(&control, &treatment)
-        .filter(|o| o.test.trials >= crate::sec3::MIN_PAIRS as u64)
+        .filter(|o| o.test.trials >= MIN_TRIALS)
         .map(|o| ExperimentRow {
             control: "($0, $25] (QED)".into(),
             treatment: "($25, $60]".into(),

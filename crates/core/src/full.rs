@@ -158,8 +158,9 @@ mod tests {
     use super::*;
     use bb_dataset::{World, WorldConfig};
 
-    #[test]
-    fn full_report_runs_on_a_small_world() {
+    /// The full report and its ledger on a small world that keeps some
+    /// matched rows and drops others for every reason a table can have.
+    fn small_world_report() -> (StudyReport, EventLog) {
         let mut cfg = WorldConfig::small(123);
         cfg.user_scale = 1.0;
         cfg.days = 1;
@@ -168,6 +169,12 @@ mod tests {
         let ds = world.generate();
         let mut ledger = EventLog::new();
         let report = StudyReport::run_with_ledger(&ds, &world.profiles, 10, &mut ledger);
+        (report, ledger)
+    }
+
+    #[test]
+    fn full_report_runs_on_a_small_world() {
+        let (report, ledger) = small_world_report();
         // Every section left provenance behind.
         assert!(
             ledger.events().any(|e| e.kind() == "match_audit"),
@@ -191,5 +198,74 @@ mod tests {
         let alias = report.exhibit("table2").map(|e| e.id().to_string());
         assert_eq!(alias.as_deref(), Some("table2_dasu"));
         assert!(report.exhibit("fig99").is_none());
+    }
+
+    #[test]
+    fn matched_tables_agree_with_their_ledger_accounting() {
+        use bb_trace::{Event, Value};
+        let (report, ledger) = small_world_report();
+        let field = |e: &Event, key: &str| {
+            e.get(key)
+                .and_then(Value::as_u64)
+                .unwrap_or_else(|| panic!("{} event without {key}", e.kind()))
+        };
+        let under = |kind: &'static str, key: &'static str, id: &str| -> Vec<&Event> {
+            ledger
+                .events()
+                .filter(|e| e.kind() == kind && e.get(key).and_then(Value::as_str) == Some(id))
+                .collect()
+        };
+        // Each table with the number of arms it tries: every arm is
+        // either a row or one of the three drops.
+        let matched = [
+            (&report.table2.0, 10),
+            (&report.table2.1, 8),
+            (&report.year_experiment, 10),
+            (&report.table3, 2),
+            (&report.table6[0], 2),
+            (&report.table6[1], 2),
+            (&report.table7, 4),
+            (&report.table8, 4),
+        ];
+        let mut drops_seen = [0u64; 3];
+        for (table, arms) in matched {
+            let id = table.id.as_str();
+            let exhibit = under("exhibit", "id", id);
+            assert_eq!(exhibit.len(), 1, "{id}: one exhibit event");
+            let rows = field(exhibit[0], "rows");
+            assert_eq!(rows, table.rows.len() as u64, "{id}");
+            let drops = [
+                "dropped_empty_bins",
+                "dropped_no_experiment",
+                "dropped_min_pairs",
+            ]
+            .map(|key| field(exhibit[0], key));
+            assert_eq!(rows + drops.iter().sum::<u64>(), arms, "{id}: {drops:?}");
+            for (seen, n) in drops_seen.iter_mut().zip(drops) {
+                *seen += n;
+            }
+            assert_eq!(
+                field(exhibit[0], "min_pairs"),
+                bb_causal::MIN_TRIALS,
+                "{id}"
+            );
+            let kept: Vec<&Event> = under("sign_test", "exhibit", id)
+                .into_iter()
+                .filter(|e| e.get("kept") == Some(&Value::Bool(true)))
+                .collect();
+            assert_eq!(kept.len(), table.rows.len(), "{id}");
+            for (test, row) in kept.into_iter().zip(&table.rows) {
+                assert_eq!(field(test, "n"), row.n_pairs as u64, "{id}: {row:?}");
+                assert_eq!(test.get("p_value"), Some(&Value::F64(row.p_value)), "{id}");
+                assert_eq!(
+                    test.get("significant"),
+                    Some(&Value::Bool(row.significant)),
+                    "{id}"
+                );
+            }
+        }
+        // The world is small enough that every drop reason fires, so the
+        // accounting above is not checked on kept rows alone.
+        assert!(drops_seen.iter().all(|&n| n > 0), "{drops_seen:?}");
     }
 }

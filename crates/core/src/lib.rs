@@ -21,7 +21,9 @@
 //!   and the India-vs-US comparison;
 //! * [`exhibit`] — the typed figure/table values all sections produce;
 //! * [`confounders`] — the §3.2 matching configuration (which covariates,
-//!   which calipers) shared by every natural experiment;
+//!   which calipers) shared by every natural experiment, and
+//!   `MatchedTable`, the one builder of every matched-experiment table
+//!   (match, sign-test, log, keep or count the drop);
 //! * [`full`] — [`full::StudyReport`]: run everything at once;
 //! * [`ext`] — beyond the paper: usage caps, user personas, KS
 //!   quantification of the India CDFs, and the natural-experiment vs

@@ -66,12 +66,7 @@ pub fn figure1(
         title: title.into(),
         x_label: x.into(),
         log_x: true,
-        series: vec![CdfSeries {
-            label: "all users".into(),
-            n: ecdf.len(),
-            median: ecdf.median(),
-            points: ecdf.plot_points_downsampled(200),
-        }],
+        series: vec![CdfSeries::from_ecdf("all users", ecdf, 200)],
     };
 
     (

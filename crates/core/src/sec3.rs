@@ -8,12 +8,12 @@
 //! * [`figure5`] — change in demand by initial × target service tier;
 //! * [`table2`] — matched adjacent-capacity-bin experiments (Dasu & FCC).
 
-use crate::confounders::{to_units, ConfounderSet, OutcomeSpec};
+use crate::confounders::{to_units, ConfounderSet, MatchedTable, OutcomeSpec};
 use crate::exhibit::{
     Bar, BarFigure, BarGroup, BinnedFigure, BinnedPoint, BinnedSeries, CdfFigure, CdfSeries,
     ExperimentRow, ExperimentTable,
 };
-use bb_causal::{Caliper, NaturalExperiment, Unit};
+use bb_causal::{Unit, MIN_TRIALS};
 use bb_dataset::record::UserRecord;
 use bb_dataset::{Dataset, UpgradeObservation};
 use bb_stats::binning::BinnedSeries as StatsBins;
@@ -25,11 +25,6 @@ use bb_types::{CapacityBin, Country, DemandMetric, UpgradeTier};
 
 /// Minimum users per capacity bin for the binned figures.
 const MIN_BIN_USERS: usize = 5;
-
-/// Minimum matched pairs for an experiment row to be reported. Kept in
-/// lock-step with the causal layer's own significance guard so a row
-/// can never be *reported* at a size where `significant()` would lie.
-pub const MIN_PAIRS: usize = bb_causal::MIN_TRIALS as usize;
 
 /// Build one usage-vs-capacity series over `records`, logging input n and
 /// drop counts (missing outcome, thin bins) under `exhibit`'s id.
@@ -211,7 +206,7 @@ pub fn table1(dataset: &Dataset, ledger: &mut EventLog) -> ExperimentTable {
         let test = binomial_test(holds, trials, 0.5, Tail::Greater);
         // The same starvation guard the matched experiments get from
         // bb-causal: a handful of movers cannot carry a significance star.
-        let starved = trials < MIN_PAIRS as u64;
+        let starved = trials < MIN_TRIALS;
         ledger
             .emit("sign_test")
             .str("exhibit", "table1")
@@ -270,15 +265,7 @@ pub fn figure4(dataset: &Dataset, ledger: &mut EventLog) -> [CdfFigure; 2] {
         let series = [("Slow network", slow), ("Fast network", fast)]
             .into_iter()
             .filter(|(_, v)| !v.is_empty())
-            .map(|(label, v)| {
-                let e = Ecdf::new(v);
-                CdfSeries {
-                    label: label.into(),
-                    n: e.len(),
-                    median: e.median(),
-                    points: e.plot_points_downsampled(200),
-                }
-            })
+            .map(|(label, v)| CdfSeries::from_ecdf(label, &Ecdf::new(v), 200))
             .collect();
         CdfFigure {
             id: id.into(),
@@ -395,8 +382,7 @@ pub fn table2(dataset: &Dataset, ledger: &mut EventLog) -> (ExperimentTable, Exp
     (dasu, fcc)
 }
 
-/// Shared engine for Table 2: one experiment per adjacent bin pair, each
-/// leaving its match audit and sign-test provenance in the ledger.
+/// Shared engine for Table 2: one experiment per adjacent bin pair.
 fn adjacent_bin_table(
     id: &str,
     title: &str,
@@ -404,61 +390,23 @@ fn adjacent_bin_table(
     units_for: impl Fn(CapacityBin) -> Vec<Unit>,
     ledger: &mut EventLog,
 ) -> ExperimentTable {
-    let set = ConfounderSet::ForCapacityExperiment;
-    let calipers: Vec<Caliper> = set.calipers();
-    let names = set.covariate_names();
-    let mut rows = Vec::new();
-    let mut dropped_empty_bins = 0u64;
-    let mut dropped_no_experiment = 0u64;
-    let mut dropped_min_pairs = 0u64;
+    let mut table = MatchedTable::new(id, ConfounderSet::ForCapacityExperiment, ledger);
     for k in bins {
         let control_bin = CapacityBin(k);
         let treatment_bin = control_bin.next();
-        let control = units_for(control_bin);
-        let treatment = units_for(treatment_bin);
-        if control.is_empty() || treatment.is_empty() {
-            dropped_empty_bins += 1;
-            continue;
-        }
-        let exp = NaturalExperiment::new(
+        table.arm(
             format!("capacity {control_bin} vs {treatment_bin}"),
-            calipers.clone(),
+            &units_for(control_bin),
+            &units_for(treatment_bin),
+            control_bin.to_string(),
+            treatment_bin.to_string(),
         );
-        let (outcome, audit) = exp.run_audited(&control, &treatment);
-        let kept = matches!(&outcome, Some(o) if o.test.trials >= MIN_PAIRS as u64);
-        exp.log_provenance(ledger, id, &names, &audit, outcome.as_ref(), kept);
-        let Some(outcome) = outcome else {
-            dropped_no_experiment += 1;
-            continue;
-        };
-        if !kept {
-            dropped_min_pairs += 1;
-            continue;
-        }
-        rows.push(ExperimentRow {
-            control: control_bin.to_string(),
-            treatment: treatment_bin.to_string(),
-            n_pairs: outcome.test.trials as usize,
-            percent_holds: outcome.percent_holds(),
-            p_value: outcome.p_value(),
-            significant: outcome.significant(),
-        });
     }
-    ledger
-        .emit("exhibit")
-        .str("id", id)
-        .u64("rows", rows.len() as u64)
-        .u64("dropped_empty_bins", dropped_empty_bins)
-        .u64("dropped_no_experiment", dropped_no_experiment)
-        .u64("dropped_min_pairs", dropped_min_pairs)
-        .u64("min_pairs", MIN_PAIRS as u64);
-    ExperimentTable {
-        id: id.into(),
-        title: title.into(),
-        control_label: "Control group (in Mbps)".into(),
-        treatment_label: "Treatment group (in Mbps)".into(),
-        rows,
-    }
+    table.finish(
+        title,
+        "Control group (in Mbps)",
+        "Treatment group (in Mbps)",
+    )
 }
 
 #[cfg(test)]

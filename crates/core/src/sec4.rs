@@ -6,9 +6,8 @@
 //! 2012 and 2013, and a natural experiment checks for per-tier change
 //! between the first and last year.
 
-use crate::confounders::{to_units, ConfounderSet, OutcomeSpec};
-use crate::exhibit::{BinnedFigure, BinnedPoint, BinnedSeries, ExperimentRow, ExperimentTable};
-use bb_causal::NaturalExperiment;
+use crate::confounders::{to_units, ConfounderSet, MatchedTable, OutcomeSpec};
+use crate::exhibit::{BinnedFigure, BinnedPoint, BinnedSeries, ExperimentTable};
 use bb_dataset::Dataset;
 use bb_stats::binning::BinnedSeries as StatsBins;
 use bb_stats::corr::pearson;
@@ -92,12 +91,7 @@ pub fn figure6(dataset: &Dataset, ledger: &mut EventLog) -> [BinnedFigure; 4] {
 /// significant change in demand at any given speed tier".
 pub fn year_experiment(dataset: &Dataset, ledger: &mut EventLog) -> ExperimentTable {
     let set = ConfounderSet::ForCapacityExperiment;
-    let calipers = set.calipers();
-    let names = set.covariate_names();
-    let mut rows = Vec::new();
-    let mut dropped_empty_bins = 0u64;
-    let mut dropped_no_experiment = 0u64;
-    let mut dropped_min_pairs = 0u64;
+    let mut table = MatchedTable::new("table_sec4", set, ledger);
     for k in 1..=10u8 {
         let bin = CapacityBin(k);
         let of_year = |year: Year| {
@@ -105,52 +99,23 @@ pub fn year_experiment(dataset: &Dataset, ledger: &mut EventLog) -> ExperimentTa
                 dataset
                     .dasu()
                     .filter(|r| r.year == year && CapacityBin::of(r.capacity) == bin),
-                ConfounderSet::ForCapacityExperiment,
+                set,
                 OutcomeSpec::PEAK_NO_BT,
             )
         };
-        let control = of_year(Year(2011));
-        let treatment = of_year(Year(2013));
-        if control.is_empty() || treatment.is_empty() {
-            dropped_empty_bins += 1;
-            continue;
-        }
-        let exp = NaturalExperiment::new(format!("year shift in {bin}"), calipers.clone());
-        let (outcome, audit) = exp.run_audited(&control, &treatment);
-        let kept = matches!(&outcome, Some(o) if o.test.trials >= crate::sec3::MIN_PAIRS as u64);
-        exp.log_provenance(ledger, "table_sec4", &names, &audit, outcome.as_ref(), kept);
-        let Some(outcome) = outcome else {
-            dropped_no_experiment += 1;
-            continue;
-        };
-        if !kept {
-            dropped_min_pairs += 1;
-            continue;
-        }
-        rows.push(ExperimentRow {
-            control: format!("{bin} in 2011"),
-            treatment: format!("{bin} in 2013"),
-            n_pairs: outcome.test.trials as usize,
-            percent_holds: outcome.percent_holds(),
-            p_value: outcome.p_value(),
-            significant: outcome.significant(),
-        });
+        table.arm(
+            format!("year shift in {bin}"),
+            &of_year(Year(2011)),
+            &of_year(Year(2013)),
+            format!("{bin} in 2011"),
+            format!("{bin} in 2013"),
+        );
     }
-    ledger
-        .emit("exhibit")
-        .str("id", "table_sec4")
-        .u64("rows", rows.len() as u64)
-        .u64("dropped_empty_bins", dropped_empty_bins)
-        .u64("dropped_no_experiment", dropped_no_experiment)
-        .u64("dropped_min_pairs", dropped_min_pairs)
-        .u64("min_pairs", crate::sec3::MIN_PAIRS as u64);
-    ExperimentTable {
-        id: "table_sec4".into(),
-        title: "Per-tier demand change between 2011 and 2013 (matched users)".into(),
-        control_label: "Control group (2011)".into(),
-        treatment_label: "Treatment group (2013)".into(),
-        rows,
-    }
+    table.finish(
+        "Per-tier demand change between 2011 and 2013 (matched users)",
+        "Control group (2011)",
+        "Treatment group (2013)",
+    )
 }
 
 /// Summary statistic for EXPERIMENTS.md: the share of per-tier year

@@ -7,11 +7,8 @@
 //! * [`figure8`] — peak-utilisation CDFs per market, split by service tier;
 //! * [`figure9`] — average peak demand per market × tier.
 
-use crate::confounders::{to_units, ConfounderSet, OutcomeSpec};
-use crate::exhibit::{
-    Bar, BarFigure, BarGroup, CdfFigure, CdfSeries, ExperimentRow, ExperimentTable,
-};
-use bb_causal::NaturalExperiment;
+use crate::confounders::{to_units, ConfounderSet, MatchedTable, OutcomeSpec};
+use crate::exhibit::{Bar, BarFigure, BarGroup, CdfFigure, CdfSeries, ExperimentTable};
 use bb_dataset::{CountryProfile, Dataset};
 use bb_stats::binning::BinnedSeries as StatsBins;
 use bb_stats::Ecdf;
@@ -31,67 +28,31 @@ pub const MIN_TIER_USERS: usize = 30;
 /// price bin against each dearer bin. Outcome: peak usage, no BitTorrent.
 pub fn table3(dataset: &Dataset, ledger: &mut EventLog) -> ExperimentTable {
     let set = ConfounderSet::ForPriceExperiment;
-    let calipers = set.calipers();
-    let names = set.covariate_names();
     let units_for = |bin: PriceBin| {
         to_units(
             dataset
                 .dasu()
                 .filter(|r| PriceBin::of(r.access_price) == bin),
-            ConfounderSet::ForPriceExperiment,
+            set,
             OutcomeSpec::PEAK_NO_BT,
         )
     };
     let cheap = units_for(PriceBin::UpTo25);
-    let mut rows = Vec::new();
-    let mut dropped_empty_bins = 0u64;
-    let mut dropped_no_experiment = 0u64;
-    let mut dropped_min_pairs = 0u64;
+    let mut table = MatchedTable::new("table3", set, ledger);
     for treatment_bin in [PriceBin::From25To60, PriceBin::Above60] {
-        let treatment = units_for(treatment_bin);
-        if cheap.is_empty() || treatment.is_empty() {
-            dropped_empty_bins += 1;
-            continue;
-        }
-        let exp = NaturalExperiment::new(
+        table.arm(
             format!("access price {} vs {}", PriceBin::UpTo25, treatment_bin),
-            calipers.clone(),
+            &cheap,
+            &units_for(treatment_bin),
+            PriceBin::UpTo25.label(),
+            treatment_bin.label(),
         );
-        let (outcome, audit) = exp.run_audited(&cheap, &treatment);
-        let kept = matches!(&outcome, Some(o) if o.test.trials >= crate::sec3::MIN_PAIRS as u64);
-        exp.log_provenance(ledger, "table3", &names, &audit, outcome.as_ref(), kept);
-        let Some(outcome) = outcome else {
-            dropped_no_experiment += 1;
-            continue;
-        };
-        if !kept {
-            dropped_min_pairs += 1;
-            continue;
-        }
-        rows.push(ExperimentRow {
-            control: PriceBin::UpTo25.label().into(),
-            treatment: treatment_bin.label().into(),
-            n_pairs: outcome.test.trials as usize,
-            percent_holds: outcome.percent_holds(),
-            p_value: outcome.p_value(),
-            significant: outcome.significant(),
-        });
     }
-    ledger
-        .emit("exhibit")
-        .str("id", "table3")
-        .u64("rows", rows.len() as u64)
-        .u64("dropped_empty_bins", dropped_empty_bins)
-        .u64("dropped_no_experiment", dropped_no_experiment)
-        .u64("dropped_min_pairs", dropped_min_pairs)
-        .u64("min_pairs", crate::sec3::MIN_PAIRS as u64);
-    ExperimentTable {
-        id: "table3".into(),
-        title: "Higher price of broadband access vs demand (matched users)".into(),
-        control_label: "Control group".into(),
-        treatment_label: "Treatment group".into(),
-        rows,
-    }
+    table.finish(
+        "Higher price of broadband access vs demand (matched users)",
+        "Control group",
+        "Treatment group",
+    )
 }
 
 /// One row of Table 4.
@@ -188,20 +149,8 @@ pub fn figure7(dataset: &Dataset, ledger: &mut EventLog) -> [CdfFigure; 2] {
         if caps.is_empty() || utils.is_empty() {
             continue;
         }
-        let ce = Ecdf::new(caps);
-        cap_series.push(CdfSeries {
-            label: code.into(),
-            n: ce.len(),
-            median: ce.median(),
-            points: ce.plot_points_downsampled(150),
-        });
-        let ue = Ecdf::new(utils);
-        util_series.push(CdfSeries {
-            label: code.into(),
-            n: ue.len(),
-            median: ue.median(),
-            points: ue.plot_points_downsampled(150),
-        });
+        cap_series.push(CdfSeries::from_ecdf(code, &Ecdf::new(caps), 150));
+        util_series.push(CdfSeries::from_ecdf(code, &Ecdf::new(utils), 150));
     }
     [
         CdfFigure {
@@ -255,13 +204,7 @@ pub fn figure8(dataset: &Dataset, min_tier_users: usize, ledger: &mut EventLog) 
             let series: Vec<CdfSeries> = per_tier
                 .iter()
                 .map(|(tier, utils)| {
-                    let e = Ecdf::new(utils.iter().copied());
-                    CdfSeries {
-                        label: tier.label().into(),
-                        n: e.len(),
-                        median: e.median(),
-                        points: e.plot_points_downsampled(120),
-                    }
+                    CdfSeries::from_ecdf(tier.label(), &Ecdf::new(utils.iter().copied()), 120)
                 })
                 .collect();
             if series.is_empty() {

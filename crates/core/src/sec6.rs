@@ -7,9 +7,8 @@
 //! * [`table6`] — the matched upgrade-cost experiments (average demand,
 //!   with and without BitTorrent).
 
-use crate::confounders::{to_units, ConfounderSet, OutcomeSpec};
-use crate::exhibit::{CdfFigure, CdfSeries, ExperimentRow, ExperimentTable};
-use bb_causal::NaturalExperiment;
+use crate::confounders::{to_units, ConfounderSet, MatchedTable, OutcomeSpec};
+use crate::exhibit::{CdfFigure, CdfSeries, ExperimentTable};
 use bb_dataset::Dataset;
 use bb_market::survey::{CorrelationCensus, RegionCostRow};
 use bb_stats::Ecdf;
@@ -44,12 +43,7 @@ pub fn figure10(dataset: &Dataset, ledger: &mut EventLog) -> (CdfFigure, Vec<(St
         title: "Monthly cost to increase capacity by 1 Mbps across markets".into(),
         x_label: "Monthly cost of +1 Mbps (USD PPP)".into(),
         log_x: true,
-        series: vec![CdfSeries {
-            label: "countries".into(),
-            n: e.len(),
-            median: e.median(),
-            points: e.plot_points_downsampled(150),
-        }],
+        series: vec![CdfSeries::from_ecdf("countries", &e, 150)],
     };
     (fig, labelled)
 }
@@ -93,8 +87,6 @@ fn cost_table(
     ledger: &mut EventLog,
 ) -> ExperimentTable {
     let set = ConfounderSet::ForUpgradeCostExperiment;
-    let calipers = set.calipers();
-    let names = set.covariate_names();
     let units_for = |class: CostClass| {
         to_units(
             dataset.dasu().filter(|r| {
@@ -102,63 +94,28 @@ fn cost_table(
                     .map(|u| CostClass::of(u) == class)
                     .unwrap_or(false)
             }),
-            ConfounderSet::ForUpgradeCostExperiment,
+            set,
             outcome,
         )
     };
-    let mut rows = Vec::new();
-    let mut dropped_empty_bins = 0u64;
-    let mut dropped_no_experiment = 0u64;
-    let mut dropped_min_pairs = 0u64;
+    let mut table = MatchedTable::new(id, set, ledger);
     for (control_class, treatment_class) in [
         (CostClass::UpTo50c, CostClass::From50cTo1),
         (CostClass::From50cTo1, CostClass::Above1),
     ] {
-        let control = units_for(control_class);
-        let treatment = units_for(treatment_class);
-        if control.is_empty() || treatment.is_empty() {
-            dropped_empty_bins += 1;
-            continue;
-        }
-        let exp = NaturalExperiment::new(
+        table.arm(
             format!("upgrade cost {control_class} vs {treatment_class}"),
-            calipers.clone(),
+            &units_for(control_class),
+            &units_for(treatment_class),
+            control_class.label(),
+            treatment_class.label(),
         );
-        let (out, audit) = exp.run_audited(&control, &treatment);
-        let kept = matches!(&out, Some(o) if o.test.trials >= crate::sec3::MIN_PAIRS as u64);
-        exp.log_provenance(ledger, id, &names, &audit, out.as_ref(), kept);
-        let Some(out) = out else {
-            dropped_no_experiment += 1;
-            continue;
-        };
-        if !kept {
-            dropped_min_pairs += 1;
-            continue;
-        }
-        rows.push(ExperimentRow {
-            control: control_class.label().into(),
-            treatment: treatment_class.label().into(),
-            n_pairs: out.test.trials as usize,
-            percent_holds: out.percent_holds(),
-            p_value: out.p_value(),
-            significant: out.significant(),
-        });
     }
-    ledger
-        .emit("exhibit")
-        .str("id", id)
-        .u64("rows", rows.len() as u64)
-        .u64("dropped_empty_bins", dropped_empty_bins)
-        .u64("dropped_no_experiment", dropped_no_experiment)
-        .u64("dropped_min_pairs", dropped_min_pairs)
-        .u64("min_pairs", crate::sec3::MIN_PAIRS as u64);
-    ExperimentTable {
-        id: id.into(),
-        title: format!("Higher upgrade cost vs average demand ({suffix})"),
-        control_label: "Control group".into(),
-        treatment_label: "Treatment group".into(),
-        rows,
-    }
+    table.finish(
+        format!("Higher upgrade cost vs average demand ({suffix})"),
+        "Control group",
+        "Treatment group",
+    )
 }
 
 #[cfg(test)]

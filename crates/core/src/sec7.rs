@@ -8,7 +8,9 @@
 //! * [`india_vs_us`] — the §7.1 matched comparison (India imposes lower
 //!   demand than capacity-matched US users ~62% of the time).
 
-use crate::confounders::{to_units, ConfounderSet, OutcomeSpec};
+use crate::confounders::{
+    kept_row, run_logged, to_units, ConfounderSet, MatchedTable, OutcomeSpec,
+};
 use crate::exhibit::{CdfFigure, CdfSeries, ExperimentRow, ExperimentTable};
 use bb_causal::experiment::Direction;
 use bb_causal::NaturalExperiment;
@@ -21,70 +23,35 @@ use bb_types::{Country, LatencyBin, LossBin};
 /// Control: the (512, 2048] ms group; treatments: each lower bin.
 pub fn table7(dataset: &Dataset, ledger: &mut EventLog) -> ExperimentTable {
     let set = ConfounderSet::ForLatencyExperiment;
-    let calipers = set.calipers();
-    let names = set.covariate_names();
     let units_for = |bin: LatencyBin| {
         to_units(
             dataset.dasu().filter(|r| LatencyBin::of(r.latency) == bin),
-            ConfounderSet::ForLatencyExperiment,
+            set,
             OutcomeSpec::PEAK_NO_BT,
         )
     };
-    let control = units_for(LatencyBin::From512To2048);
-    let mut rows = Vec::new();
-    let mut dropped_empty_bins = 0u64;
-    let mut dropped_no_experiment = 0u64;
-    let mut dropped_min_pairs = 0u64;
+    let control_bin = LatencyBin::From512To2048;
+    let control = units_for(control_bin);
+    let mut table = MatchedTable::new("table7", set, ledger);
     for treatment_bin in [
         LatencyBin::UpTo64,
         LatencyBin::From64To128,
         LatencyBin::From128To256,
         LatencyBin::From256To512,
     ] {
-        let treatment = units_for(treatment_bin);
-        if control.is_empty() || treatment.is_empty() {
-            dropped_empty_bins += 1;
-            continue;
-        }
-        let exp = NaturalExperiment::new(
-            format!("latency {} vs {}", LatencyBin::From512To2048, treatment_bin),
-            calipers.clone(),
+        table.arm(
+            format!("latency {control_bin} vs {treatment_bin}"),
+            &control,
+            &units_for(treatment_bin),
+            control_bin.label(),
+            treatment_bin.label(),
         );
-        let (outcome, audit) = exp.run_audited(&control, &treatment);
-        let kept = matches!(&outcome, Some(o) if o.test.trials >= crate::sec3::MIN_PAIRS as u64);
-        exp.log_provenance(ledger, "table7", &names, &audit, outcome.as_ref(), kept);
-        let Some(outcome) = outcome else {
-            dropped_no_experiment += 1;
-            continue;
-        };
-        if !kept {
-            dropped_min_pairs += 1;
-            continue;
-        }
-        rows.push(ExperimentRow {
-            control: LatencyBin::From512To2048.label().into(),
-            treatment: treatment_bin.label().into(),
-            n_pairs: outcome.test.trials as usize,
-            percent_holds: outcome.percent_holds(),
-            p_value: outcome.p_value(),
-            significant: outcome.significant(),
-        });
     }
-    ledger
-        .emit("exhibit")
-        .str("id", "table7")
-        .u64("rows", rows.len() as u64)
-        .u64("dropped_empty_bins", dropped_empty_bins)
-        .u64("dropped_no_experiment", dropped_no_experiment)
-        .u64("dropped_min_pairs", dropped_min_pairs)
-        .u64("min_pairs", crate::sec3::MIN_PAIRS as u64);
-    ExperimentTable {
-        id: "table7".into(),
-        title: "Lower latency vs 95th %ile usage (no BitTorrent)".into(),
-        control_label: "Control group (ms)".into(),
-        treatment_label: "Treatment group (ms)".into(),
-        rows,
-    }
+    table.finish(
+        "Lower latency vs 95th %ile usage (no BitTorrent)",
+        "Control group (ms)",
+        "Treatment group (ms)",
+    )
 }
 
 /// Figure 11: latency CDFs for India vs the rest of the population — web
@@ -94,13 +61,7 @@ pub fn figure11(dataset: &Dataset, ledger: &mut EventLog) -> CdfFigure {
     let mut series = Vec::new();
     let mut add = |label: &str, values: Vec<f64>| {
         if values.len() >= 3 {
-            let e = Ecdf::new(values);
-            series.push(CdfSeries {
-                label: label.into(),
-                n: e.len(),
-                median: e.median(),
-                points: e.plot_points_downsampled(150),
-            });
+            series.push(CdfSeries::from_ecdf(label, &Ecdf::new(values), 150));
         }
     };
     let web = |in_india: bool| -> Vec<f64> {
@@ -143,70 +104,33 @@ pub fn figure11(dataset: &Dataset, ledger: &mut EventLog) -> CdfFigure {
 /// low-loss bins — the four row pairs of the paper's Table 8.
 pub fn table8(dataset: &Dataset, ledger: &mut EventLog) -> ExperimentTable {
     let set = ConfounderSet::ForLossExperiment;
-    let calipers = set.calipers();
-    let names = set.covariate_names();
     let units_for = |bin: LossBin| {
         to_units(
             dataset.dasu().filter(|r| LossBin::of(r.loss) == bin),
-            ConfounderSet::ForLossExperiment,
+            set,
             OutcomeSpec::MEAN_NO_BT,
         )
     };
-    let mut rows = Vec::new();
-    let mut dropped_empty_bins = 0u64;
-    let mut dropped_no_experiment = 0u64;
-    let mut dropped_min_pairs = 0u64;
+    let mut table = MatchedTable::new("table8", set, ledger);
     for (control_bin, treatment_bin) in [
         (LossBin::From0_1To1, LossBin::UpTo0_01),
         (LossBin::From0_1To1, LossBin::From0_01To0_1),
         (LossBin::From1To15, LossBin::UpTo0_01),
         (LossBin::From1To15, LossBin::From0_01To0_1),
     ] {
-        let control = units_for(control_bin);
-        let treatment = units_for(treatment_bin);
-        if control.is_empty() || treatment.is_empty() {
-            dropped_empty_bins += 1;
-            continue;
-        }
-        let exp = NaturalExperiment::new(
-            format!("loss {} vs {}", control_bin, treatment_bin),
-            calipers.clone(),
+        table.arm(
+            format!("loss {control_bin} vs {treatment_bin}"),
+            &units_for(control_bin),
+            &units_for(treatment_bin),
+            control_bin.label(),
+            treatment_bin.label(),
         );
-        let (outcome, audit) = exp.run_audited(&control, &treatment);
-        let kept = matches!(&outcome, Some(o) if o.test.trials >= crate::sec3::MIN_PAIRS as u64);
-        exp.log_provenance(ledger, "table8", &names, &audit, outcome.as_ref(), kept);
-        let Some(outcome) = outcome else {
-            dropped_no_experiment += 1;
-            continue;
-        };
-        if !kept {
-            dropped_min_pairs += 1;
-            continue;
-        }
-        rows.push(ExperimentRow {
-            control: control_bin.label().into(),
-            treatment: treatment_bin.label().into(),
-            n_pairs: outcome.test.trials as usize,
-            percent_holds: outcome.percent_holds(),
-            p_value: outcome.p_value(),
-            significant: outcome.significant(),
-        });
     }
-    ledger
-        .emit("exhibit")
-        .str("id", "table8")
-        .u64("rows", rows.len() as u64)
-        .u64("dropped_empty_bins", dropped_empty_bins)
-        .u64("dropped_no_experiment", dropped_no_experiment)
-        .u64("dropped_min_pairs", dropped_min_pairs)
-        .u64("min_pairs", crate::sec3::MIN_PAIRS as u64);
-    ExperimentTable {
-        id: "table8".into(),
-        title: "Lower packet loss vs average usage (no BitTorrent)".into(),
-        control_label: "Control group".into(),
-        treatment_label: "Treatment group".into(),
-        rows,
-    }
+    table.finish(
+        "Lower packet loss vs average usage (no BitTorrent)",
+        "Control group",
+        "Treatment group",
+    )
 }
 
 /// Figure 12: packet-loss CDFs, India vs the rest of the population.
@@ -223,13 +147,7 @@ pub fn figure12(dataset: &Dataset, ledger: &mut EventLog) -> CdfFigure {
         if v.is_empty() {
             return None;
         }
-        let e = Ecdf::new(v);
-        Some(CdfSeries {
-            label: label.into(),
-            n: e.len(),
-            median: e.median(),
-            points: e.plot_points_downsampled(150),
-        })
+        Some(CdfSeries::from_ecdf(label, &Ecdf::new(v), 150))
     };
     let series: Vec<CdfSeries> = [build("India", true), build("Rest of population", false)]
         .into_iter()
@@ -255,45 +173,29 @@ pub fn figure12(dataset: &Dataset, ledger: &mut EventLog) -> CdfFigure {
 /// time with p < 0.001, despite India's higher access price which would
 /// predict the opposite).
 pub fn india_vs_us(dataset: &Dataset, ledger: &mut EventLog) -> Option<ExperimentRow> {
-    let us = Country::new("US");
-    let india = Country::new("IN");
-    let control = to_units(
-        dataset.dasu().filter(|r| r.country == us),
-        ConfounderSet::ForCountryComparison,
-        OutcomeSpec::PEAK_NO_BT,
-    );
-    let treatment = to_units(
-        dataset.dasu().filter(|r| r.country == india),
-        ConfounderSet::ForCountryComparison,
-        OutcomeSpec::PEAK_NO_BT,
-    );
+    let set = ConfounderSet::ForCountryComparison;
+    let units_in = |country: &str| {
+        let country = Country::new(country);
+        to_units(
+            dataset.dasu().filter(|r| r.country == country),
+            set,
+            OutcomeSpec::PEAK_NO_BT,
+        )
+    };
     let exp = NaturalExperiment::new(
         "India users impose lower demand than capacity-matched US users",
-        ConfounderSet::ForCountryComparison.calipers(),
+        set.calipers(),
     )
     .with_direction(Direction::TreatmentLower);
-    let (outcome, audit) = exp.run_audited(&control, &treatment);
-    let kept = matches!(&outcome, Some(o) if o.test.trials >= crate::sec3::MIN_PAIRS as u64);
-    exp.log_provenance(
-        ledger,
+    let outcome = run_logged(
+        &exp,
         "india_vs_us",
-        &ConfounderSet::ForCountryComparison.covariate_names(),
-        &audit,
-        outcome.as_ref(),
-        kept,
+        set,
+        &units_in("US"),
+        &units_in("IN"),
+        ledger,
     );
-    let outcome = outcome?;
-    if !kept {
-        return None;
-    }
-    Some(ExperimentRow {
-        control: "US (matched capacity)".into(),
-        treatment: "India".into(),
-        n_pairs: outcome.test.trials as usize,
-        percent_holds: outcome.percent_holds(),
-        p_value: outcome.p_value(),
-        significant: outcome.significant(),
-    })
+    kept_row(outcome.as_ref(), "US (matched capacity)", "India")
 }
 
 #[cfg(test)]

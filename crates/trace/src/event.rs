@@ -29,7 +29,7 @@ pub enum Value {
     F64(f64),
     /// Free-form label (exhibit ids, covariate names, directions).
     Str(String),
-    /// Flag (e.g. "did this row survive the MIN_PAIRS filter").
+    /// Flag (e.g. "did this row survive the minimum-trials rule").
     Bool(bool),
     /// Log₂ histogram, serialised as `{"nonpositive": n, "buckets": [[k, c], ...]}`.
     Hist(Log2Histogram),
