@@ -297,7 +297,7 @@ fn main() {
 /// artifact set [`publish::paper`] makes of it and print its
 /// `experiments.md`.
 fn run_materialised(args: &Args) {
-    let plan = args.plan();
+    let plan = args.plan;
     let spec = args.spec;
     progress!(
         args,
@@ -362,7 +362,7 @@ fn run_materialised(args: &Args) {
 /// `reproduce coordinator` folds the same run across worker processes;
 /// both end in [`publish::stream`].
 fn run_streaming(args: &Args) {
-    let plan = args.plan();
+    let plan = args.plan;
     let world = args.spec.world();
     let population = world.population();
     progress!(
@@ -412,8 +412,7 @@ struct Args {
     spec: RunSpec,
     outputs: Outputs,
     sweeps: Sweeps,
-    threads: usize,
-    shards: Option<usize>,
+    plan: ShardPlan,
     chrome_trace: Option<PathBuf>,
     checkpoint: Option<PathBuf>,
     resume: bool,
@@ -463,7 +462,7 @@ impl ServeCli {
                 other => return Err(format!("unknown serve flag {other:?}")),
             }
         }
-        config.plan = shard_plan(shards, threads);
+        config.plan = shard_plan(shards, threads)?;
         // Jobs vary only the seed, chaos and a JSON-capped user count, so
         // a window and FCC cohort the default job can lay out fit them all.
         RunSpec {
@@ -531,7 +530,12 @@ impl CoordinatorCli {
         if args.resume && args.checkpoint.is_none() {
             return Err("--resume requires --checkpoint DIR".into());
         }
-        args.shards = shards.unwrap_or(workers * 4);
+        args.shards = match shards {
+            Some(shards) => shards,
+            None => workers.checked_mul(4).ok_or_else(|| {
+                format!("--workers {workers}: the default of 4 shards per worker overflows; pass --shards")
+            })?,
+        };
         outputs.quiet = args.quiet;
         Ok(Some((spec, args, outputs)))
     }
@@ -799,11 +803,16 @@ fn non_empty(flag: &str, it: &mut impl Iterator<Item = String>) -> Result<String
     Ok(value)
 }
 
-/// The shard plan `--shards`/`--threads` imply.
-fn shard_plan(shards: Option<usize>, threads: usize) -> ShardPlan {
+/// The shard plan `--shards`/`--threads` imply. Output never depends on
+/// it.
+fn shard_plan(shards: Option<usize>, threads: usize) -> Result<ShardPlan, String> {
     match shards {
-        Some(shards) => ShardPlan::new(shards, threads),
-        None => ShardPlan::for_threads(threads),
+        Some(shards) => Ok(ShardPlan::new(shards, threads)),
+        None => ShardPlan::for_threads(threads).ok_or_else(|| {
+            format!(
+                "--threads {threads}: the default of 4 shards per thread overflows; pass --shards"
+            )
+        }),
     }
 }
 
@@ -881,13 +890,13 @@ impl Args {
                 quiet: false,
             },
             sweeps: Sweeps::default(),
-            threads: 1,
-            shards: None,
+            plan: ShardPlan::serial(),
             chrome_trace: None,
             checkpoint: None,
             resume: false,
             fail_after_shard: None,
         };
+        let (mut threads, mut shards) = (1, None);
         while let Some(flag) = it.next() {
             if identity.take(&flag, &mut it)? {
                 continue;
@@ -898,8 +907,8 @@ impl Args {
                     args.sweeps.seeds = num(&flag, &take(&mut it, &flag)?, "a seed count")?;
                 }
                 "--chaos-sweep" => args.sweeps.chaos = true,
-                "--threads" => args.threads = positive(&flag, &mut it, "an integer")?,
-                "--shards" => args.shards = Some(positive(&flag, &mut it, "an integer")?),
+                "--threads" => threads = positive(&flag, &mut it, "an integer")?,
+                "--shards" => shards = Some(positive(&flag, &mut it, "an integer")?),
                 "--metrics" => args.outputs.metrics = Some(PathBuf::from(take(&mut it, &flag)?)),
                 "--ledger" => args.outputs.ledger = Some(PathBuf::from(take(&mut it, &flag)?)),
                 "--chrome-trace" => {
@@ -916,6 +925,7 @@ impl Args {
             }
         }
         args.spec = identity.finish()?;
+        args.plan = shard_plan(shards, threads)?;
         if args.spec.users.is_some() && (args.sweeps.chaos || args.sweeps.seeds > 0) {
             let flag = if args.sweeps.chaos {
                 "--chaos-sweep"
@@ -934,11 +944,6 @@ impl Args {
         }
         Ok(Some(args))
     }
-
-    /// The shard plan the flags imply. Output never depends on it.
-    fn plan(&self) -> ShardPlan {
-        shard_plan(self.shards, self.threads)
-    }
 }
 
 /// Run `body` over every shard of `0..n_items` under the batch plan and
@@ -951,7 +956,7 @@ where
     A: Mergeable + Snapshot + Send,
     F: Fn(usize, Range<u64>) -> A + Sync,
 {
-    let plan = args.plan();
+    let plan = args.plan;
     let Some(dir) = &args.checkpoint else {
         let (acc, stats) = run_sharded(n_items, plan, body);
         return (acc, stats, None);

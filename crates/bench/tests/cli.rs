@@ -14,6 +14,9 @@ fn reproduce(args: &[&str], dir: &Path) -> Output {
         .expect("spawn reproduce")
 }
 
+/// 2^62: four shards per thread (or worker) overflow a 64-bit `usize`.
+const OVERFLOWING: &str = "4611686018427387904";
+
 fn tmpdir(name: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     std::fs::create_dir_all(&dir).expect("create test dir");
@@ -54,6 +57,19 @@ fn bad_arguments_exit_2_with_usage_not_a_panic() {
         &["--scale", "2", "--users", "100"],                // ... in either order
         &["--users", "100", "--sweep", "2"],                // seed sweep needs full battery
         &["coordinator", "--scale", "2"],                   // the coordinator always streams
+        // The default shard count overflows: refused while parsing, before
+        // any thread, socket or world exists.
+        &[
+            "--threads",
+            OVERFLOWING,
+            "--scale",
+            "0.1",
+            "--days",
+            "1",
+            "--fcc",
+            "1",
+        ],
+        &["coordinator", "--workers", OVERFLOWING, "--users", "50"],
     ];
     for args in cases {
         let out = reproduce(args, &dir);
@@ -98,6 +114,8 @@ fn serve_bad_arguments_exit_2_with_usage_not_a_panic() {
         &["serve", "--access-log", ""], // empty log path
         &["serve", "--frobnicate"],     // unknown serve flag
         &["serve", "--out", "x"],       // batch-only flag after serve
+        // The default shard count overflows.
+        &["serve", "--threads", OVERFLOWING],
     ];
     for args in cases {
         let out = reproduce(args, &dir);

@@ -8,7 +8,7 @@ use bb_engine::{run_sharded, stream_rng, CheckpointParams, Mergeable, RunStats, 
 use bb_market::{MarketSurvey, Plan, PlanCatalog};
 use bb_netsim::chaos::{ChaosPlan, ChaosSpec, RawPoll};
 use bb_netsim::collect::{
-    CollectScratch, CounterPolling, CounterSource, SeriesSummary, UsageSeries, Vantage,
+    CollectScratch, CounterPolling, CounterSource, SeriesSummary, UsageSeries,
 };
 use bb_netsim::link::AccessLink;
 use bb_netsim::probe::{web_latency, NdtProbe};
@@ -1036,11 +1036,7 @@ impl World {
                 UsageSeries::poll_counters(&scratch.truth, &polling, rng, &mut scratch.collect);
                 Polled::Counters(source)
             }
-            VantageKind::Fcc => Polled::Hourly(UsageSeries::collect(
-                &scratch.truth,
-                Vantage::FccGateway,
-                rng,
-            )),
+            VantageKind::Fcc => Polled::Hourly(UsageSeries::hourly(&scratch.truth)),
         }
     }
 

@@ -43,13 +43,16 @@ impl ShardPlan {
     }
 
     /// A plan for `threads` workers with a 4× shard oversubscription so the
-    /// atomic cursor can balance uneven shard costs.
-    pub fn for_threads(threads: usize) -> Self {
+    /// atomic cursor can balance uneven shard costs; `None` when that shard
+    /// count overflows `usize`.
+    pub fn for_threads(threads: usize) -> Option<Self> {
         let threads = threads.max(1);
-        ShardPlan {
-            shards: if threads == 1 { 1 } else { threads * 4 },
-            threads,
-        }
+        let shards = if threads == 1 {
+            1
+        } else {
+            threads.checked_mul(4)?
+        };
+        Some(ShardPlan { shards, threads })
     }
 
     /// The contiguous index ranges this plan cuts `0..n_items` into.
@@ -266,7 +269,7 @@ mod tests {
             (0u64, ShardPlan::new(4, 2)),
             (1, ShardPlan::new(8, 4)),
             (7, ShardPlan::new(3, 2)),
-            (100, ShardPlan::for_threads(4)),
+            (100, ShardPlan::for_threads(4).unwrap()),
         ] {
             let ranges = plan.ranges(n);
             let mut covered = 0;
@@ -285,7 +288,7 @@ mod tests {
             ShardPlan::new(8, 1),
             ShardPlan::new(8, 4),
             ShardPlan::new(64, 3),
-            ShardPlan::for_threads(4),
+            ShardPlan::for_threads(4).unwrap(),
         ] {
             let got = run_sharded(1000, plan, |_, r| simulate(r)).0;
             assert_eq!(got, reference, "{plan:?}");

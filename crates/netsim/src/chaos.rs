@@ -1,14 +1,13 @@
 //! bb-chaos: deterministic, composable degradation scenarios.
 //!
-//! [`crate::fault::FaultPlan`] models *steady* impairments (added latency,
-//! added loss, i.i.d. sample drops, shaping). Real collection pipelines
-//! die in messier ways: clients crash and leave correlated multi-sample
-//! gaps, gateway reboots zero cumulative counters, clock glitches skew
-//! poll timestamps, transport hiccups duplicate or reorder polls, and
-//! active probes fail outright. [`ChaosPlan`] models that family as a
-//! transform over the raw poll sequence (plus an NDT failure rate), and
-//! [`ChaosScenario`] names severity-parameterised presets for campaign
-//! sweeps.
+//! [`crate::AccessLink::degraded`] models *steady* impairments (added
+//! latency and loss). Real collection pipelines die in messier ways:
+//! clients crash and leave correlated multi-sample gaps, gateway reboots
+//! zero cumulative counters, clock glitches skew poll timestamps,
+//! transport hiccups duplicate or reorder polls, and active probes fail
+//! outright. [`ChaosPlan`] models that family as a transform over the raw
+//! poll sequence (plus an NDT failure rate), and [`ChaosScenario`] names
+//! severity-parameterised presets for campaign sweeps.
 //!
 //! Determinism contract: every knob at zero draws **nothing** from the
 //! RNG and records **nothing** in the registry, so a `ChaosPlan::NONE`
@@ -74,8 +73,9 @@ impl ChaosPlan {
         *self == ChaosPlan::NONE
     }
 
-    /// Validate every knob, panicking loudly on a malformed plan — the
-    /// same front-door policy as `FaultPlan::with_sample_drop`.
+    /// Validate every knob, panicking loudly on a malformed plan, so a
+    /// mis-computed probability fails at construction instead of silently
+    /// eating a series.
     ///
     /// # Panics
     /// Panics when any probability is non-finite or outside `[0, 1]`, or

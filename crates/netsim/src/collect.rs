@@ -1,18 +1,23 @@
 //! Collection pipelines: what each vantage point observes.
 //!
-//! Ground truth (bytes per 30-second slot) is filtered through a vantage
-//! point to produce the [`UsageSeries`] the analysis pipeline consumes:
+//! Ground truth (bytes per 30-second slot) is filtered through one of the
+//! paper's two vantage points (§2.1) to produce the [`UsageSeries`] the
+//! analysis pipeline consumes:
 //!
-//! * **Dasu end host** — observes only the slots when the client is
-//!   running. Dasu rides a BitTorrent extension, so uptime is "partially
+//! * **Dasu end host** ([`UsageSeries::poll_counters`], then
+//!   [`UsageSeries::reconstruct_polls`]) — polls UPnP or `netstat` byte
+//!   counters only while the client is running and rebuilds per-interval
+//!   deltas. Dasu rides a BitTorrent extension, so uptime is "partially
 //!   biased towards peak usage hours" (§3.1) — this is exactly why Dasu's
 //!   *mean* demand reads higher than the FCC's while the *peaks* agree in
 //!   Fig. 3. Polling jitter occasionally merges adjacent intervals.
-//! * **FCC gateway** — always on, but reports hourly totals.
+//! * **FCC gateway** ([`UsageSeries::hourly`]) — always on, but reports
+//!   hourly totals.
 //!
-//! The demand metrics (§3.1) are computed here: mean rate over observed
-//! time, and "peak" = the 95th-percentile of the 30-second (or hourly)
-//! rate series, with or without BitTorrent-active intervals.
+//! The demand metrics (§3.1) are computed here by
+//! [`UsageSeries::summarise`]: mean rate over observed time, and "peak" =
+//! the 95th-percentile of the 30-second (or hourly) rate series, with or
+//! without BitTorrent-active intervals.
 
 use crate::chaos::{ChaosPlan, RawPoll};
 use crate::counters::{
@@ -27,8 +32,8 @@ use rand::Rng;
 
 /// Reusable buffers for the batched collection hot path. One instance per
 /// shard (or per thread) amortises every per-user allocation the scalar
-/// path used to make: the bulk acceptance-draw buffer, the raw poll
-/// sequence, and the demand-summary rate scratch.
+/// path used to make: the bulk acceptance-draw buffer and the raw poll
+/// sequence.
 #[derive(Clone, Debug, Default)]
 pub struct CollectScratch {
     /// Per-slot standard-uniform acceptance draws, filled block-at-a-time
@@ -37,8 +42,6 @@ pub struct CollectScratch {
     pub draws: Vec<f64>,
     /// Raw poll buffer `(slot, down, up, cross)` reused across users.
     pub polls: Vec<RawPoll>,
-    /// Rate buffer for [`UsageSeries::demand_with`].
-    pub rates: Vec<f64>,
 }
 
 impl CollectScratch {
@@ -48,8 +51,8 @@ impl CollectScratch {
     }
 }
 
-/// How a Dasu client polls its byte counters: the fixed parameters of one
-/// [`UsageSeries::collect_via_counters`] call.
+/// How a Dasu client polls its byte counters: the fixed parameters shared
+/// by [`UsageSeries::poll_counters`] and [`UsageSeries::reconstruct_polls`].
 #[derive(Clone, Copy, Debug)]
 pub struct CounterPolling<'a> {
     /// Mean fraction of time the client is online and polling, in (0, 1].
@@ -61,28 +64,6 @@ pub struct CounterPolling<'a> {
     /// Degradation of the raw poll sequence; [`ChaosPlan::NONE`] for
     /// clean collection.
     pub chaos: &'a ChaosPlan,
-}
-
-/// Where the measurement software sits.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Vantage {
-    /// Dasu-style end-host client with diurnally-biased uptime.
-    ///
-    /// `uptime` is the overall fraction of slots observed (0, 1]; the
-    /// per-hour observation probability is additionally scaled by the
-    /// diurnal profile, producing the peak-hours sampling bias.
-    DasuEndHost {
-        /// Mean fraction of time the client is online and sampling.
-        uptime: f64,
-    },
-    /// FCC/SamKnows gateway: continuous observation, hourly bins.
-    FccGateway,
-}
-
-impl Vantage {
-    /// A typical Dasu client: online about half the time, evenings more
-    /// often than nights.
-    pub const DASU_TYPICAL: Vantage = Vantage::DasuEndHost { uptime: 0.5 };
 }
 
 /// Where a Dasu client reads its byte counts from (§2.1: "users that
@@ -115,9 +96,12 @@ impl BinWidth {
     }
 }
 
-/// Whether BitTorrent-active intervals are included when summarising.
+/// Whether BitTorrent-active intervals are included when summarising:
+/// the switch of the separate summary calls [`UsageSeries::summarise`] is
+/// pinned against.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BtFilter {
+enum BtFilter {
     /// Use every observed interval.
     Include,
     /// Drop intervals with BitTorrent activity ("when not actively
@@ -138,14 +122,16 @@ pub struct BinObs {
 }
 
 /// The three per-series numbers an observation keeps, from
-/// [`UsageSeries::summarise`].
+/// [`UsageSeries::summarise`]. Each is `None` when no bin counts towards
+/// it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SeriesSummary {
-    /// [`UsageSeries::demand_with`] under [`BtFilter::Include`].
+    /// Downlink demand (mean and p95 rate) over every observed bin.
     pub demand_with_bt: Option<DemandSummary>,
-    /// [`UsageSeries::demand_with`] under [`BtFilter::Exclude`].
+    /// Downlink demand over the bins without BitTorrent activity ("when
+    /// not actively downloading/uploading content on BitTorrent").
     pub demand_no_bt: Option<DemandSummary>,
-    /// [`UsageSeries::upload_mean`] under [`BtFilter::Include`].
+    /// Mean uplink rate over every observed bin.
     pub upload_mean: Option<Bandwidth>,
 }
 
@@ -159,77 +145,35 @@ pub struct UsageSeries {
 }
 
 impl UsageSeries {
-    /// Observe ground truth from a vantage point.
-    pub fn collect<R: Rng + ?Sized>(truth: &GroundTruth, vantage: Vantage, rng: &mut R) -> Self {
-        match vantage {
-            Vantage::DasuEndHost { uptime } => {
-                assert!(uptime > 0.0 && uptime <= 1.0, "uptime in (0,1]");
-                // Normalise the diurnal profile so the mean acceptance is
-                // `uptime` (the profile has mean 1 by construction).
-                let mut bins = Vec::new();
-                for (i, &bytes) in truth.slot_bytes.iter().enumerate() {
-                    let hour = ((i % 2880) / SLOTS_PER_HOUR) as u8;
-                    let p = (uptime * diurnal_multiplier(hour)).min(1.0);
-                    if rng.gen::<f64>() < p {
-                        bins.push(BinObs {
-                            down_bytes: bytes,
-                            up_bytes: truth.up_slot_bytes[i],
-                            bt: truth.bt_active[i],
-                        });
-                    }
-                }
-                UsageSeries {
-                    width: BinWidth::Slot,
-                    bins,
-                }
-            }
-            Vantage::FccGateway => {
-                let mut bins = Vec::new();
-                let n_hours = truth.slot_bytes.len() / SLOTS_PER_HOUR;
-                for h in 0..n_hours {
-                    let lo = h * SLOTS_PER_HOUR;
-                    let hi = lo + SLOTS_PER_HOUR;
-                    bins.push(BinObs {
-                        down_bytes: truth.slot_bytes[lo..hi].iter().sum(),
-                        up_bytes: truth.up_slot_bytes[lo..hi].iter().sum(),
-                        bt: truth.bt_active[lo..hi].iter().any(|b| *b),
-                    });
-                }
-                UsageSeries {
-                    width: BinWidth::Hour,
-                    bins,
-                }
-            }
+    /// Observe ground truth the way an FCC/SamKnows gateway does: always
+    /// on, reporting hourly WAN byte counts. Each hour's bin carries the
+    /// sum of its slots in both directions and is BitTorrent-flagged when
+    /// any of its slots ran BitTorrent. A trailing partial hour is not
+    /// reported.
+    pub fn hourly(truth: &GroundTruth) -> Self {
+        let mut bins = Vec::new();
+        let n_hours = truth.slot_bytes.len() / SLOTS_PER_HOUR;
+        for h in 0..n_hours {
+            let lo = h * SLOTS_PER_HOUR;
+            let hi = lo + SLOTS_PER_HOUR;
+            bins.push(BinObs {
+                down_bytes: truth.slot_bytes[lo..hi].iter().sum(),
+                up_bytes: truth.up_slot_bytes[lo..hi].iter().sum(),
+                bt: truth.bt_active[lo..hi].iter().any(|b| *b),
+            });
+        }
+        UsageSeries {
+            width: BinWidth::Hour,
+            bins,
         }
     }
 
-    /// Observe ground truth the way a real Dasu client does: poll a
-    /// cumulative byte counter whenever the client is online and
-    /// reconstruct per-interval deltas, UPnP 32-bit wraparound included.
-    /// Deltas spanning more than `MAX_GAP_SLOTS` offline slots are
-    /// discarded as stale.
-    ///
-    /// `polling.chaos` degrades the raw polls before reconstruction,
-    /// drawing only from `chaos_rng`; [`ChaosPlan::NONE`] draws nothing,
-    /// so severity 0 is bit-identical to clean collection. Out-of-order
-    /// and duplicate polls are counted and skipped, never a panic or a NaN
-    /// bin. Every recovery heuristic is counted into `reg`
-    /// (`netsim.collect.*`, `netsim.upnp.*`): data events, tallied in
-    /// locals and flushed once per call, so per-user registries merge
-    /// plan-invariantly.
-    ///
-    /// `scratch` carries the buffers across users. The result is
-    /// bit-identical to the pre-batching scalar implementation (kept as a
-    /// test oracle): the acceptance draws consume the same word stream a
-    /// ChaCha block at a time, and UPnP deltas decode pair by pair with
-    /// the allocation-free [`upnp_delta_stats`].
-    ///
-    /// This is the composition of its two halves, split where chaos
-    /// starts: [`UsageSeries::poll_counters`] draws only from `rng`, and
-    /// [`UsageSeries::reconstruct_polls`] draws only from `chaos_rng`. A
-    /// caller observing one user under several chaos plans polls once
-    /// and reconstructs once per plan.
-    pub fn collect_via_counters<R: Rng + ?Sized, C: Rng + ?Sized>(
+    /// Dasu collection in one call: [`UsageSeries::poll_counters`], then
+    /// [`UsageSeries::reconstruct_polls`] on the polls it left in
+    /// `scratch`, drawing the chaos uniforms into `scratch.draws`. The
+    /// reference the split halves are pinned against.
+    #[cfg(test)]
+    fn collect_via_counters<R: Rng + ?Sized, C: Rng + ?Sized>(
         truth: &GroundTruth,
         polling: &CounterPolling<'_>,
         rng: &mut R,
@@ -248,12 +192,22 @@ impl UsageSeries {
         )
     }
 
-    /// The poll half of [`UsageSeries::collect_via_counters`]: draw the
-    /// per-slot acceptance uniforms from `rng` and drive the counters of
+    /// The poll half of Dasu collection (§2.1): a real client polls a
+    /// cumulative byte counter whenever it is online, which it is with a
+    /// per-hour probability of `polling.uptime` scaled by the diurnal
+    /// profile, so evenings are over-sampled. This draws the per-slot
+    /// acceptance uniforms from `rng` and drives the counters of
     /// `polling.source`, leaving the raw poll sequence in
     /// `scratch.polls`. Reads only `polling.uptime` and `polling.source`;
     /// the chaos plan plays no part, so the words drawn from `rng` do not
-    /// depend on it.
+    /// depend on it, and a caller observing one user under several chaos
+    /// plans polls once and calls [`UsageSeries::reconstruct_polls`] once
+    /// per plan.
+    ///
+    /// `scratch` carries the buffers across users. The result is
+    /// bit-identical to the pre-batching scalar implementation (kept as a
+    /// test oracle): the acceptance draws consume the same word stream a
+    /// ChaCha block at a time.
     pub fn poll_counters<R: Rng + ?Sized>(
         truth: &GroundTruth,
         polling: &CounterPolling<'_>,
@@ -349,12 +303,21 @@ impl UsageSeries {
         polls.truncate(len);
     }
 
-    /// The degrade-and-reconstruct half of
-    /// [`UsageSeries::collect_via_counters`]: apply `polling.chaos` to
-    /// `polls` (drawing only from `chaos_rng`), then rebuild the
-    /// per-interval series from the degraded sequence, counting every
-    /// heuristic into `reg`. Reads `polling.source`,
-    /// `polling.link_capacity` and `polling.chaos`.
+    /// The degrade-and-reconstruct half of Dasu collection: apply
+    /// `polling.chaos` to `polls` (drawing only from `chaos_rng`), then
+    /// rebuild the per-interval series from the degraded sequence,
+    /// UPnP 32-bit wraparound included. Deltas spanning more than
+    /// `MAX_GAP_SLOTS` offline slots are discarded as stale. Reads
+    /// `polling.source`, `polling.link_capacity` and `polling.chaos`.
+    ///
+    /// [`ChaosPlan::NONE`] draws nothing from `chaos_rng`, so severity 0
+    /// is bit-identical to clean collection. Out-of-order and duplicate
+    /// polls are counted and skipped, never a panic or a NaN bin. Every
+    /// recovery heuristic is counted into `reg` (`netsim.collect.*`,
+    /// `netsim.upnp.*`): data events, tallied in locals and flushed once
+    /// per call, so per-user registries merge plan-invariantly. UPnP
+    /// deltas decode pair by pair with the allocation-free
+    /// [`upnp_delta_stats`].
     ///
     /// `polls` is left holding the degraded sequence, so its buffer is
     /// reused, and `uniforms` is the chaos passes' reusable draw buffer
@@ -597,7 +560,8 @@ impl UsageSeries {
     }
 
     /// Per-bin downlink rates (bps) after applying the BitTorrent filter.
-    pub fn rates(&self, filter: BtFilter) -> Vec<f64> {
+    #[cfg(test)]
+    fn rates(&self, filter: BtFilter) -> Vec<f64> {
         let secs = self.width.secs();
         self.bins
             .iter()
@@ -611,7 +575,8 @@ impl UsageSeries {
     /// Computed streaming — a running sum in filter order is exactly the
     /// `Vec`-collect-then-sum of the seed implementation, minus the
     /// allocation.
-    pub fn upload_mean(&self, filter: BtFilter) -> Option<Bandwidth> {
+    #[cfg(test)]
+    fn upload_mean(&self, filter: BtFilter) -> Option<Bandwidth> {
         let secs = self.width.secs();
         let mut sum = 0.0f64;
         let mut n = 0usize;
@@ -628,8 +593,11 @@ impl UsageSeries {
     }
 
     /// Both demand summaries and the BitTorrent-included upload mean in one
-    /// pass over the bins: the same three values as `demand_with` under
-    /// each filter and `upload_mean(BtFilter::Include)`, to the bit.
+    /// pass over the bins. Each demand summary is the mean rate over the
+    /// bins it counts and "peak" = the 95th-percentile rate (§3.1), or
+    /// `None` when no bin counts. The values equal, to the bit, those of
+    /// the separate per-filter calls kept as test references
+    /// (`demand_with`, `upload_mean`).
     ///
     /// The pass fills `with_bt` with every bin's downlink rate and `no_bt`
     /// with the unflagged bins' rates, in bin order, and keeps three
@@ -677,7 +645,8 @@ impl UsageSeries {
 
     /// The paper's demand summary: mean rate and 95th-percentile rate over
     /// observed bins. Returns `None` when no bins survive the filter.
-    pub fn demand(&self, filter: BtFilter) -> Option<DemandSummary> {
+    #[cfg(test)]
+    fn demand(&self, filter: BtFilter) -> Option<DemandSummary> {
         self.demand_with(filter, &mut Vec::new())
     }
 
@@ -686,7 +655,8 @@ impl UsageSeries {
     /// instead of cloning and fully sorting the rates; the result is
     /// bit-identical (type-7 interpolation over the same order
     /// statistics — see `quantile_unstable`).
-    pub fn demand_with(&self, filter: BtFilter, rates: &mut Vec<f64>) -> Option<DemandSummary> {
+    #[cfg(test)]
+    fn demand_with(&self, filter: BtFilter, rates: &mut Vec<f64>) -> Option<DemandSummary> {
         let secs = self.width.secs();
         rates.clear();
         rates.extend(
@@ -771,25 +741,90 @@ mod tests {
         )
     }
 
+    /// A typical Dasu client, online about half the time (evenings more
+    /// often than nights), polling its counters.
+    fn dasu(t: &GroundTruth, rng: &mut ChaCha8Rng) -> UsageSeries {
+        poll_counters(
+            t,
+            &clean(0.5, CounterSource::Upnp, Bandwidth::from_mbps(10.0)),
+            rng,
+        )
+    }
+
+    /// The summary an observation keeps, with throwaway buffers.
+    fn summary(s: &UsageSeries) -> SeriesSummary {
+        s.summarise(&mut Vec::new(), &mut Vec::new())
+    }
+
+    /// The counter-free Dasu observer: each slot's ground truth, kept with
+    /// the client's diurnally-biased acceptance probability. The reference
+    /// the counter path's demand is compared against.
+    fn observe_directly(t: &GroundTruth, uptime: f64, rng: &mut ChaCha8Rng) -> UsageSeries {
+        let mut bins = Vec::new();
+        for (i, &bytes) in t.slot_bytes.iter().enumerate() {
+            let hour = ((i % 2880) / SLOTS_PER_HOUR) as u8;
+            let p = (uptime * diurnal_multiplier(hour)).min(1.0);
+            if rng.gen::<f64>() < p {
+                bins.push(BinObs {
+                    down_bytes: bytes,
+                    up_bytes: t.up_slot_bytes[i],
+                    bt: t.bt_active[i],
+                });
+            }
+        }
+        UsageSeries {
+            width: BinWidth::Slot,
+            bins,
+        }
+    }
+
     #[test]
     fn gateway_sees_every_hour() {
-        let t = truth(1, false);
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let s = UsageSeries::collect(&t, Vantage::FccGateway, &mut rng);
-        assert_eq!(s.len(), 7 * 24);
-        assert_eq!(s.width, BinWidth::Hour);
-        // Conservation: hourly bytes equal slot bytes.
-        let total: f64 = s.bins.iter().map(|b| b.down_bytes).sum();
-        assert!((total - t.total_bytes()).abs() < 1e-9 * t.total_bytes().max(1.0));
+        // The FCC contract: every hour is reported, bytes are conserved in
+        // both directions, and an hour is flagged when *any* of its slots
+        // ran BitTorrent, unlike the majority rule of Dasu's intervals.
+        for bt in [false, true] {
+            let t = truth(1, bt);
+            let s = UsageSeries::hourly(&t);
+            assert_eq!(s.len(), 7 * 24);
+            assert_eq!(s.width, BinWidth::Hour);
+            let conserved = |got: f64, want: f64| (got - want).abs() < 1e-9 * want.max(1.0);
+            let down: f64 = s.bins.iter().map(|b| b.down_bytes).sum();
+            let up: f64 = s.bins.iter().map(|b| b.up_bytes).sum();
+            assert!(conserved(down, t.total_bytes()), "bt {bt}: down {down}");
+            assert!(conserved(up, t.total_up_bytes()), "bt {bt}: up {up}");
+            let mut minority_hours = 0;
+            for (h, bin) in s.bins.iter().enumerate() {
+                let slots = &t.bt_active[h * SLOTS_PER_HOUR..(h + 1) * SLOTS_PER_HOUR];
+                let active = slots.iter().filter(|a| **a).count();
+                assert_eq!(bin.bt, active > 0, "bt {bt}: hour {h}");
+                if active > 0 && 2 * active <= SLOTS_PER_HOUR {
+                    minority_hours += 1;
+                }
+            }
+            // Only the BitTorrent truth has flagged hours, and some of them
+            // a majority rule would have left unflagged.
+            assert_eq!(minority_hours > 0, bt, "{minority_hours} minority hours");
+        }
     }
 
     #[test]
     fn dasu_observes_a_biased_subset() {
         let t = truth(3, false);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let s = UsageSeries::collect(&t, Vantage::DASU_TYPICAL, &mut rng);
-        let frac = s.len() as f64 / t.slot_bytes.len() as f64;
-        assert!((frac - 0.5).abs() < 0.05, "observed fraction {frac}");
+        let polling = clean(0.5, CounterSource::Upnp, Bandwidth::from_mbps(10.0));
+        let mut scratch = CollectScratch::new();
+        UsageSeries::poll_counters(&t, &polling, &mut rng, &mut scratch);
+        let frac = scratch.polls.len() as f64 / t.slot_bytes.len() as f64;
+        assert!((frac - 0.5).abs() < 0.05, "polled fraction {frac}");
+        let s = UsageSeries::reconstruct_polls(
+            &t,
+            &polling,
+            &mut scratch.polls,
+            &mut scratch.draws,
+            &mut ChaCha8Rng::seed_from_u64(0),
+            &mut Registry::new(),
+        );
         assert_eq!(s.width, BinWidth::Slot);
     }
 
@@ -798,12 +833,8 @@ mod tests {
         // The Fig. 3 effect: peak-hours sampling bias inflates the mean.
         let t = truth(5, false);
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let dasu = UsageSeries::collect(&t, Vantage::DASU_TYPICAL, &mut rng)
-            .demand(BtFilter::Include)
-            .unwrap();
-        let fcc = UsageSeries::collect(&t, Vantage::FccGateway, &mut rng)
-            .demand(BtFilter::Include)
-            .unwrap();
+        let dasu = summary(&dasu(&t, &mut rng)).demand_with_bt.unwrap();
+        let fcc = summary(&UsageSeries::hourly(&t)).demand_with_bt.unwrap();
         assert!(
             dasu.mean > fcc.mean,
             "dasu mean {} vs fcc mean {}",
@@ -816,9 +847,9 @@ mod tests {
     fn bt_filter_lowers_demand_for_bt_users() {
         let t = truth(7, true);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let s = UsageSeries::collect(&t, Vantage::DASU_TYPICAL, &mut rng);
-        let with = s.demand(BtFilter::Include).unwrap();
-        let without = s.demand(BtFilter::Exclude).unwrap();
+        let s = summary(&dasu(&t, &mut rng));
+        let with = s.demand_with_bt.unwrap();
+        let without = s.demand_no_bt.unwrap();
         assert!(without.mean <= with.mean);
     }
 
@@ -826,17 +857,16 @@ mod tests {
     fn filter_is_noop_for_non_bt_users() {
         let t = truth(9, false);
         let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let s = UsageSeries::collect(&t, Vantage::DASU_TYPICAL, &mut rng);
-        assert_eq!(s.demand(BtFilter::Include), s.demand(BtFilter::Exclude));
+        let s = summary(&dasu(&t, &mut rng));
+        assert_eq!(s.demand_with_bt, s.demand_no_bt);
     }
 
     #[test]
     fn peak_is_at_least_mean() {
         let t = truth(11, true);
         let mut rng = ChaCha8Rng::seed_from_u64(12);
-        for vantage in [Vantage::DASU_TYPICAL, Vantage::FccGateway] {
-            let s = UsageSeries::collect(&t, vantage, &mut rng);
-            let d = s.demand(BtFilter::Include).unwrap();
+        for s in [dasu(&t, &mut rng), UsageSeries::hourly(&t)] {
+            let d = summary(&s).demand_with_bt.unwrap();
             assert!(d.peak >= d.mean);
         }
     }
@@ -847,25 +877,27 @@ mod tests {
             width: BinWidth::Slot,
             bins: vec![],
         };
-        assert!(s.demand(BtFilter::Include).is_none());
-        assert!(s.upload_mean(BtFilter::Include).is_none());
+        let got = summary(&s);
+        assert!(got.demand_with_bt.is_none());
+        assert!(got.demand_no_bt.is_none());
+        assert!(got.upload_mean.is_none());
         assert!(s.is_empty());
     }
 
     #[test]
     fn counter_based_collection_matches_direct_observation() {
         // With a mostly-online client, polling real (wrapping) counters
-        // must reproduce the demand summary the direct path computes.
+        // must reproduce the demand summary direct observation computes.
         let t = truth(17, true);
         let cap = Bandwidth::from_mbps(10.0);
         for source in [CounterSource::Upnp, CounterSource::Netstat] {
             let mut rng = ChaCha8Rng::seed_from_u64(20);
-            let direct = UsageSeries::collect(&t, Vantage::DasuEndHost { uptime: 0.95 }, &mut rng)
-                .demand(BtFilter::Include)
+            let direct = summary(&observe_directly(&t, 0.95, &mut rng))
+                .demand_with_bt
                 .unwrap();
             let mut rng = ChaCha8Rng::seed_from_u64(20);
-            let via = poll_counters(&t, &clean(0.95, source, cap), &mut rng)
-                .demand(BtFilter::Include)
+            let via = summary(&poll_counters(&t, &clean(0.95, source, cap), &mut rng))
+                .demand_with_bt
                 .unwrap();
             let mean_ratio = via.mean / direct.mean;
             assert!(
@@ -1266,7 +1298,7 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed + 100);
             let polling = clean(0.7, CounterSource::Upnp, Bandwidth::from_mbps(10.0));
             series.push(poll_counters(&t, &polling, &mut rng));
-            series.push(UsageSeries::collect(&t, Vantage::FccGateway, &mut rng));
+            series.push(UsageSeries::hourly(&t));
         }
         let slots = |bins: Vec<BinObs>| UsageSeries {
             width: BinWidth::Slot,
@@ -1299,12 +1331,11 @@ mod tests {
 
     #[test]
     fn bt_users_upload_much_more() {
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
-        let plain = UsageSeries::collect(&truth(13, false), Vantage::FccGateway, &mut rng);
-        let bt = UsageSeries::collect(&truth(13, true), Vantage::FccGateway, &mut rng);
+        let plain = UsageSeries::hourly(&truth(13, false));
+        let bt = UsageSeries::hourly(&truth(13, true));
         let ratio = |s: &UsageSeries| {
-            s.upload_mean(BtFilter::Include).unwrap().bps()
-                / s.demand(BtFilter::Include).unwrap().mean.bps().max(1.0)
+            let s = summary(s);
+            s.upload_mean.unwrap().bps() / s.demand_with_bt.unwrap().mean.bps().max(1.0)
         };
         assert!(
             ratio(&bt) > 2.0 * ratio(&plain),

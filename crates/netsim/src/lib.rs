@@ -22,19 +22,22 @@
 //! * [`workload`] — a non-homogeneous Poisson session process with the
 //!   diurnal shape shared by both vantage points;
 //! * [`counters`] — UPnP (wrapping u32) and netstat (u64) counter models;
-//! * [`collect`] — per-slot usage series, demand summaries (mean and
-//!   95th-percentile), BitTorrent filtering, hourly FCC aggregation;
+//! * [`collect`] — the two collectors: Dasu counter polling and
+//!   reconstruction, hourly FCC aggregation, and the demand summaries
+//!   (mean and 95th-percentile, with and without BitTorrent intervals);
 //! * [`probe`] — NDT-like capacity/latency/loss probes and the §7.1
 //!   web-latency measurements;
-//! * [`fault`] — fault injection used by the examples and ablations;
-//! * [`chaos`] — composable, severity-parameterised degradation
-//!   scenarios over the collection pipeline (burst outages, clock skew,
-//!   reset storms, poll churn, probe blackouts) for fault campaigns.
+//! * [`chaos`] — the fault model: composable, severity-parameterised
+//!   degradation scenarios over the collection pipeline (burst outages,
+//!   clock skew, reset storms, poll churn, probe blackouts) for fault
+//!   campaigns. Steady path impairments (added latency and loss) are
+//!   [`AccessLink::degraded`].
 //!
 //! The wrap/reset/stale-poll recovery heuristics in [`counters`] and
 //! [`collect`] report how often they fire through `bb-trace` (the
-//! `*_traced` collection variants and [`counters::DeltaStats`]); those
-//! counts are pure data events and merge plan-invariantly.
+//! registry [`UsageSeries::reconstruct_polls`] fills, and
+//! [`counters::DeltaStats`]); those counts are pure data events and merge
+//! plan-invariantly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +46,6 @@ pub mod app;
 pub mod chaos;
 pub mod collect;
 pub mod counters;
-pub mod fault;
 pub mod link;
 pub mod probe;
 pub mod tcp;
@@ -51,7 +53,7 @@ pub mod workload;
 
 pub use app::{AppClass, AppMix};
 pub use chaos::{ChaosPlan, ChaosScenario, ChaosSpec};
-pub use collect::{UsageSeries, Vantage};
+pub use collect::UsageSeries;
 pub use link::AccessLink;
 pub use probe::{NdtProbe, NdtReport};
 pub use workload::{simulate_user, UserWorkload};

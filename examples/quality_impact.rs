@@ -5,11 +5,12 @@
 //! cargo run --release --example quality_impact -- [--latency-ms 600] [--loss-pct 1.5] [--shape-mbps 2]
 //! ```
 
-use needwant::netsim::collect::{BtFilter, UsageSeries, Vantage};
-use needwant::netsim::fault::FaultPlan;
+use needwant::netsim::chaos::ChaosPlan;
+use needwant::netsim::collect::{CollectScratch, CounterPolling, CounterSource, UsageSeries};
 use needwant::netsim::link::AccessLink;
 use needwant::netsim::probe::NdtProbe;
-use needwant::netsim::workload::{simulate_user, UserWorkload};
+use needwant::netsim::workload::{simulate_user, GroundTruth, UserWorkload};
+use needwant::trace::Registry;
 use needwant::types::{Bandwidth, Latency, LossRate, TimeAxis, Year};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -35,19 +36,20 @@ fn main() {
         }
     }
 
-    let plan = FaultPlan {
-        extra_latency: Latency::from_ms(extra_latency),
-        extra_loss: LossRate::from_percent(extra_loss),
-        sample_drop_prob: 0.0,
-        shape_to: shape.map(Bandwidth::from_mbps),
-    };
-
     let baseline = AccessLink::new(
         Bandwidth::from_mbps(10.0),
         Latency::from_ms(45.0),
         LossRate::from_percent(0.05),
     );
-    let degraded = plan.apply(&baseline);
+    let mut degraded = baseline.degraded(
+        Latency::from_ms(extra_latency),
+        LossRate::from_percent(extra_loss),
+    );
+    if let Some(mbps) = shape {
+        // ISP throttling: the downlink is shaped below its advertised rate.
+        assert!(mbps > 0.0, "--shape-mbps must be positive, got {mbps}");
+        degraded.capacity = degraded.capacity.min(Bandwidth::from_mbps(mbps));
+    }
 
     println!("baseline link: {:?}", baseline);
     println!("degraded link: {:?}\n", degraded);
@@ -72,6 +74,7 @@ fn main() {
     let cohort = 40;
     let mut totals = (0.0f64, 0.0f64);
     let mut peaks = (0.0f64, 0.0f64);
+    let mut scratch = CollectScratch::new();
     for seed in 0..cohort {
         let mut rng = ChaCha8Rng::seed_from_u64(100 + seed);
         let t_base = simulate_user(&baseline, &wl, axis, &mut rng);
@@ -79,18 +82,8 @@ fn main() {
         let t_degr = simulate_user(&degraded, &wl, axis, &mut rng);
         totals.0 += t_base.total_bytes();
         totals.1 += t_degr.total_bytes();
-        let mut rng = ChaCha8Rng::seed_from_u64(500 + seed);
-        if let Some(d) =
-            UsageSeries::collect(&t_base, Vantage::DASU_TYPICAL, &mut rng).demand(BtFilter::Include)
-        {
-            peaks.0 += d.peak.mbps();
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(500 + seed);
-        if let Some(d) =
-            UsageSeries::collect(&t_degr, Vantage::DASU_TYPICAL, &mut rng).demand(BtFilter::Include)
-        {
-            peaks.1 += d.peak.mbps();
-        }
+        peaks.0 += dasu_peak_mbps(&t_base, &baseline, 500 + seed, &mut scratch);
+        peaks.1 += dasu_peak_mbps(&t_degr, &degraded, 500 + seed, &mut scratch);
     }
 
     let suppression = 100.0 * (1.0 - totals.1 / totals.0);
@@ -110,4 +103,34 @@ fn main() {
     println!("~500 ms and loss above ~1% collapse the per-flow TCP bound, so");
     println!("streaming sessions degrade or get abandoned, and total demand");
     println!("drops even though the link's nominal capacity is unchanged.");
+}
+
+/// The p95 downlink rate a typical Dasu client (online about half the
+/// time, reading `netstat`) measures on `link`, or 0 when it saw nothing.
+fn dasu_peak_mbps(
+    truth: &GroundTruth,
+    link: &AccessLink,
+    seed: u64,
+    scratch: &mut CollectScratch,
+) -> f64 {
+    let polling = CounterPolling {
+        uptime: 0.5,
+        source: CounterSource::Netstat,
+        link_capacity: link.capacity,
+        chaos: &ChaosPlan::NONE,
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    UsageSeries::poll_counters(truth, &polling, &mut rng, scratch);
+    let series = UsageSeries::reconstruct_polls(
+        truth,
+        &polling,
+        &mut scratch.polls,
+        &mut scratch.draws,
+        &mut ChaCha8Rng::seed_from_u64(0),
+        &mut Registry::new(),
+    );
+    series
+        .summarise(&mut Vec::new(), &mut Vec::new())
+        .demand_with_bt
+        .map_or(0.0, |d| d.peak.mbps())
 }

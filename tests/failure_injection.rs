@@ -5,7 +5,6 @@
 
 use needwant::dataset::{World, WorldConfig};
 use needwant::market::{MarketSurvey, Plan, PlanCatalog, Technology};
-use needwant::netsim::fault::FaultPlan;
 use needwant::netsim::link::AccessLink;
 use needwant::netsim::probe::NdtProbe;
 use needwant::study::{sec3, sec4, sec6, sec7, StudyReport};
@@ -112,10 +111,11 @@ fn fault_plans_compose_without_overflow() {
         Latency::from_ms(50.0),
         LossRate::from_percent(0.5),
     );
-    // Stack degradations until loss saturates; must clamp, not overflow.
+    // Stack satellite-like degradations (+600 ms, +1.5 % loss) until loss
+    // saturates; must clamp, not overflow.
     let mut degraded = link;
     for _ in 0..10 {
-        degraded = FaultPlan::satellite().apply(&degraded);
+        degraded = degraded.degraded(Latency::from_ms(600.0), LossRate::from_percent(1.5));
     }
     assert!(degraded.loss.fraction() <= 1.0);
     assert!(degraded.base_rtt.ms() > 5000.0);

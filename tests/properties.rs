@@ -2,11 +2,10 @@
 
 use needwant::causal::{match_pairs, Caliper, Unit};
 use needwant::netsim::chaos::ChaosPlan;
-use needwant::netsim::collect::{BtFilter, CollectScratch, CounterPolling, CounterSource};
+use needwant::netsim::collect::{CollectScratch, CounterPolling, CounterSource};
 use needwant::netsim::counters::{
     max_plausible_bytes, upnp_deltas, upnp_deltas_stats, NetstatCounter, UpnpCounter,
 };
-use needwant::netsim::fault::TokenBucket;
 use needwant::netsim::link::AccessLink;
 use needwant::netsim::tcp::{achievable_rate, mathis_throughput};
 use needwant::netsim::{simulate_user, UsageSeries, UserWorkload};
@@ -271,22 +270,6 @@ proptest! {
         );
         prop_assert!(stats.clamped <= stats.resets, "only resets clamp");
     }
-
-    #[test]
-    fn token_bucket_never_exceeds_rate_plus_burst(
-        rate_mbps in 0.1f64..100.0,
-        burst in 1e3f64..1e7,
-        offers in prop::collection::vec(0.0f64..1e8, 1..50),
-    ) {
-        let mut tb = TokenBucket::new(Bandwidth::from_mbps(rate_mbps), burst);
-        let mut granted = 0.0;
-        for (i, offer) in offers.iter().enumerate() {
-            granted += tb.admit(i as f64, *offer);
-        }
-        let horizon = offers.len() as f64;
-        let ceiling = burst + rate_mbps * 1e6 / 8.0 * horizon;
-        prop_assert!(granted <= ceiling + 1e-6, "granted {granted} vs ceiling {ceiling}");
-    }
 }
 
 /// End-to-end version of the clamp bound, for both counter sources: under
@@ -315,17 +298,20 @@ fn counter_collection_stays_plausible_under_random_schedules() {
                 link_capacity: link.capacity,
                 chaos: &ChaosPlan::NONE,
             };
-            let series = UsageSeries::collect_via_counters(
+            let mut scratch = CollectScratch::new();
+            UsageSeries::poll_counters(&truth, &polling, &mut rng, &mut scratch);
+            let series = UsageSeries::reconstruct_polls(
                 &truth,
                 &polling,
-                &mut rng,
+                &mut scratch.polls,
+                &mut scratch.draws,
                 &mut ChaCha8Rng::seed_from_u64(0),
                 &mut reg,
-                &mut CollectScratch::new(),
             );
             // max_plausible allows 2x the link capacity per interval.
             let ceiling = 2.0 * link.capacity.bps() + 1.0;
-            for rate in series.rates(BtFilter::Include) {
+            for bin in &series.bins {
+                let rate = bin.down_bytes * 8.0 / series.width.secs();
                 assert!(
                     rate <= ceiling,
                     "seed {seed} {source:?}: rate {rate} above {ceiling}"
