@@ -315,7 +315,7 @@ fn run_materialised(args: &Args) {
     timings.begin("generate");
     let population = world.population();
     let ((records, upgrades, registry), stats, ckpt) =
-        execute(args, population.n_users(), |_, range| {
+        execute(args, population.n_users(), |range| {
             population.observe(range)
         });
     let dataset = Dataset {
@@ -377,7 +377,7 @@ fn run_streaming(args: &Args) {
     let mut timings = Timings::new();
     timings.begin("reproduce");
     timings.begin("stream");
-    let ((study, registry), stats, ckpt) = execute(args, population.n_users(), |_, range| {
+    let ((study, registry), stats, ckpt) = execute(args, population.n_users(), |range| {
         population.fold(range, StreamStudy::new(), |s, r, u| s.absorb(r, u))
     });
     timings.end();
@@ -954,7 +954,7 @@ impl Args {
 fn execute<A, F>(args: &Args, n_items: u64, body: F) -> (A, RunStats, Option<CheckpointReport>)
 where
     A: Mergeable + Snapshot + Send,
-    F: Fn(usize, Range<u64>) -> A + Sync,
+    F: Fn(Range<u64>) -> A + Sync,
 {
     let plan = args.plan;
     let Some(dir) = &args.checkpoint else {

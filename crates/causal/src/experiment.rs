@@ -22,8 +22,8 @@ pub enum Direction {
     TreatmentLower,
 }
 
-/// Default minimum number of non-tied pairs before an experiment may
-/// claim statistical significance. Below this, even an exact binomial
+/// Minimum number of non-tied pairs before an experiment may claim
+/// statistical significance. Below this, even an exact binomial
 /// p < 0.05 (e.g. 5/5 pairs, p ≈ 0.031) is one lucky streak away from
 /// noise — degraded collection that starves the matcher must downgrade
 /// a finding to "insufficient data", never sharpen it.
@@ -38,9 +38,6 @@ pub struct NaturalExperiment {
     pub direction: Direction,
     /// One caliper per covariate.
     pub calipers: Vec<Caliper>,
-    /// Minimum non-tied pairs before [`ExperimentOutcome::significant`]
-    /// may return `true` (default [`MIN_TRIALS`]).
-    pub min_trials: u64,
 }
 
 impl NaturalExperiment {
@@ -51,20 +48,12 @@ impl NaturalExperiment {
             name: name.into(),
             direction: Direction::TreatmentHigher,
             calipers,
-            min_trials: MIN_TRIALS,
         }
     }
 
     /// Override the hypothesis direction.
     pub fn with_direction(mut self, direction: Direction) -> Self {
         self.direction = direction;
-        self
-    }
-
-    /// Override the minimum-trials guard (0 disables it; ablation
-    /// benches only — production exhibits keep the default).
-    pub fn with_min_trials(mut self, min_trials: u64) -> Self {
-        self.min_trials = min_trials;
         self
     }
 
@@ -184,7 +173,6 @@ impl NaturalExperiment {
             name: self.name.clone(),
             n_pairs: pairs.len(),
             n_ties: ties as usize,
-            min_trials: self.min_trials,
             test,
             pairs,
         })
@@ -200,8 +188,6 @@ pub struct ExperimentOutcome {
     pub n_pairs: usize,
     /// Pairs with exactly equal outcomes, excluded from the test.
     pub n_ties: usize,
-    /// Minimum-trials guard inherited from the experiment config.
-    pub min_trials: u64,
     /// The one-tailed binomial sign test over non-tied pairs.
     pub test: BinomialTest,
     /// The matched pairs themselves (for downstream inspection/plots).
@@ -220,10 +206,11 @@ impl ExperimentOutcome {
         self.test.p_value
     }
 
-    /// Too few non-tied pairs to support any significance claim: the
-    /// experiment is "insufficient data", whatever its raw p-value.
+    /// Fewer than [`MIN_TRIALS`] non-tied pairs, too few to support any
+    /// significance claim: the experiment is "insufficient data",
+    /// whatever its raw p-value.
     pub fn starved(&self) -> bool {
-        self.test.trials < self.min_trials
+        self.test.trials < MIN_TRIALS
     }
 
     /// Statistically significant at α = 0.05 — and only when the
@@ -343,10 +330,6 @@ mod tests {
         assert!(out.starved());
         assert!(!out.significant(), "guard must override the raw p-value");
         assert!(!out.conclusive());
-        // Disabling the guard (ablation only) restores the raw verdict.
-        let raw = exp.with_min_trials(0).run(&control, &treatment).unwrap();
-        assert!(!raw.starved());
-        assert!(raw.significant());
     }
 
     #[test]

@@ -132,7 +132,7 @@ pub fn seed_sweep(base: &WorldConfig, n_seeds: u64) -> Vec<SweepRow> {
 /// the result is bit-identical for every plan.
 pub fn seed_sweep_with(base: &WorldConfig, n_seeds: u64, plan: ShardPlan) -> Vec<SweepRow> {
     assert!(n_seeds >= 1, "need at least one seed");
-    let per_seed: Vec<[Option<Observation>; 8]> = run_sharded(n_seeds, plan, |_, range| {
+    let per_seed: Vec<[Option<Observation>; 8]> = run_sharded(n_seeds, plan, |range| {
         range
             .map(|i| {
                 let mut cfg = base.clone();

@@ -31,15 +31,6 @@ const USER_STREAM: u64 = 1;
 /// plan, exactly like the user streams.
 const CHAOS_STREAM: u64 = 2;
 
-/// Users per generation block: each shard walks its index range in
-/// fixed-size blocks, reusing one [`GenScratch`] for every user in the
-/// shard. The block size is an internal batching knob only — every user
-/// is still a pure function of `(seed, user_index)`, so the output is
-/// **bit-identical for any block size** (pinned by the
-/// `generation_is_block_size_invariant` test). 256 keeps the scratch hot
-/// in cache without the block bookkeeping showing up in profiles.
-const GEN_BLOCK_USERS: u64 = 256;
-
 /// Fraction of users with the 2014 web-latency measurements (§7.1 added
 /// that experiment "later in the study").
 const WEB_PROBE_FRACTION: f64 = 0.5;
@@ -401,7 +392,6 @@ impl Population<'_> {
         let mut reg = Registry::new();
         self.walk(
             range,
-            GEN_BLOCK_USERS,
             &[self.world.config.chaos],
             std::slice::from_mut(&mut reg),
             &mut |_, record, upgrade| absorb(&mut acc, &record, upgrade.as_ref()),
@@ -416,7 +406,7 @@ impl Population<'_> {
         &self,
         range: Range<u64>,
     ) -> (Vec<UserRecord>, Vec<UpgradeObservation>, Registry) {
-        let mut partials = self.observe_shard(range, GEN_BLOCK_USERS, &[self.world.config.chaos]);
+        let mut partials = self.observe_shard(range, &[self.world.config.chaos]);
         partials.pop().expect("one branch")
     }
 
@@ -430,7 +420,6 @@ impl Population<'_> {
     fn observe_shard(
         &self,
         range: Range<u64>,
-        block: u64,
         branches: &[Option<ChaosSpec>],
     ) -> Vec<BranchPartial> {
         let n = (range.end - range.start) as usize;
@@ -441,7 +430,6 @@ impl Population<'_> {
         let mut regs = vec![Registry::new(); branches.len()];
         self.walk(
             range,
-            block,
             branches,
             &mut regs,
             &mut |branch, record, upgrade| {
@@ -455,36 +443,28 @@ impl Population<'_> {
             .collect()
     }
 
-    /// Walk `range` in [`GEN_BLOCK_USERS`]-sized blocks (overridable for
-    /// tests), observing each user under every branch with one reusable
-    /// [`GenScratch`] and feeding each branch's kept records to
+    /// Walk `range`, observing each user under every branch with one
+    /// reusable [`GenScratch`] and feeding each branch's kept records to
     /// `sink(branch, record, upgrade)`.
     fn walk<S>(
         &self,
         range: Range<u64>,
-        block: u64,
         branches: &[Option<ChaosSpec>],
         regs: &mut [Registry],
         sink: &mut S,
     ) where
         S: FnMut(usize, UserRecord, Option<UpgradeObservation>),
     {
-        debug_assert!(block > 0, "generation block must be non-empty");
         let mut scratch = GenScratch::new(self.world.config.days);
-        let mut start = range.start;
-        while start < range.end {
-            let block_end = range.end.min(start.saturating_add(block));
-            for user_index in start..block_end {
-                self.world.observe_branches(
-                    user_index,
-                    &self.cohorts,
-                    branches,
-                    regs,
-                    &mut scratch,
-                    sink,
-                );
-            }
-            start = block_end;
+        for user_index in range {
+            self.world.observe_branches(
+                user_index,
+                &self.cohorts,
+                branches,
+                regs,
+                &mut scratch,
+                sink,
+            );
         }
     }
 }
@@ -530,21 +510,10 @@ impl World {
     ///
     /// Every user is a pure function of `(seed, user_index)` (see
     /// [`World::population`]), so the dataset and registry are
-    /// **bit-identical for any shard and thread count**.
-    pub fn generate_with_traced(&self, plan: ShardPlan) -> (Dataset, Registry, RunStats) {
-        self.generate_with_traced_blocked(plan, GEN_BLOCK_USERS)
-    }
-
-    /// [`World::generate_with_traced`] with an explicit block size — the
-    /// block-size-invariance tests drive this directly. It is the
+    /// **bit-identical for any shard and thread count**. It is the
     /// one-branch case of [`World::generate_branches`].
-    fn generate_with_traced_blocked(
-        &self,
-        plan: ShardPlan,
-        block: u64,
-    ) -> (Dataset, Registry, RunStats) {
-        let (mut branches, stats) =
-            self.generate_branches_blocked(&[self.config.chaos], plan, block);
+    pub fn generate_with_traced(&self, plan: ShardPlan) -> (Dataset, Registry, RunStats) {
+        let (mut branches, stats) = self.generate_branches(&[self.config.chaos], plan);
         let (dataset, registry) = branches.next().expect("one branch");
         (dataset, registry, stats)
     }
@@ -567,22 +536,13 @@ impl World {
         branches: &[Option<ChaosSpec>],
         plan: ShardPlan,
     ) -> (Branches, RunStats) {
-        self.generate_branches_blocked(branches, plan, GEN_BLOCK_USERS)
-    }
-
-    fn generate_branches_blocked(
-        &self,
-        branches: &[Option<ChaosSpec>],
-        plan: ShardPlan,
-        block: u64,
-    ) -> (Branches, RunStats) {
         assert!(!branches.is_empty(), "need at least one chaos branch");
         let population = self.population();
         // Each shard contributes one entry of per-branch partials; the
         // engine's fold only concatenates the entries, so no branch is
         // assembled until it is asked for.
-        let (shards, stats) = run_sharded(population.n_users(), plan, |_, range| {
-            vec![population.observe_shard(range, block, branches)]
+        let (shards, stats) = run_sharded(population.n_users(), plan, |range| {
+            vec![population.observe_shard(range, branches)]
         });
         let branches = Branches {
             survey: population.into_survey(),
@@ -613,7 +573,7 @@ impl World {
         F: Fn(&mut A, &UserRecord, Option<&UpgradeObservation>) + Sync,
     {
         let population = self.population();
-        let ((folded, registry), stats) = run_sharded(population.n_users(), plan, |_, range| {
+        let ((folded, registry), stats) = run_sharded(population.n_users(), plan, |range| {
             population.fold(range, init(), &absorb)
         });
         (population.into_survey(), folded, registry, stats)
@@ -1505,38 +1465,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_is_block_size_invariant() {
-        // The block size is pure batching bookkeeping: whatever mix of
-        // kept and quarantined users lands in a block, the output must
-        // not move. ProbeBlackout at severity 1 quarantines roughly half
-        // the panel, so quarantined users fall mid-block everywhere.
-        use bb_netsim::chaos::{ChaosScenario, ChaosSpec};
-        for chaos in [
-            None,
-            Some(ChaosSpec::new(ChaosScenario::ProbeBlackout, 1.0)),
-        ] {
-            let mut cfg = WorldConfig::small(7);
-            cfg.user_scale = 0.4;
-            cfg.fcc_users = 20;
-            cfg.days = 2;
-            cfg.chaos = chaos;
-            let world = World::with_countries(cfg, &["US", "JP", "BW", "SA", "IN"]);
-            let (baseline, base_reg, _) =
-                world.generate_with_traced_blocked(ShardPlan::serial(), GEN_BLOCK_USERS);
-            // Block of 1 degenerates to the scalar per-user walk; 7 puts
-            // block boundaries at odd offsets inside every cohort.
-            for block in [1u64, 7, 64] {
-                for plan in [ShardPlan::serial(), ShardPlan::new(8, 4)] {
-                    let (ds, reg, _) = world.generate_with_traced_blocked(plan, block);
-                    let label = format!("block {block} plan {plan:?} chaos {}", chaos.is_some());
-                    assert_same_dataset(&baseline, &ds, &label);
-                    assert_eq!(reg.to_json(), base_reg.to_json(), "{label}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn shared_scratch_matches_fresh_scratch_per_user() {
         // A fresh GenScratch per user is the no-reuse reference: any
         // state leaking across users through the shared buffers would
@@ -1581,7 +1509,7 @@ mod tests {
     fn empty_and_single_user_worlds_generate_cleanly() {
         // 0-user world: no countries at all — every entry point must
         // return an empty dataset rather than tripping over an empty
-        // block walk.
+        // range.
         let mut cfg = WorldConfig::small(7);
         cfg.fcc_users = 0;
         let empty = World::with_countries(cfg.clone(), &[]);
@@ -1594,22 +1522,19 @@ mod tests {
             });
         assert!(seen.is_empty());
 
-        // 1-user world: a single cohort of one — the lone user sits in a
-        // block all by itself under every block size.
+        // 1-user world: a single cohort of one, which a two-shard plan
+        // clamps to one shard.
         let mut one_cfg = WorldConfig::small(7);
         one_cfg.user_scale = 1e-9; // rounds to the max(1) floor
         one_cfg.fcc_users = 0;
         one_cfg.days = 1;
         let one = World::with_countries(one_cfg, &["JP"]);
         assert_eq!(one.n_users(), 1);
-        let (baseline, base_reg, _) =
-            one.generate_with_traced_blocked(ShardPlan::serial(), GEN_BLOCK_USERS);
+        let (baseline, base_reg, _) = one.generate_with_traced(ShardPlan::serial());
         assert!(baseline.records.len() <= 1);
-        for block in [1u64, 2, 256] {
-            let (ds, reg, _) = one.generate_with_traced_blocked(ShardPlan::new(2, 2), block);
-            assert_same_dataset(&baseline, &ds, &format!("single-user block {block}"));
-            assert_eq!(reg.to_json(), base_reg.to_json());
-        }
+        let (ds, reg, _) = one.generate_with_traced(ShardPlan::new(2, 2));
+        assert_same_dataset(&baseline, &ds, "single user");
+        assert_eq!(reg.to_json(), base_reg.to_json());
     }
 
     #[test]
@@ -1660,7 +1585,7 @@ mod tests {
         cfg.fcc_users = 20;
         cfg.days = 2;
         cfg.chaos = Some(ChaosSpec::new(ChaosScenario::Omnibus, 0.75));
-        let world = World::with_countries(cfg, &["US", "JP", "BW", "SA", "IN"]);
+        let world = World::with_countries(cfg.clone(), &["US", "JP", "BW", "SA", "IN"]);
         let (serial_ds, serial_reg, _) = world.generate_with_traced(ShardPlan::serial());
         // The campaign really degrades the stream…
         assert!(serial_reg.counter("netsim.chaos.bursts") > 0);
@@ -1681,6 +1606,15 @@ mod tests {
                 "chaotic registry must be byte-identical under {plan:?}"
             );
         }
+
+        // ProbeBlackout at severity 1 quarantines roughly half the panel,
+        // so kept and quarantined users interleave inside every shard.
+        cfg.chaos = Some(ChaosSpec::new(ChaosScenario::ProbeBlackout, 1.0));
+        let world = World::with_countries(cfg, &["US", "JP", "BW", "SA", "IN"]);
+        let (serial_ds, serial_reg, _) = world.generate_with_traced(ShardPlan::serial());
+        let (ds, reg, _) = world.generate_with_traced(ShardPlan::new(8, 4));
+        assert_same_dataset(&serial_ds, &ds, "probe blackout");
+        assert_eq!(reg.to_json(), serial_reg.to_json(), "probe blackout");
     }
 
     #[test]

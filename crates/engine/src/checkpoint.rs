@@ -502,7 +502,7 @@ pub fn run_sharded_checkpointed<A, F>(
 ) -> Result<(A, RunStats, CheckpointReport), CheckpointError>
 where
     A: Mergeable + Snapshot + Send,
-    F: Fn(usize, Range<u64>) -> A + Sync,
+    F: Fn(Range<u64>) -> A + Sync,
 {
     let ranges = plan.ranges(n_items);
     let n_shards = ranges.len();
@@ -553,7 +553,7 @@ mod tests {
         CheckpointParams::new().set("seed", 7).set("mode", "unit")
     }
 
-    fn work(_: usize, range: Range<u64>) -> ExactMoments {
+    fn work(range: Range<u64>) -> ExactMoments {
         let mut acc = ExactMoments::new();
         for item in range {
             let mut rng = stream_rng(7, 3, item);

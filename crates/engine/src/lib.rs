@@ -24,11 +24,10 @@
 //!   recomputing them, and one [`ShardProgress`] observer.
 //! * [`merge`] — the [`Mergeable`] fold contract the shard runner requires.
 //! * Sketches: [`QuantileSketch`] (bounded relative error),
-//!   [`EcdfSketch`], [`Log2Histogram`], [`ExactMoments`] /
-//!   [`Welford`], and the deterministic [`BottomK`] reservoir. All are
-//!   `Mergeable`; the count- and integer-based ones merge *exactly*, so
-//!   exhibits computed from them are byte-identical however the population
-//!   was partitioned.
+//!   [`EcdfSketch`], [`Log2Histogram`], [`ExactMoments`], and the
+//!   deterministic [`BottomK`] reservoir. All are `Mergeable`; the count-
+//!   and integer-based ones merge *exactly*, so exhibits computed from
+//!   them are byte-identical however the population was partitioned.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +50,7 @@ pub use checkpoint::{
 pub use ecdf::EcdfSketch;
 pub use hist::Log2Histogram;
 pub use merge::Mergeable;
-pub use moments::{ExactMoments, Welford};
+pub use moments::ExactMoments;
 pub use quantile::QuantileSketch;
 pub use reservoir::BottomK;
 pub use rng::{splitmix64, stream_rng};

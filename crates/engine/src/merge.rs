@@ -7,9 +7,8 @@ use std::collections::BTreeMap;
 /// [`crate::shard::run_sharded`] folds shard outputs left-to-right in
 /// **shard order**, so implementations only need `a.merge(b)` to behave as
 /// "extend `a` with `b`'s observations". Count- and integer-based
-/// implementations in this crate are exactly associative and commutative;
-/// floating-point ones ([`crate::Welford`]) are associative up to rounding,
-/// which is why the exhibit pipelines use the exact variants.
+/// implementations in this crate are exactly associative and commutative,
+/// which is why the exhibit pipelines use them.
 pub trait Mergeable {
     /// Fold `other` into `self`.
     fn merge(&mut self, other: Self);

@@ -1,14 +1,9 @@
-//! Streaming first and second moments, in two flavours.
+//! Streaming first and second moments.
 //!
-//! * [`ExactMoments`] — fixed-point integer accumulation. Sums are exact,
-//!   so merging is exactly associative and commutative: the mean/variance
-//!   computed from a merged state is **bit-identical** regardless of how
-//!   the population was partitioned into shards. The exhibit pipelines use
-//!   this variant.
-//! * [`Welford`] — the classic floating-point recurrence (merged with
-//!   Chan's parallel update). Numerically graceful on adversarial scales
-//!   but associative only up to rounding; provided for consumers that need
-//!   the streaming-update form.
+//! [`ExactMoments`] is fixed-point integer accumulation. Sums are exact,
+//! so merging is exactly associative and commutative: the mean/variance
+//! computed from a merged state is **bit-identical** regardless of how
+//! the population was partitioned into shards.
 
 use crate::merge::Mergeable;
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
@@ -129,88 +124,6 @@ impl Snapshot for ExactMoments {
     }
 }
 
-impl Snapshot for Welford {
-    const KIND: &'static str = "Welford";
-
-    fn write_body(&self, w: &mut SnapshotWriter) {
-        w.u64("count", self.count);
-        w.f64("mean", self.mean);
-        w.f64("m2", self.m2);
-    }
-
-    fn read_body(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Welford {
-            count: r.take_u64("count")?,
-            mean: r.take_f64("mean")?,
-            m2: r.take_f64("m2")?,
-        })
-    }
-}
-
-/// Welford streaming mean/variance with Chan's parallel merge.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorb one observation.
-    pub fn push(&mut self, value: f64) {
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0 for an empty accumulator).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-}
-
-impl Mergeable for Welford {
-    fn merge(&mut self, other: Self) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other;
-            return;
-        }
-        let (na, nb) = (self.count as f64, other.count as f64);
-        let delta = other.mean - self.mean;
-        let total = na + nb;
-        self.mean += delta * nb / total;
-        self.m2 += other.m2 + delta * delta * na * nb / total;
-        self.count += other.count;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,23 +185,5 @@ mod tests {
             // Equality of the integer state implies bit-identical statistics.
             assert_eq!(merged, whole, "chunk size {split}");
         }
-    }
-
-    #[test]
-    fn welford_merge_matches_sequential() {
-        let values = data();
-        let mut whole = Welford::new();
-        for &v in &values {
-            whole.push(v);
-        }
-        let (left, right) = values.split_at(100);
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        left.iter().for_each(|&v| a.push(v));
-        right.iter().for_each(|&v| b.push(v));
-        a.merge(b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-7);
     }
 }

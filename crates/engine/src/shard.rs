@@ -1,9 +1,9 @@
 //! Shard scheduling: scoped worker threads, order-stable merging.
 //!
 //! `run_sharded(n, plan, work)` partitions item indices `0..n` into
-//! contiguous shards, executes `work(shard_index, range)` on a pool of
-//! scoped threads (workers claim shards through an atomic cursor), and
-//! folds the shard results **in shard index order**. As long as `work` is
+//! contiguous shards, executes `work(range)` for each on a pool of scoped
+//! threads (workers claim shards through an atomic cursor), and folds
+//! the shard results **in shard index order**. As long as `work` is
 //! a pure function of its range — which the per-item streams of
 //! [`crate::rng`] guarantee for simulation workloads — the merged result
 //! is bit-identical for every `(shards, threads)` combination, including
@@ -111,7 +111,7 @@ pub struct RunStats {
 pub fn run_sharded<A, F>(n_items: u64, plan: ShardPlan, work: F) -> (A, RunStats)
 where
     A: Mergeable + Send,
-    F: Fn(usize, Range<u64>) -> A + Sync,
+    F: Fn(Range<u64>) -> A + Sync,
 {
     run_sharded_core(n_items, plan, work, Vec::new(), None)
         .expect("no observer attached, so the run cannot fail")
@@ -142,7 +142,7 @@ pub(crate) fn run_sharded_core<A, F>(
 ) -> Result<(A, RunStats), String>
 where
     A: Mergeable + Send,
-    F: Fn(usize, Range<u64>) -> A + Sync,
+    F: Fn(Range<u64>) -> A + Sync,
 {
     let started = Instant::now();
     let ranges = plan.ranges(n_items);
@@ -184,7 +184,7 @@ where
             }
             claims += 1;
             let shard_started = Instant::now();
-            let result = work(index, ranges[index].clone());
+            let result = work(ranges[index].clone());
             walls.push(shard_started.elapsed().as_secs_f64() * 1e6, 1.0);
             if let Some(observe) = observer {
                 if let Err(message) = observe(index, &result) {
@@ -283,22 +283,22 @@ mod tests {
 
     #[test]
     fn every_plan_produces_identical_results() {
-        let reference = run_sharded(1000, ShardPlan::serial(), |_, r| simulate(r)).0;
+        let reference = run_sharded(1000, ShardPlan::serial(), simulate).0;
         for plan in [
             ShardPlan::new(8, 1),
             ShardPlan::new(8, 4),
             ShardPlan::new(64, 3),
             ShardPlan::for_threads(4).unwrap(),
         ] {
-            let got = run_sharded(1000, plan, |_, r| simulate(r)).0;
+            let got = run_sharded(1000, plan, simulate).0;
             assert_eq!(got, reference, "{plan:?}");
         }
     }
 
     #[test]
     fn traced_runs_match_untraced_and_report_scheduling() {
-        let reference = run_sharded(500, ShardPlan::serial(), |_, r| simulate(r)).0;
-        let (serial, serial_stats) = run_sharded(500, ShardPlan::new(8, 1), |_, r| simulate(r));
+        let reference = run_sharded(500, ShardPlan::serial(), simulate).0;
+        let (serial, serial_stats) = run_sharded(500, ShardPlan::new(8, 1), simulate);
         assert_eq!(serial, reference);
         assert_eq!(serial_stats.shards, 8);
         assert_eq!(serial_stats.threads, 1);
@@ -306,7 +306,7 @@ mod tests {
         assert_eq!(serial_stats.steals, 7, "serial: one worker claims all");
         assert_eq!(serial_stats.shard_wall_us.count(), 8);
 
-        let (parallel, parallel_stats) = run_sharded(500, ShardPlan::new(8, 4), |_, r| simulate(r));
+        let (parallel, parallel_stats) = run_sharded(500, ShardPlan::new(8, 4), simulate);
         assert_eq!(parallel, reference, "tracing must not perturb the fold");
         assert_eq!(parallel_stats.shard_wall_us.count(), 8);
         assert!(parallel_stats.steals <= 7, "at most shards - workers_used");
@@ -315,7 +315,7 @@ mod tests {
 
     #[test]
     fn zero_items_still_initialises() {
-        let ((ids, moments), _) = run_sharded(0, ShardPlan::new(8, 4), |_, r| simulate(r));
+        let ((ids, moments), _) = run_sharded(0, ShardPlan::new(8, 4), simulate);
         assert!(ids.is_empty());
         assert_eq!(moments.count(), 0);
     }

@@ -31,7 +31,7 @@ fn params() -> CheckpointParams {
         .set("kind", "sum")
 }
 
-fn work(_: usize, range: std::ops::Range<u64>) -> ExactMoments {
+fn work(range: std::ops::Range<u64>) -> ExactMoments {
     let mut m = ExactMoments::new();
     for i in range {
         m.push(i as f64 * 0.5 - 100.0);

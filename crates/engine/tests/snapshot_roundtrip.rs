@@ -12,9 +12,7 @@
 //! below capacity.
 
 use bb_engine::snapshot::roundtrip;
-use bb_engine::{
-    BottomK, EcdfSketch, ExactMoments, Log2Histogram, QuantileSketch, Snapshot, Welford,
-};
+use bb_engine::{BottomK, EcdfSketch, ExactMoments, Log2Histogram, QuantileSketch, Snapshot};
 use bb_trace::{EventLog, Registry};
 use proptest::prelude::*;
 
@@ -68,16 +66,6 @@ proptest! {
     }
 
     #[test]
-    fn welford_roundtrips(
-        values in prop::collection::vec(-1e4f64..1e4, 0..300)
-    ) {
-        let mut w = Welford::new();
-        values.iter().for_each(|&v| w.push(v));
-        let back = roundtrip(&w).expect("parse");
-        prop_assert_eq!(back, w);
-    }
-
-    #[test]
     fn reservoir_roundtrips(
         ids in prop::collection::vec(0u64..1_000_000, 0..300),
         seed in 0u64..1000
@@ -113,8 +101,8 @@ proptest! {
     ) {
         let mut m = ExactMoments::new();
         values.iter().for_each(|&v| m.push(v));
-        let mut w = Welford::new();
-        values.iter().for_each(|&v| w.push(v));
+        let mut q = QuantileSketch::with_accuracy(0.01);
+        values.iter().for_each(|&v| q.push(v));
         let moments: Vec<ExactMoments> = counts
             .iter()
             .map(|&c| {
@@ -123,7 +111,7 @@ proptest! {
                 m
             })
             .collect();
-        let composite = (moments, Some(m), w);
+        let composite = (moments, Some(m), q);
         let back = roundtrip(&composite).expect("parse");
         prop_assert_eq!(back, composite);
     }
@@ -135,12 +123,11 @@ fn empty_accumulators_roundtrip() {
     assert_roundtrips(&EcdfSketch::with_accuracy(0.005));
     assert_roundtrips(&Log2Histogram::new());
     assert_roundtrips(&ExactMoments::new());
-    assert_roundtrips(&Welford::new());
     assert_roundtrips(&BottomK::new(7, 8));
     assert_roundtrips(&Registry::new());
     assert_roundtrips(&EventLog::new());
     assert_roundtrips(&Vec::<ExactMoments>::new());
-    assert_roundtrips(&Option::<Welford>::None);
+    assert_roundtrips(&Option::<QuantileSketch>::None);
 }
 
 #[test]
@@ -235,13 +222,27 @@ fn event_log_roundtrips_every_value_kind() {
 fn special_floats_roundtrip_bit_exactly() {
     // -0.0, infinities, and subnormals all have distinct bit patterns
     // that decimal formatting would destroy; the hex-bits encoding must
-    // preserve each one.
-    let mut w = Welford::new();
-    w.push(-0.0);
-    w.push(5e-324); // smallest positive subnormal
-    assert_roundtrips(&w);
+    // preserve each one. An empty sketch holds ±∞ as its extremes, and
+    // the smallest positive subnormal is a valid accuracy.
+    let subnormal = QuantileSketch::with_accuracy(5e-324);
+    assert_eq!(subnormal.accuracy().to_bits(), 1);
+    assert_roundtrips(&subnormal);
+
+    // No push stores -0.0 in a field, so thaw a frozen sketch whose
+    // minimum carries its bits: freezing it again must keep them.
+    let frozen = QuantileSketch::with_accuracy(0.01)
+        .to_snapshot_string()
+        .replace(
+            &format!("min {:016x}", f64::INFINITY.to_bits()),
+            &format!("min {:016x}", (-0.0f64).to_bits()),
+        );
+    assert!(frozen.contains("min 8000000000000000"), "{frozen}");
+    let negative_zero = QuantileSketch::from_snapshot_str(&frozen).expect("parse");
+    assert_eq!(negative_zero.to_snapshot_string(), frozen);
+    assert_roundtrips(&negative_zero);
 
     let mut s = QuantileSketch::with_accuracy(0.01);
     s.push(-0.0);
+    s.push(5e-324);
     assert_roundtrips(&s);
 }

@@ -40,7 +40,8 @@
 //! JSONL access-log line. A panicking handler is caught here, answered
 //! with a 500, and counted in `serve.panics` — it never takes a pool
 //! worker down. Telemetry labels always use the route *template*
-//! (`/jobs/{id}`), keeping metric cardinality bounded.
+//! (`/jobs/{id}`) and one of four method labels (`GET`, `HEAD`, `POST`,
+//! `other`), keeping metric cardinality bounded.
 
 use crate::http::{
     read_request, write_sse_head, Conn, Request, RequestError, Response, ThreadPool,

@@ -87,7 +87,7 @@ pub fn run_job(
         &store,
         true,
         progress,
-        |_, range| population.fold(range, StreamStudy::new(), |s, r, u| s.absorb(r, u)),
+        |range| population.fold(range, StreamStudy::new(), |s, r, u| s.absorb(r, u)),
     )
     .map_err(|e| e.to_string())?;
     let mut files = bundle::stream_run_files(spec.seed, &study, registry, ledger);

@@ -23,7 +23,9 @@
 //! | `serve.cache.{hits,misses,rejected}` | counter + series | — |
 //!
 //! The `route` label is always the route *template* (`/jobs/{id}`), never
-//! the concrete path, so label cardinality is bounded by the route table.
+//! the concrete path, and the `method` label is `GET`, `HEAD`, `POST` or
+//! `other`, never the raw request token, so label cardinality is bounded
+//! by the route table. The access log keeps the raw method.
 //!
 //! The access log is a JSONL sidecar (`--access-log PATH`): one object
 //! per request — `ts` (epoch seconds), `id` (monotonic request id),
@@ -35,7 +37,9 @@
 //! consulted by anything that produces `metrics.json`, the ledger, or an
 //! exhibit file; the byte-identity suites pin that.
 
+use bb_trace::event::write_json_string;
 use bb_trace::telemetry::{AtomicLog2Histogram, Clock, Counter, Gauge, Telemetry};
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
@@ -140,8 +144,13 @@ impl ServeTelemetry {
     /// request counter, the status-class error counter, the per-route
     /// duration histogram, the global request-rate series, and the
     /// slow-request counter. `template` is the route template, never the
-    /// concrete path.
+    /// concrete path; a `method` other than `GET`, `HEAD` or `POST` is
+    /// labelled `other`, so no client can mint new series.
     pub fn observe_request(&self, method: &str, template: &str, status: u16, micros: u64) {
+        let method = match method {
+            "GET" | "HEAD" | "POST" => method,
+            _ => "other",
+        };
         let t = &self.telemetry;
         t.counter_with("serve.requests", &[("method", method), ("route", template)])
             .inc();
@@ -177,13 +186,18 @@ impl ServeTelemetry {
         micros: u64,
     ) {
         let Some(file) = &self.access else { return };
-        let line = format!(
-            "{{\"ts\": {}, \"id\": {id}, \"method\": \"{}\", \"route\": \"{}\", \
-             \"path\": \"{}\", \"status\": {status}, \"bytes\": {bytes}, \"us\": {micros}}}\n",
-            self.telemetry.epoch_secs(),
-            json_escape(method),
-            json_escape(template),
-            json_escape(path),
+        let mut line = format!(
+            "{{\"ts\": {}, \"id\": {id}, \"method\": ",
+            self.telemetry.epoch_secs()
+        );
+        write_json_string(&mut line, method);
+        line.push_str(", \"route\": ");
+        write_json_string(&mut line, template);
+        line.push_str(", \"path\": ");
+        write_json_string(&mut line, path);
+        let _ = writeln!(
+            line,
+            ", \"status\": {status}, \"bytes\": {bytes}, \"us\": {micros}}}"
         );
         let mut file = file.lock().expect("access log");
         let _ = file.write_all(line.as_bytes());
@@ -215,22 +229,6 @@ impl std::fmt::Debug for ServeTelemetry {
             .field("access_log", &self.access.is_some())
             .finish()
     }
-}
-
-/// Escape a request-derived string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

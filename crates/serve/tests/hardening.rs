@@ -283,3 +283,34 @@ fn idle_and_trickling_peers_cannot_hold_the_pool() {
         "{prom}"
     );
 }
+
+#[test]
+fn request_methods_cannot_mint_series_or_break_the_telemetry_json() {
+    let dir = tmpdir("hardening-methods");
+    let server = small_server(&dir);
+    let addr = server.addr();
+    // Fifty distinct unknown methods share one `other` series.
+    for n in 0..50 {
+        let request = format!("VERB{n} / HTTP/1.1\r\nHost: t\r\n\r\n");
+        let answer = exchange(addr, request.as_bytes());
+        assert_eq!(status(&answer), 405, "{}", String::from_utf8_lossy(&answer));
+    }
+    let (_, prom) = get(addr, "/metrics.prom");
+    let series: Vec<&str> = prom
+        .lines()
+        .filter(|line| line.starts_with("serve_requests{"))
+        .collect();
+    assert_eq!(
+        series,
+        ["serve_requests{method=\"other\",route=\"(method)\"} 50"],
+        "{prom}"
+    );
+
+    // A control character in the method reaches no JSON document raw.
+    let answer = exchange(addr, b"GE\x01T / HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert_eq!(status(&answer), 405, "{}", String::from_utf8_lossy(&answer));
+    let (code, body) = get(addr, "/debug/telemetry");
+    assert_eq!(code, 200);
+    let parsed: Result<serde_json::Value, _> = serde_json::from_str(&body);
+    assert!(parsed.is_ok(), "{parsed:?}: {body}");
+}

@@ -2,8 +2,7 @@
 //!
 //! The paper leans on Pearson's r throughout: "usage is strongly correlated
 //! with the group's link capacity (r ≥ 0.87…)" (§3.1) and the §6 census of
-//! price~capacity correlation across markets. Spearman's rank correlation
-//! is provided for robustness checks in the ablation benches.
+//! price~capacity correlation across markets.
 
 /// Pearson product-moment correlation between two equal-length slices.
 ///
@@ -34,43 +33,6 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
     Some((sxy / (sxx * syy).sqrt()).clamp(-1.0, 1.0))
 }
 
-/// Spearman rank correlation (Pearson correlation of average ranks; ties
-/// receive the mean of the ranks they span).
-///
-/// Returns `None` under the same conditions as [`pearson`].
-pub fn spearman(x: &[f64], y: &[f64]) -> Option<f64> {
-    assert_eq!(x.len(), y.len(), "correlation inputs differ in length");
-    if x.len() < 2 {
-        return None;
-    }
-    let rx = average_ranks(x);
-    let ry = average_ranks(y);
-    pearson(&rx, &ry)
-}
-
-/// Assign average ranks (1-based) to `data`, giving tied values the mean of
-/// the ranks they occupy.
-pub fn average_ranks(data: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..data.len()).collect();
-    idx.sort_by(|&a, &b| data[a].partial_cmp(&data[b]).expect("NaN in rank input"));
-    let mut ranks = vec![0.0; data.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        // Find the run of ties starting at i.
-        let mut j = i + 1;
-        while j < idx.len() && data[idx[j]] == data[idx[i]] {
-            j += 1;
-        }
-        // Average 1-based rank of positions i..j.
-        let avg = (i + 1 + j) as f64 / 2.0;
-        for &k in &idx[i..j] {
-            ranks[k] = avg;
-        }
-        i = j;
-    }
-    ranks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,22 +60,6 @@ mod tests {
         let x = [1.0, 1.0, 1.0];
         let y = [2.0, 3.0, 4.0];
         assert_eq!(pearson(&x, &y), None);
-        assert_eq!(spearman(&x, &y), None);
-    }
-
-    #[test]
-    fn spearman_ignores_monotone_transforms() {
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let y: Vec<f64> = x.iter().map(|v: &f64| v.exp()).collect();
-        assert!((spearman(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-        // Pearson of the same data is below 1 (convexity).
-        assert!(pearson(&x, &y).unwrap() < 1.0);
-    }
-
-    #[test]
-    fn ranks_average_ties() {
-        let r = average_ranks(&[10.0, 20.0, 20.0, 30.0]);
-        assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
     }
 
     #[test]

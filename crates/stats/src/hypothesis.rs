@@ -189,6 +189,22 @@ mod tests {
     }
 
     #[test]
+    fn large_samples_make_trivial_deviations_significant_not_important() {
+        // §2.3's Paxson caveat: a 50.5 % coin is practically fair, yet a
+        // million throws make the deviation significant. The 2-point
+        // guard keeps it from being a finding.
+        let big = binomial_test(505_000, 1_000_000, 0.5, Tail::Greater);
+        assert!(big.significant(), "p = {}", big.p_value);
+        assert!(big.p_value < 1e-20, "p = {}", big.p_value);
+        assert!(!big.practically_important());
+        assert!(!big.conclusive());
+        // The same share at a realistic sample size is not significant.
+        let small = binomial_test(505, 1_000, 0.5, Tail::Greater);
+        assert!(!small.significant(), "p = {}", small.p_value);
+        assert!((small.p_value - 0.39).abs() < 0.01, "p = {}", small.p_value);
+    }
+
+    #[test]
     fn lower_tail() {
         let t = binomial_test(30, 100, 0.5, Tail::Less);
         assert!(t.significant());

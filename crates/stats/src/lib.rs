@@ -11,20 +11,16 @@
 //! * [`descriptive`] — means, variances, quantiles, five-number summaries;
 //! * [`ecdf`] — empirical CDFs, the workhorse behind every CDF figure in
 //!   the paper;
-//! * [`corr`] — Pearson and Spearman correlation;
+//! * [`corr`] — Pearson correlation;
 //! * [`regression`] — ordinary least squares for the price~capacity fits of
 //!   §6;
 //! * [`hypothesis`] — the one-tailed binomial sign test used by every
 //!   natural experiment, exact and normal-approximated;
 //! * [`ks`] — the two-sample Kolmogorov–Smirnov test quantifying the
 //!   CDF separations the paper's figures show;
-//! * [`rank_tests`] — Pearson's χ² (the §2.3 Paxson caveat, demonstrable)
-//!   and the Mann–Whitney U robustness alternative to the sign test;
 //! * [`ci`] — Student-t confidence intervals for the mean (the error bars
 //!   on every figure);
-//! * [`binning`] — generic binned aggregation;
-//! * [`bootstrap`] — percentile bootstrap for statistics without closed
-//!   forms.
+//! * [`binning`] — generic binned aggregation.
 //!
 //! Accuracy targets: CDF/tail values are good to ~1e-10 relative error in
 //! the bulk and stay meaningful far into the tails (the paper reports
@@ -36,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod binning;
-pub mod bootstrap;
 pub mod ci;
 pub mod corr;
 pub mod descriptive;
@@ -44,18 +39,15 @@ pub mod dist;
 pub mod ecdf;
 pub mod hypothesis;
 pub mod ks;
-pub mod rank_tests;
 pub mod regression;
 pub mod special;
 
 pub use binning::BinnedSeries;
-pub use bootstrap::bootstrap_ci;
 pub use ci::{mean_ci, MeanCi};
-pub use corr::{pearson, spearman};
+pub use corr::pearson;
 pub use descriptive::{mean, median, quantile, stddev, variance, Summary};
 pub use dist::{Binomial, Exponential, LogNormal, Normal, Pareto, StudentT};
 pub use ecdf::Ecdf;
 pub use hypothesis::{binomial_test, BinomialTest, Tail};
 pub use ks::{ks_two_sample, KsTest};
-pub use rank_tests::{chi_squared_gof, mann_whitney_u, ChiSquaredTest, MannWhitneyTest};
 pub use regression::{ols, OlsFit};

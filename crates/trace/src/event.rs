@@ -115,7 +115,11 @@ impl Value {
     }
 }
 
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
+/// Append `s` to `out` as a JSON string literal: quotes, backslashes and
+/// every control character are escaped, so any input yields valid JSON.
+/// The ledger, the Chrome trace and the telemetry documents all write
+/// their strings through this one escaper.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

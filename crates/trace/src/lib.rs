@@ -16,10 +16,10 @@
 //!   registry it is a pure function of the dataset, merged in shard
 //!   order, and serialised to byte-stable JSONL (`--ledger`).
 //! - [`Timings`]: named wall-clock spans for the **runtime** side (phase
-//!   durations, per-shard wall time), now as a hierarchical span tree
-//!   exportable to Chrome trace-event JSON (`--chrome-trace`). Plan- and
-//!   machine-dependent by nature, written to separate sidecars and never
-//!   mixed into the deterministic registry or ledger.
+//!   durations), as a hierarchical span tree exportable to Chrome
+//!   trace-event JSON (`--chrome-trace`). Plan- and machine-dependent by
+//!   nature, written to a separate sidecar and never mixed into the
+//!   deterministic registry or ledger.
 //! - [`Telemetry`]: the **live service** half — concurrent atomic
 //!   counters, gauges, log₂ latency histograms and per-second ring-buffer
 //!   time series for the gateway, rendered as Prometheus text exposition
@@ -44,7 +44,7 @@ pub use event::{Event, EventBuilder, EventLog, EventTail, Value};
 pub use hist::Log2Histogram;
 pub use intern::intern;
 pub use registry::Registry;
-pub use span::{SpanGuard, SpanNode, SpanStats, Timings};
+pub use span::Timings;
 pub use telemetry::{
     AtomicLog2Histogram, Clock, Counter, FakeClock, Gauge, MetricId, SystemClock, Telemetry,
     TimeSeries,

@@ -10,8 +10,9 @@
 //! Only *data events* belong here: wraps detected, resets clamped,
 //! samples dropped — things that are pure functions of `(seed, user
 //! index)`. Wall-clock observables (span timings, steal counts) are
-//! plan-dependent by nature and live in [`crate::Timings`] instead, so
-//! they can never leak into the deterministic output.
+//! plan-dependent by nature and live in [`crate::Timings`] and the
+//! engine's `RunStats` instead, so they can never leak into the
+//! deterministic output.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -1,49 +1,31 @@
 //! Lightweight span timing — the *non*-deterministic side of tracing.
 //!
-//! [`Timings`] records named wall-clock spans two ways at once:
-//!
-//! - **Aggregates** per span name: call count, total duration, and a log₂
-//!   histogram of microsecond durations (as before).
-//! - A **hierarchical span tree**: [`Timings::enter`] returns an RAII
-//!   [`SpanGuard`] whose children ([`SpanGuard::child`]) nest under it;
-//!   every closed span becomes a [`SpanNode`] with its depth and start/
-//!   duration offsets, exportable as Chrome trace-event JSON
-//!   ([`Timings::to_chrome_trace`]) loadable in Perfetto or
-//!   `chrome://tracing`.
+//! [`Timings`] records named wall-clock spans as a tree: [`Timings::begin`]
+//! and [`Timings::end`] (or [`Timings::time`] around a closure) nest
+//! spans, and every closed span keeps its start and duration, which place
+//! it inside its parent's interval. [`Timings::to_chrome_trace`] exports
+//! them as Chrome trace-event JSON, loadable in Perfetto or
+//! `chrome://tracing`.
 //!
 //! It is kept deliberately separate from [`crate::Registry`] and
 //! [`crate::EventLog`]: wall time is a property of the machine and the
 //! `(shards, threads)` plan, never of the simulated data, so it must not
 //! be able to contaminate the byte-identical `--metrics`/`--ledger`
-//! output. The `reproduce` CLI writes it to `.runtime.json` /
-//! `--chrome-trace` sidecars instead.
+//! output. The `reproduce` CLI writes it to the `--chrome-trace` sidecar
+//! instead.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
-
-/// Accumulated statistics for one named span.
-#[derive(Clone, Debug, Default)]
-pub struct SpanStats {
-    /// Number of times the span ran.
-    pub count: u64,
-    /// Total wall time across all runs.
-    pub total: Duration,
-    /// Log₂ histogram of per-run durations in microseconds (base 1 µs).
-    pub micros: crate::Log2Histogram,
-}
+use std::time::Instant;
 
 /// One closed span in the tree: where it sat and how long it ran.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanNode {
+#[derive(Clone, Debug)]
+struct SpanNode {
     /// Span name.
-    pub name: &'static str,
-    /// Nesting depth at open time (0 = root).
-    pub depth: usize,
+    name: &'static str,
     /// Start offset from the `Timings` epoch, in microseconds.
-    pub start_us: u64,
+    start_us: u64,
     /// Duration in microseconds.
-    pub dur_us: u64,
+    dur_us: u64,
 }
 
 /// An open span on the stack, closed by [`Timings::end`].
@@ -51,42 +33,15 @@ pub struct SpanNode {
 struct OpenSpan {
     name: &'static str,
     start: Instant,
-    depth: usize,
 }
 
-/// Named wall-clock spans: aggregates plus a hierarchical span tree.
+/// Named wall-clock spans as a tree.
 #[derive(Clone, Debug, Default)]
 pub struct Timings {
-    spans: BTreeMap<&'static str, SpanStats>,
     /// Instant of the first `begin`; node offsets are relative to it.
     epoch: Option<Instant>,
     stack: Vec<OpenSpan>,
     nodes: Vec<SpanNode>,
-}
-
-/// RAII guard for a span opened with [`Timings::enter`]; the span closes
-/// when the guard drops. Open nested children with [`SpanGuard::child`].
-pub struct SpanGuard<'a> {
-    t: &'a mut Timings,
-}
-
-impl SpanGuard<'_> {
-    /// Open a child span nested under this one.
-    pub fn child(&mut self, name: &'static str) -> SpanGuard<'_> {
-        self.t.begin(name);
-        SpanGuard { t: self.t }
-    }
-
-    /// Time `f` as a child span of this one.
-    pub fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
-        self.t.time(name, f)
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.t.end();
-    }
 }
 
 impl Timings {
@@ -95,42 +50,30 @@ impl Timings {
         Self::default()
     }
 
-    /// Open span `name`; pair with [`Timings::end`]. Prefer
-    /// [`Timings::enter`], which cannot be left unbalanced.
+    /// Open span `name`, nested under whatever is open; pair with
+    /// [`Timings::end`].
     pub fn begin(&mut self, name: &'static str) {
         let now = Instant::now();
         let epoch = *self.epoch.get_or_insert(now);
         // `now` can never precede an epoch taken at or before it.
         debug_assert!(now >= epoch);
-        self.stack.push(OpenSpan {
-            name,
-            start: now,
-            depth: self.stack.len(),
-        });
+        self.stack.push(OpenSpan { name, start: now });
     }
 
-    /// Close the innermost open span, recording both its aggregate stats
-    /// and its tree node. A stray `end` with nothing open is ignored.
+    /// Close the innermost open span, recording its tree node. A stray
+    /// `end` with nothing open is ignored.
     pub fn end(&mut self) {
         let Some(open) = self.stack.pop() else {
             debug_assert!(false, "Timings::end with no open span");
             return;
         };
         let elapsed = open.start.elapsed();
-        self.record(open.name, elapsed);
         let epoch = self.epoch.expect("epoch set by begin");
         self.nodes.push(SpanNode {
             name: open.name,
-            depth: open.depth,
             start_us: open.start.duration_since(epoch).as_micros() as u64,
             dur_us: elapsed.as_micros() as u64,
         });
-    }
-
-    /// Open span `name`, returning a guard that closes it on drop.
-    pub fn enter(&mut self, name: &'static str) -> SpanGuard<'_> {
-        self.begin(name);
-        SpanGuard { t: self }
     }
 
     /// Time `f` under span `name`, returning its result. The span lands
@@ -139,99 +82,6 @@ impl Timings {
         self.begin(name);
         let out = f();
         self.end();
-        out
-    }
-
-    /// Record an externally-measured duration under span `name`. This
-    /// only feeds the aggregates, not the tree: the measurement happened
-    /// elsewhere (e.g. a shard worker), so it has no position here.
-    pub fn record(&mut self, name: &'static str, elapsed: Duration) {
-        let s = self.spans.entry(name).or_default();
-        s.count += 1;
-        s.total += elapsed;
-        s.micros.push(elapsed.as_secs_f64() * 1e6, 1.0);
-    }
-
-    /// Stats for span `name`, if it ever ran.
-    pub fn span(&self, name: &str) -> Option<&SpanStats> {
-        self.spans.get(name)
-    }
-
-    /// `(name, stats)` in name order.
-    pub fn spans(&self) -> impl Iterator<Item = (&'static str, &SpanStats)> + '_ {
-        self.spans.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// Closed tree nodes in close order (children precede parents).
-    pub fn nodes(&self) -> impl Iterator<Item = &SpanNode> + '_ {
-        self.nodes.iter()
-    }
-
-    /// Fold `other` into `self`: aggregates add and histograms merge;
-    /// `other`'s tree nodes are rebased from its epoch onto ours so the
-    /// merged timeline stays on one clock.
-    pub fn merge(&mut self, other: Self) {
-        for (name, stats) in other.spans {
-            let s = self.spans.entry(name).or_default();
-            s.count += stats.count;
-            s.total += stats.total;
-            s.micros.merge(stats.micros);
-        }
-        match (self.epoch, other.epoch) {
-            (_, None) => {}
-            (None, Some(epoch)) => {
-                self.epoch = Some(epoch);
-                self.nodes.extend(other.nodes);
-            }
-            (Some(ours), Some(theirs)) => {
-                let delta: i128 = match theirs.checked_duration_since(ours) {
-                    Some(ahead) => ahead.as_micros() as i128,
-                    None => -(ours.duration_since(theirs).as_micros() as i128),
-                };
-                for mut node in other.nodes {
-                    let ts = node.start_us as i128 + delta;
-                    node.start_us = ts.max(0) as u64;
-                    self.nodes.push(node);
-                }
-            }
-        }
-    }
-
-    /// Pretty JSON for the runtime sidecar: per-span count, total, and
-    /// the µs log₂ histogram (sorted buckets). Keys are sorted, but the
-    /// *values* are wall-clock measurements — this output is expected to
-    /// differ run to run and is excluded from invariance guarantees.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"spans\": {");
-        let mut first = true;
-        for (name, s) in &self.spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n    \"{name}\": {{\"count\": {}, \"total_us\": {}, \
-                 \"micros_log2\": {{\"nonpositive\": {}, \"buckets\": [",
-                s.count,
-                s.total.as_micros(),
-                s.micros.nonpositive()
-            );
-            let mut first_bucket = true;
-            for (bucket, count) in s.micros.buckets() {
-                if !first_bucket {
-                    out.push_str(", ");
-                }
-                first_bucket = false;
-                let _ = write!(out, "[{bucket}, {count}]");
-            }
-            out.push_str("]}}");
-        }
-        if !self.spans.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
         out
     }
 
@@ -268,68 +118,26 @@ impl Timings {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
-    fn time_records_count_and_duration() {
+    fn begin_and_end_build_a_nested_tree() {
         let mut t = Timings::new();
-        let v = t.time("work", || 41 + 1);
-        assert_eq!(v, 42);
-        t.record("work", Duration::from_micros(250));
-        let s = t.span("work").unwrap();
-        assert_eq!(s.count, 2);
-        assert!(s.total >= Duration::from_micros(250));
-        assert_eq!(s.micros.count(), 2);
-    }
-
-    #[test]
-    fn merge_adds_span_stats() {
-        let mut a = Timings::new();
-        a.record("merge", Duration::from_micros(10));
-        let mut b = Timings::new();
-        b.record("merge", Duration::from_micros(20));
-        b.record("other", Duration::from_micros(5));
-        a.merge(b);
-        assert_eq!(a.span("merge").unwrap().count, 2);
-        assert_eq!(a.span("merge").unwrap().total, Duration::from_micros(30));
-        assert_eq!(a.spans().count(), 2);
-    }
-
-    #[test]
-    fn to_json_serialises_the_micros_histogram() {
-        // Regression: the per-span log₂ histogram used to be collected
-        // and then silently dropped by the serialiser.
-        let mut t = Timings::new();
-        t.record("phase", Duration::from_micros(3));
-        t.record("phase", Duration::from_micros(100));
-        let json = t.to_json();
-        assert!(json.contains("\"micros_log2\""), "{json}");
-        // 3 µs → bucket 2 ((2, 4]); 100 µs → bucket 7 ((64, 128]).
-        assert!(json.contains("\"buckets\": [[2, 1], [7, 1]]"), "{json}");
-        assert!(json.contains("\"nonpositive\": 0"), "{json}");
-    }
-
-    #[test]
-    fn guards_build_a_nested_tree() {
-        let mut t = Timings::new();
-        {
-            let mut outer = t.enter("outer");
-            {
-                let mut mid = outer.child("mid");
-                mid.time("inner", || std::thread::sleep(Duration::from_micros(50)));
-            }
-        }
+        t.begin("outer");
+        t.begin("mid");
+        t.time("inner", || std::thread::sleep(Duration::from_micros(50)));
+        t.end();
+        t.end();
         // Close order: innermost first.
-        let nodes: Vec<_> = t.nodes().map(|n| (n.name, n.depth)).collect();
-        assert_eq!(nodes, [("inner", 2), ("mid", 1), ("outer", 0)]);
+        let names: Vec<_> = t.nodes.iter().map(|n| n.name).collect();
+        assert_eq!(names, ["inner", "mid", "outer"]);
         // Parents contain their children in time.
-        let by_name = |name: &str| t.nodes().find(|n| n.name == name).unwrap().clone();
+        let by_name = |name: &str| t.nodes.iter().find(|n| n.name == name).unwrap().clone();
         let (inner, mid, outer) = (by_name("inner"), by_name("mid"), by_name("outer"));
         assert!(outer.start_us <= mid.start_us);
         assert!(mid.start_us <= inner.start_us);
         assert!(outer.start_us + outer.dur_us >= mid.start_us + mid.dur_us);
         assert!(mid.start_us + mid.dur_us >= inner.start_us + inner.dur_us);
-        // Aggregates saw all three spans too.
-        assert_eq!(t.spans().count(), 3);
         assert!(inner.dur_us >= 50);
     }
 
@@ -346,21 +154,5 @@ mod tests {
         assert!(trace.contains("\"ts\": "), "{trace}");
         assert!(trace.contains("\"dur\": "), "{trace}");
         assert!(trace.contains("\"pid\": 1, \"tid\": 1"), "{trace}");
-    }
-
-    #[test]
-    fn merge_rebases_node_offsets_onto_one_clock() {
-        let mut a = Timings::new();
-        a.time("first", || std::thread::sleep(Duration::from_micros(100)));
-        let mut b = Timings::new();
-        b.time("second", || ());
-        a.merge(b);
-        let names: Vec<_> = a.nodes().map(|n| n.name).collect();
-        assert_eq!(names, ["first", "second"]);
-        // `b` began after `a`'s epoch, so its rebased offset must sit
-        // at or after the end of `a`'s only span.
-        let first = a.nodes().next().unwrap().clone();
-        let second = a.nodes().nth(1).unwrap().clone();
-        assert!(second.start_us >= first.start_us + first.dur_us);
     }
 }

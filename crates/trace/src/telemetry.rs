@@ -49,6 +49,7 @@
 //! it may ever be written into `metrics.json`, the ledger, or an exhibit
 //! file — the byte-identity tests pin that separation.
 
+use crate::event::write_json_string;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -667,7 +668,9 @@ impl Telemetry {
                     out.push(',');
                 }
                 first = false;
-                let _ = write!(out, "\n    \"{}\": {}", json_escape(&id.render()), c.get());
+                out.push_str("\n    ");
+                write_json_string(&mut out, &id.render());
+                let _ = write!(out, ": {}", c.get());
             }
             if !map.is_empty() {
                 out.push_str("\n  ");
@@ -682,7 +685,9 @@ impl Telemetry {
                     out.push(',');
                 }
                 first = false;
-                let _ = write!(out, "\n    \"{}\": {}", json_escape(&id.render()), g.get());
+                out.push_str("\n    ");
+                write_json_string(&mut out, &id.render());
+                let _ = write!(out, ": {}", g.get());
             }
             if !map.is_empty() {
                 out.push_str("\n  ");
@@ -697,10 +702,11 @@ impl Telemetry {
                     out.push(',');
                 }
                 first = false;
+                out.push_str("\n    ");
+                write_json_string(&mut out, &id.render());
                 let _ = write!(
                     out,
-                    "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"buckets\": [",
-                    json_escape(&id.render()),
+                    ": {{\"count\": {}, \"sum\": {}, \"buckets\": [",
                     h.count(),
                     h.sum()
                 );
@@ -726,10 +732,11 @@ impl Telemetry {
                 }
                 first = false;
                 let window = s.window_sum(now, SERIES_WINDOW_SECS);
+                out.push_str("\n    ");
+                write_json_string(&mut out, &id.render());
                 let _ = write!(
                     out,
-                    "\n    \"{}\": {{\"window_secs\": {SERIES_WINDOW_SECS}, \"window_sum\": {window}, \"per_sec\": [",
-                    json_escape(&id.render())
+                    ": {{\"window_secs\": {SERIES_WINDOW_SECS}, \"window_sum\": {window}, \"per_sec\": ["
                 );
                 for (i, (sec, n)) in s.samples(now, s.capacity() as u64).iter().enumerate() {
                     if i > 0 {
@@ -754,11 +761,6 @@ impl std::fmt::Debug for Telemetry {
             .field("uptime_secs", &self.uptime_secs())
             .finish()
     }
-}
-
-/// Escape a string for inclusion inside a JSON string literal.
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Emit `# TYPE` + samples for a sorted run of counter/gauge ids.
