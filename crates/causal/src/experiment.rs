@@ -140,9 +140,8 @@ impl NaturalExperiment {
         }
     }
 
-    /// Score pre-computed pairs (exposed for the ablation benches, which
-    /// reuse one matching under several tests).
-    pub fn score(&self, pairs: Vec<MatchedPair>) -> Option<ExperimentOutcome> {
+    /// Sign-test the matched pairs; `None` when there are none.
+    fn score(&self, pairs: Vec<MatchedPair>) -> Option<ExperimentOutcome> {
         if pairs.is_empty() {
             return None;
         }

@@ -28,12 +28,6 @@ impl EcdfSketch {
         self.sketch.push(value);
     }
 
-    /// Absorb a slice of observations; state-identical to pushing each in
-    /// turn (see [`QuantileSketch::push_batch`]).
-    pub fn push_batch(&mut self, values: &[f64]) {
-        self.sketch.push_batch(values);
-    }
-
     /// Observations absorbed.
     pub fn count(&self) -> u64 {
         self.sketch.count()

@@ -38,24 +38,6 @@ impl ExactMoments {
         self.sum_sq += (scaled * scaled) as u128;
     }
 
-    /// Absorb a slice of observations in one pass. Integer sums are
-    /// exactly associative, so this is state-identical to pushing each
-    /// value in turn; the partial sums stay in registers instead of
-    /// round-tripping through the struct per value.
-    pub fn push_batch(&mut self, values: &[f64]) {
-        let mut sum = 0i128;
-        let mut sum_sq = 0u128;
-        for &value in values {
-            debug_assert!(value.is_finite(), "ExactMoments::push_batch({value})");
-            let scaled = (value * SCALE).round() as i128;
-            sum += scaled;
-            sum_sq += (scaled * scaled) as u128;
-        }
-        self.count += values.len() as u64;
-        self.sum += sum;
-        self.sum_sq += sum_sq;
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -150,20 +132,6 @@ mod tests {
             "{} vs {var}",
             acc.variance()
         );
-    }
-
-    #[test]
-    fn push_batch_is_state_identical_to_scalar_pushes() {
-        let values = data();
-        let mut scalar = ExactMoments::new();
-        values.iter().for_each(|&v| scalar.push(v));
-        for chunk in [1usize, 4, 100, 1000] {
-            let mut batched = ExactMoments::new();
-            for block in values.chunks(chunk) {
-                batched.push_batch(block);
-            }
-            assert_eq!(batched, scalar, "chunk {chunk}");
-        }
     }
 
     #[test]

@@ -92,41 +92,6 @@ impl QuantileSketch {
         *self.buckets.entry(index).or_insert(0) += 1;
     }
 
-    /// Absorb a slice of observations. State-identical to pushing each
-    /// value in turn (all updates commute), but consecutive values that
-    /// land in the same geometric bucket are run-length folded into one
-    /// map update — nearby values dominate real rate series, so the
-    /// per-value `BTreeMap` walk mostly disappears.
-    pub fn push_batch(&mut self, values: &[f64]) {
-        let mut run_key = i32::MIN;
-        let mut run_count = 0u64;
-        for &value in values {
-            debug_assert!(value.is_finite(), "QuantileSketch::push_batch({value})");
-            if value < Self::MIN_POSITIVE {
-                self.zeros += 1;
-                if value < 0.0 {
-                    self.negatives += 1;
-                }
-                continue;
-            }
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-            let index = (value.ln() / self.ln_gamma).ceil() as i32;
-            if index == run_key {
-                run_count += 1;
-            } else {
-                if run_count > 0 {
-                    *self.buckets.entry(run_key).or_insert(0) += run_count;
-                }
-                run_key = index;
-                run_count = 1;
-            }
-        }
-        if run_count > 0 {
-            *self.buckets.entry(run_key).or_insert(0) += run_count;
-        }
-    }
-
     /// The representative value of bucket `index`: the midpoint that
     /// bounds relative error by α for every value in the bucket.
     fn representative(&self, index: i32) -> f64 {
@@ -309,33 +274,6 @@ mod tests {
         other.push(-1.0);
         sketch.merge(other);
         assert_eq!(sketch.negatives(), 2, "negatives survive merges");
-    }
-
-    #[test]
-    fn push_batch_is_state_identical_to_scalar_pushes() {
-        let values: Vec<f64> = (0..500u32)
-            .map(|i| match i % 7 {
-                0 => 0.0,
-                1 => -1.5,
-                _ => ((i as f64 * 0.618).fract() * 9.0).exp() * 1e-2,
-            })
-            .collect();
-        // Include long same-bucket runs, the case the run-length fold
-        // batches.
-        let mut runs = values.clone();
-        runs.extend(std::iter::repeat_n(42.0, 64));
-        for chunk in [1usize, 3, 8, 100, 1000] {
-            let mut scalar = QuantileSketch::with_accuracy(0.01);
-            runs.iter().for_each(|&v| scalar.push(v));
-            let mut batched = QuantileSketch::with_accuracy(0.01);
-            for block in runs.chunks(chunk) {
-                batched.push_batch(block);
-            }
-            assert_eq!(batched, scalar, "chunk {chunk}");
-        }
-        let mut empty = QuantileSketch::with_accuracy(0.01);
-        empty.push_batch(&[]);
-        assert_eq!(empty, QuantileSketch::with_accuracy(0.01));
     }
 
     #[test]

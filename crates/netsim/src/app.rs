@@ -2,12 +2,13 @@
 //!
 //! Each session the workload generator emits belongs to an [`AppClass`].
 //! The class determines the number of parallel TCP flows, the desired
-//! transfer rate, the (heavy-tailed) session size, and how tolerant the
-//! application is of a poor path before the user gives up — the knob
-//! through which connection quality feeds back into demand (§7).
+//! transfer rate (with the link's capacity, in
+//! [`effective_desired`](crate::workload::effective_desired)), the
+//! (heavy-tailed) session size, and how tolerant the application is of
+//! a poor path before the user gives up — the knob through which
+//! connection quality feeds back into demand (§7).
 
 use bb_stats::dist::{LogNormal, Pareto};
-use bb_types::Bandwidth;
 use rand::Rng;
 
 /// Coarse application classes of residential downstream traffic.
@@ -45,18 +46,6 @@ impl AppClass {
             AppClass::Bulk => 4,
             AppClass::BitTorrent => 30,
             AppClass::Background => 1,
-        }
-    }
-
-    /// Desired (application-limited) transfer rate. `None` means elastic:
-    /// the app will take whatever the path gives (bulk, BitTorrent).
-    pub fn desired_rate(self) -> Option<Bandwidth> {
-        match self {
-            AppClass::Web => Some(Bandwidth::from_mbps(8.0)), // page-load burst
-            AppClass::Video => Some(Bandwidth::from_mbps(2.5)), // SD/HD ladder mid-point
-            AppClass::Bulk => None,
-            AppClass::BitTorrent => None,
-            AppClass::Background => Some(Bandwidth::from_kbps(64.0)),
         }
     }
 
@@ -178,13 +167,6 @@ mod tests {
             let f = class.upload_fraction();
             assert!((0.0..=1.0).contains(&f));
         }
-    }
-
-    #[test]
-    fn elastic_apps_have_no_rate_cap() {
-        assert!(AppClass::Bulk.desired_rate().is_none());
-        assert!(AppClass::BitTorrent.desired_rate().is_none());
-        assert!(AppClass::Video.desired_rate().is_some());
     }
 
     #[test]

@@ -103,13 +103,13 @@ pub fn experiment_table(t: &ExperimentTable) -> String {
     for r in &t.rows {
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {:.1}%{} | {:.3e} |",
+            "| {} | {} | {} | {:.1}%{} | {} |",
             cell(&r.control),
             cell(&r.treatment),
             r.n_pairs,
             r.percent_holds,
             r.asterisk(),
-            r.p_value
+            text::p_value(r.p_value, 3)
         );
     }
     out
@@ -300,15 +300,18 @@ pub fn provenance(log: &EventLog) -> String {
         );
         let _ = writeln!(out, "|---|---|---|---|---|---|---|---|");
         for e in &tests {
+            let p = match e.get("p_value") {
+                Some(&Value::F64(p)) if p.is_finite() => text::p_value(p, 3),
+                _ => field(e, "p_value"),
+            };
             let _ = writeln!(
                 out,
-                "| {} | {} | {} | {} | {} | {} | {} | {} |",
+                "| {} | {} | {} | {} | {} | {p} | {} | {} |",
                 field(e, "exhibit"),
                 field(e, "experiment"),
                 field(e, "n"),
                 field(e, "positives"),
                 field(e, "ties"),
-                field(e, "p_value"),
                 field(e, "direction"),
                 field(e, "kept"),
             );
@@ -430,8 +433,10 @@ fn versus_paper<'a>(
         let (ph, pp) = paper.get(i).copied().unwrap_or((0.0, 1.0));
         let _ = writeln!(
             md,
-            "| {label} | {ph}% ({pp:.2e}) | {:.1}% ({:.2e}) | {} |",
-            row.percent_holds, row.p_value, row.n_pairs
+            "| {label} | {ph}% ({pp:.2e}) | {:.1}% ({}) | {} |",
+            row.percent_holds,
+            text::p_value(row.p_value, 2),
+            row.n_pairs
         );
     }
 }
@@ -614,8 +619,10 @@ fn paper_comparison(r: &StudyReport) -> String {
         let _ = writeln!(
             md,
             "\nIndia vs capacity-matched US (paper: lower demand 62% of the time,\n\
-             p < 0.001): measured {:.1}% ({:.2e}) over {} pairs.\n",
-            row.percent_holds, row.p_value, row.n_pairs
+             p < 0.001): measured {:.1}% ({}) over {} pairs.\n",
+            row.percent_holds,
+            text::p_value(row.p_value, 2),
+            row.n_pairs
         );
     }
 
@@ -761,6 +768,38 @@ mod tests {
         assert!(md.contains("### Sign tests"));
         assert!(md.contains("| 38 | 25 | 2 | 3.600e-2 | treatment_higher | true |"));
         assert!(md.contains("| fig2 | n = 900 |"));
+    }
+
+    #[test]
+    fn an_underflowed_p_prints_as_a_bound() {
+        // Table 1 at the paper's panel size: 12,046 pairs, a tail below
+        // f64's range.
+        let row = ExperimentRow {
+            control: "before".into(),
+            treatment: "after".into(),
+            n_pairs: 12_046,
+            percent_holds: 69.7,
+            p_value: 0.0,
+            significant: true,
+        };
+        let table = ExperimentTable {
+            id: "table1".into(),
+            title: "T".into(),
+            control_label: "Control".into(),
+            treatment_label: "Treatment".into(),
+            rows: vec![row.clone()],
+        };
+        let txt = text::render_experiment_table(&table);
+        assert!(txt.contains("69.7%  < 1e-300\n"), "{txt}");
+        let md = experiment_table(&table);
+        assert!(md.contains("| 12046 | 69.7% | < 1e-300 |"), "{md}");
+        let mut md = String::new();
+        versus_paper(&mut md, "row", [("peak".to_string(), &row)], &TABLE1);
+        assert!(md.contains("| 69.7% (< 1e-300) | 12046 |"), "{md}");
+        let mut log = EventLog::new();
+        log.emit("sign_test").f64("p_value", 0.0);
+        let md = provenance(&log);
+        assert!(md.contains("| — | < 1e-300 | — |"), "{md}");
     }
 
     #[test]

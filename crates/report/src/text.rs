@@ -35,13 +35,13 @@ pub fn render_experiment_table(t: &ExperimentTable) -> String {
     for r in &t.rows {
         let _ = writeln!(
             out,
-            "{:<c_w$}  {:<tr_w$}  {:>7}  {:>9.1}%{}  {:>.3e}",
+            "{:<c_w$}  {:<tr_w$}  {:>7}  {:>9.1}%{}  {}",
             r.control,
             r.treatment,
             r.n_pairs,
             r.percent_holds,
             r.asterisk(),
-            r.p_value
+            p_value(r.p_value, 3)
         );
     }
     if t.rows.is_empty() {
@@ -201,6 +201,18 @@ pub fn render_exhibit(e: &Exhibit) -> String {
         Exhibit::Binned(f) => render_binned_figure(f),
         Exhibit::Bar(f) => render_bar_figure(f),
         Exhibit::Table(t) => render_experiment_table(t),
+    }
+}
+
+/// A sign test's p in scientific notation with `digits` decimals. A
+/// tail that underflowed to exactly zero prints as the bound
+/// `< 1e-300`, not as `0.000e0`: an exact binomial tail is never zero,
+/// and one below `f64`'s normal range is far below 1e-300.
+pub(crate) fn p_value(p: f64, digits: usize) -> String {
+    if p == 0.0 {
+        "< 1e-300".into()
+    } else {
+        format!("{p:.digits$e}")
     }
 }
 

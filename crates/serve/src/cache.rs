@@ -16,16 +16,15 @@
 //! as a rejection, invalidates the entry, and degrades to recompute:
 //! corruption can cost time, never correctness.
 //!
-//! An entry is loaded two ways. [`ResultCache::lookup`] decides whether
-//! a job computes and counts a hit or a miss; [`ResultCache::read`]
-//! serves a finished job's artifacts back to a reader and counts
-//! neither. Both verify every digest, and both count a rejection.
+//! [`ResultCache::read`] is the one load: the scheduler's worker calls it
+//! to decide whether a job computes, and a reader calls it to serve a
+//! finished job's artifacts back. It verifies every digest and counts
+//! nothing; each caller counts its own outcome in `serve.cache.*`.
 
 use bb_engine::{atomic_write, fnv1a64, CheckpointParams};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The validity marker and per-file digest manifest of a cache entry.
 const RESULT_MANIFEST: &str = "result.ok";
@@ -46,8 +45,7 @@ pub fn cache_key(params: &CheckpointParams, shards: usize) -> u64 {
     fnv1a64(text.as_bytes())
 }
 
-/// Why [`ResultCache::lookup`] or [`ResultCache::read`] found nothing to
-/// serve.
+/// Why [`ResultCache::read`] found nothing to serve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Miss {
     /// No valid entry: never stored, or invalidated earlier.
@@ -56,24 +54,16 @@ pub enum Miss {
     Rejected,
 }
 
-/// An on-disk result cache with hit/miss/rejection counters.
+/// An on-disk result cache.
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    rejected: AtomicU64,
 }
 
 impl ResultCache {
     /// A cache rooted at `dir` (created lazily on first store).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        ResultCache {
-            dir: dir.into(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-        }
+        ResultCache { dir: dir.into() }
     }
 
     /// The directory of one entry.
@@ -95,31 +85,14 @@ impl ResultCache {
         atomic_write(&entry.join(RESULT_MANIFEST), &manifest)
     }
 
-    /// Look up `key`, counting the outcome: a valid entry is a hit and
-    /// returns its files; anything else is a miss, which
-    /// [`read`](Self::read) tells apart as [`Miss::Absent`] or a counted
-    /// [`Miss::Rejected`], so the caller recomputes.
-    pub fn lookup(&self, key: u64) -> Result<Vec<(String, String)>, Miss> {
-        let loaded = self.read(key);
-        let counter = if loaded.is_ok() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        loaded
-    }
-
-    /// Read `key`'s entry back, verifying every digest, without counting
-    /// a hit or a miss. An entry whose digests do not verify is a
-    /// rejection: it is counted and invalidated (the `result.ok` marker
-    /// removed), so its bytes are never returned and the next lookup of
-    /// `key` misses.
+    /// Read `key`'s entry back, verifying every digest. An entry whose
+    /// digests do not verify is a [`Miss::Rejected`]: it is invalidated
+    /// (the `result.ok` marker removed), so its bytes are never returned
+    /// and the next read of `key` is [`Miss::Absent`].
     pub fn read(&self, key: u64) -> Result<Vec<(String, String)>, Miss> {
         let entry = self.entry_dir(key);
         let manifest = fs::read_to_string(entry.join(RESULT_MANIFEST)).map_err(|_| Miss::Absent)?;
         self.verify(&entry, &manifest).map_err(|_| {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
             let _ = fs::remove_file(entry.join(RESULT_MANIFEST));
             Miss::Rejected
         })
@@ -142,21 +115,6 @@ impl ResultCache {
             files.push((name.to_string(), content));
         }
         Ok(files)
-    }
-
-    /// Valid lookups served without recomputation.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found no servable entry (including rejections).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries invalidated because an artifact failed verification.
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
     }
 }
 
@@ -210,47 +168,23 @@ mod tests {
     }
 
     #[test]
-    fn store_then_lookup_round_trips_and_counts_a_hit() {
+    fn store_then_read_round_trips_and_a_tampered_entry_is_rejected_once() {
         let dir = std::env::temp_dir().join(format!("bb-serve-cache-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let cache = ResultCache::new(&dir);
         let key = cache_key(&params(1), 4);
-        assert_eq!(cache.lookup(key), Err(Miss::Absent));
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.read(key), Err(Miss::Absent));
         let files = vec![
             ("metrics.json".to_string(), "{\"a\": 1}".to_string()),
             ("fig1a.txt".to_string(), "figure\n".to_string()),
         ];
         cache.store(key, &files).unwrap();
-        assert_eq!(cache.lookup(key).as_deref(), Ok(&files[..]));
-        assert_eq!((cache.hits(), cache.rejected()), (1, 0));
-        // Corrupt one artifact: the entry is rejected, invalidated, and
-        // stays invalid on the next probe (no marker file any more).
-        fs::write(cache.entry_dir(key).join("fig1a.txt"), "tampered").unwrap();
-        assert_eq!(cache.lookup(key), Err(Miss::Rejected));
-        assert_eq!((cache.hits(), cache.rejected()), (1, 1));
-        assert_eq!(cache.lookup(key), Err(Miss::Absent));
-        assert_eq!(cache.rejected(), 1, "no marker left to reject");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn read_verifies_like_lookup_but_counts_no_hit_or_miss() {
-        let dir = std::env::temp_dir().join(format!("bb-serve-read-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cache = ResultCache::new(&dir);
-        let key = cache_key(&params(2), 4);
-        assert_eq!(cache.read(key), Err(Miss::Absent));
-        let files = vec![("metrics.json".to_string(), "{}".to_string())];
-        cache.store(key, &files).unwrap();
         assert_eq!(cache.read(key).as_deref(), Ok(&files[..]));
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        fs::write(cache.entry_dir(key).join("metrics.json"), "{\"x\": 1}").unwrap();
+        // Corrupt one artifact: the entry is rejected, invalidated, and
+        // stays invalid on the next read (no marker file any more).
+        fs::write(cache.entry_dir(key).join("fig1a.txt"), "tampered").unwrap();
         assert_eq!(cache.read(key), Err(Miss::Rejected));
         assert_eq!(cache.read(key), Err(Miss::Absent), "the marker is gone");
-        assert_eq!((cache.hits(), cache.misses(), cache.rejected()), (0, 0, 1));
-        // The invalidated entry is a plain miss for the next job.
-        assert_eq!(cache.lookup(key), Err(Miss::Absent));
         let _ = fs::remove_dir_all(&dir);
     }
 }

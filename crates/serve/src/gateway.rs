@@ -30,21 +30,26 @@
 //! artifact bytes the batch CLI writes for the same parameters.
 //!
 //! No peer can hold a pool thread indefinitely: each connection has
-//! [`READ_DEADLINE`](crate::http::READ_DEADLINE) (5 s) to deliver its
-//! whole request, whose head is capped at 16 KiB, and each response or
-//! SSE chunk has 5 s to leave. An expired deadline is counted in
-//! `serve.conn.timeouts`, and an incomplete request is answered 408.
+//! [`READ_DEADLINE`] (5 s) to deliver its whole request, whose head is
+//! capped at 16 KiB, and each response or SSE chunk has 5 s to leave. An
+//! expired deadline is counted in `serve.conn.timeouts`, and an
+//! incomplete request is answered 408.
 //!
-//! Every request is instrumented end-to-end: a monotonic request id, the
-//! in-flight gauge, per-route RED metrics, and (with `--access-log`) one
-//! JSONL access-log line. A panicking handler is caught here, answered
-//! with a 500, and counted in `serve.panics` — it never takes a pool
-//! worker down. Telemetry labels always use the route *template*
-//! (`/jobs/{id}`) and one of four method labels (`GET`, `HEAD`, `POST`,
-//! `other`), keeping metric cardinality bounded.
+//! Every request takes one path. A request that does not parse is
+//! answered with its error status; any other is routed, and every route,
+//! the SSE routes included, returns a reply: a response, or a feed to
+//! stream. That reply is written once, and the exchange is recorded
+//! once: a monotonic request id, the in-flight gauge, per-route RED
+//! metrics, and (with `--access-log`) one JSONL access-log line. A
+//! panicking handler is caught, answered with a 500, and counted in
+//! `serve.panics` — it never takes a pool worker down. Telemetry labels
+//! always use the route *template* (`/jobs/{id}`) and one of four method
+//! labels (`GET`, `HEAD`, `POST`, `other`), keeping metric cardinality
+//! bounded.
 
 use crate::http::{
-    read_request, write_sse_head, Conn, Request, RequestError, Response, ThreadPool,
+    read_request, write_sse_head, Conn, Request, RequestError, Response, ThreadPool, MAX_BODY,
+    MAX_HEAD, READ_DEADLINE,
 };
 use crate::runner;
 use crate::scheduler::Scheduler;
@@ -109,7 +114,7 @@ struct Inner {
     /// A feed that never closes, behind `/debug/hold`: a deterministic
     /// way for tests to hold an SSE stream open until the subscriber
     /// drops (exercising keepalives and `serve.sse.dropped`).
-    hold: Feed,
+    hold: Arc<Feed>,
     /// Lazily computed survival matrices, one per scenario.
     survival: Mutex<BTreeMap<&'static str, Arc<SurvivalMatrix>>>,
     shutdown: AtomicBool,
@@ -135,7 +140,7 @@ impl Server {
             scheduler: Scheduler::start(&config.cache_dir, config.plan, Arc::clone(&telemetry)),
             config,
             telemetry,
-            hold: Feed::new(),
+            hold: Arc::new(Feed::new()),
             survival: Mutex::new(BTreeMap::new()),
             shutdown: AtomicBool::new(false),
         });
@@ -145,10 +150,10 @@ impl Server {
                 // The worker-level catch is a backstop: handlers answer
                 // their own panics with a 500 (and count them), so only
                 // a panic outside the handler path reaches the pool.
-                let pool = ThreadPool::instrumented(
+                let pool = ThreadPool::new(
                     HTTP_THREADS,
-                    Some(Arc::clone(&inner.telemetry.pool_busy)),
-                    Some(Arc::clone(&inner.telemetry.panics)),
+                    Arc::clone(&inner.telemetry.pool_busy),
+                    Arc::clone(&inner.telemetry.panics),
                 );
                 for stream in listener.incoming() {
                     if inner.shutdown.load(Ordering::Relaxed) {
@@ -220,157 +225,90 @@ fn handle_connection(inner: &Inner, stream: TcpStream) {
     telemetry.in_flight.add(-1);
 }
 
-/// Record one finished exchange: RED metrics + the access-log line.
-#[allow(clippy::too_many_arguments)]
-fn finish_request(
-    inner: &Inner,
-    req_id: u64,
-    start: u64,
-    method: &str,
-    template: &str,
-    path: &str,
-    status: u16,
-    bytes: u64,
-) {
-    let telemetry = &inner.telemetry;
-    let micros = telemetry.now_micros().saturating_sub(start);
-    telemetry.observe_request(method, template, status, micros);
-    telemetry.log_access(req_id, method, template, path, status, bytes, micros);
+/// What a route answers: a whole response, or an SSE feed streamed to
+/// the peer until it closes.
+enum Reply {
+    Response(Response),
+    Stream(Arc<Feed>),
 }
 
+/// Read, route and answer one request, then record it: the only place
+/// a reply is written and a request is counted and logged.
 fn serve_one(inner: &Inner, stream: &mut Conn, req_id: u64, start: u64) {
-    let request = match read_request(&mut *stream) {
-        Ok(request) => request,
+    let request = read_request(&mut *stream);
+    let (method, path, (reply, template)) = match &request {
+        Ok(request) => {
+            // HEAD is GET with the body suppressed: route identically.
+            let method = match request.method.as_str() {
+                "HEAD" => "GET",
+                method => method,
+            };
+            // A panicking handler answers 500 and keeps the worker; the
+            // poisoned state a panic could leave behind is confined to
+            // the survival cache mutex (whose lock already propagates
+            // the poison explicitly).
+            let routed = catch_unwind(AssertUnwindSafe(|| route(inner, method, request)))
+                .unwrap_or_else(|_| {
+                    inner.telemetry.panics.inc();
+                    let response = Response::error(500, "handler panicked");
+                    (Reply::Response(response), "(panic)")
+                });
+            (request.method.as_str(), request.path.as_str(), routed)
+        }
         // Parse-level rejections and expired read deadlines still get a
         // proper HTTP answer; only a dead transport (which includes the
         // shutdown nudge connection) is silently dropped.
         Err(error) => {
-            let (response, template) = match error {
-                RequestError::Malformed(message) => {
-                    (Response::bad_request(&message), "(malformed)")
-                }
-                RequestError::TooLarge => (Response::payload_too_large(), "(too-large)"),
-                RequestError::HeadTooLarge => {
-                    (Response::header_fields_too_large(), "(head-too-large)")
-                }
-                RequestError::TimedOut => (Response::request_timeout(), "(timeout)"),
+            let (status, message, template) = match error {
+                RequestError::Malformed(message) => (400, message.clone(), "(malformed)"),
+                RequestError::TooLarge => (
+                    413,
+                    format!("request body exceeds {MAX_BODY} bytes"),
+                    "(too-large)",
+                ),
+                RequestError::HeadTooLarge => (
+                    431,
+                    format!("request head exceeds {MAX_HEAD} bytes"),
+                    "(head-too-large)",
+                ),
+                RequestError::TimedOut => (
+                    408,
+                    format!("request not complete within {} s", READ_DEADLINE.as_secs()),
+                    "(timeout)",
+                ),
                 RequestError::Io(_) => return,
             };
-            let _ = response.write_to(stream);
-            finish_request(
-                inner,
-                req_id,
-                start,
-                "-",
-                template,
-                "-",
-                response.status(),
-                response.body_len() as u64,
-            );
-            return;
+            let reply = Reply::Response(Response::error(status, &message));
+            ("-", "-", (reply, template))
         }
     };
-    // HEAD is GET with the body suppressed: route identically, answer
-    // with identical headers (incl. Content-Length), write no body.
-    let head_only = request.method == "HEAD";
-    let method = if head_only {
-        "GET"
-    } else {
-        request.method.as_str()
-    };
-    let segments: Vec<String> = request.segments().iter().map(|s| s.to_string()).collect();
-
-    // The streaming routes write their own response head and bypass the
-    // Response path entirely.
-    if method == "GET" && segments.len() == 3 && segments[0] == "jobs" && segments[2] == "events" {
-        let template = "/jobs/{id}/events";
-        let feed = segments[1]
-            .parse::<u64>()
-            .ok()
-            .and_then(|id| inner.scheduler.feed(id));
-        let status = match feed {
-            Some(feed) => {
-                if head_only {
-                    let _ = write_sse_head(stream);
-                } else {
-                    stream_feed(inner, &feed, stream);
-                }
-                200
-            }
-            None => {
-                let response = Response::not_found("no such job");
-                let _ = if head_only {
-                    response.write_head_to(stream)
-                } else {
-                    response.write_to(stream)
-                };
-                404
-            }
-        };
-        finish_request(
-            inner,
-            req_id,
-            start,
-            &request.method,
-            template,
-            &request.path,
-            status,
-            0,
-        );
-        return;
-    }
-    if method == "GET"
-        && inner.config.debug_routes
-        && segments.len() == 2
-        && segments[0] == "debug"
-        && segments[1] == "hold"
-    {
-        if head_only {
-            let _ = write_sse_head(stream);
-        } else {
-            stream_feed(inner, &inner.hold, stream);
+    // A HEAD answer is the GET answer's status and headers (incl.
+    // Content-Length) without the body.
+    let head_only = method == "HEAD";
+    let (status, bytes) = match reply {
+        Reply::Response(response) => {
+            let written = if head_only {
+                response.write_head_to(stream).map(|_| 0)
+            } else {
+                response
+                    .write_to(stream)
+                    .map(|_| response.body_len() as u64)
+            };
+            (response.status(), written.unwrap_or(0))
         }
-        finish_request(
-            inner,
-            req_id,
-            start,
-            &request.method,
-            "/debug/hold",
-            &request.path,
-            200,
-            0,
-        );
-        return;
-    }
-
-    // A panicking handler answers 500 and keeps the worker; the poisoned
-    // state a panic could leave behind is confined to the survival cache
-    // mutex (whose lock already propagates the poison explicitly).
-    let (response, template) =
-        match catch_unwind(AssertUnwindSafe(|| route(inner, method, &request))) {
-            Ok(routed) => routed,
-            Err(_) => {
-                inner.telemetry.panics.inc();
-                (Response::internal_error("handler panicked"), "(panic)")
+        Reply::Stream(feed) => {
+            if head_only {
+                let _ = write_sse_head(stream);
+            } else {
+                stream_feed(inner, &feed, stream);
             }
-        };
-    let written = if head_only {
-        response.write_head_to(stream).map(|_| 0u64)
-    } else {
-        response
-            .write_to(stream)
-            .map(|_| response.body_len() as u64)
+            (200, 0)
+        }
     };
-    finish_request(
-        inner,
-        req_id,
-        start,
-        &request.method,
-        template,
-        &request.path,
-        response.status(),
-        written.unwrap_or(0),
-    );
+    let telemetry = &inner.telemetry;
+    let micros = telemetry.now_micros().saturating_sub(start);
+    telemetry.observe_request(method, template, status, micros);
+    telemetry.log_access(req_id, method, template, path, status, bytes, micros);
 }
 
 /// Stream an SSE feed to a subscriber, counting a dropped peer (one
@@ -392,12 +330,21 @@ fn stream_feed(inner: &Inner, feed: &Feed, stream: &mut Conn) {
     }
 }
 
-/// Dispatch one request. Returns the response together with the route
+/// Dispatch one request. Returns the reply together with the route
 /// *template* used as the bounded-cardinality telemetry label. `method`
 /// is the effective method — `HEAD` arrives here as `GET`.
-fn route(inner: &Inner, method: &str, request: &Request) -> (Response, &'static str) {
+fn route(inner: &Inner, method: &str, request: &Request) -> (Reply, &'static str) {
     let segments = request.segments();
-    match (method, segments.as_slice()) {
+    let (response, template) = match (method, segments.as_slice()) {
+        ("GET", ["jobs", id, "events"]) => {
+            match id.parse().ok().and_then(|id| inner.scheduler.feed(id)) {
+                Some(feed) => return (Reply::Stream(feed), "/jobs/{id}/events"),
+                None => (Response::error(404, "no such job"), "/jobs/{id}/events"),
+            }
+        }
+        ("GET", ["debug", "hold"]) if inner.config.debug_routes => {
+            return (Reply::Stream(Arc::clone(&inner.hold)), "/debug/hold")
+        }
         ("GET", []) => (index(), "/"),
         ("GET", ["healthz"]) => (healthz(inner), "/healthz"),
         ("GET", ["version"]) => (version(), "/version"),
@@ -417,7 +364,7 @@ fn route(inner: &Inner, method: &str, request: &Request) -> (Response, &'static 
                 .and_then(|id| inner.scheduler.job(id))
             {
                 Some(view) => Response::json(view.to_json().to_string()),
-                None => Response::not_found("no such job"),
+                None => Response::error(404, "no such job"),
             },
             "/jobs/{id}",
         ),
@@ -435,9 +382,10 @@ fn route(inner: &Inner, method: &str, request: &Request) -> (Response, &'static 
         ("GET", ["exhibits", id]) => (exhibit(inner, request, id), "/exhibits/{id}"),
         ("GET", ["countries", cc]) => (country(inner, request, cc), "/countries/{cc}"),
         ("GET", ["survival"]) => (survival(inner, request), "/survival"),
-        ("POST", _) | ("GET", _) => (Response::not_found("no such route"), "(unmatched)"),
-        _ => (Response::method_not_allowed(), "(method)"),
-    }
+        ("POST", _) | ("GET", _) => (Response::error(404, "no such route"), "(unmatched)"),
+        _ => (Response::error(405, "method not allowed"), "(method)"),
+    };
+    (Reply::Response(response), template)
 }
 
 fn index() -> Response {
@@ -503,7 +451,7 @@ fn submit_job(inner: &Inner, request: &Request) -> Response {
     };
     let spec = match runner::parse_job(&request.body, defaults) {
         Ok(spec) => spec,
-        Err(message) => return Response::bad_request(&message),
+        Err(message) => return Response::error(400, &message),
     };
     let id = inner.scheduler.submit(spec);
     let view = inner.scheduler.job(id).expect("just submitted");
@@ -516,23 +464,22 @@ fn job_files(inner: &Inner, request: &Request) -> Result<Arc<Vec<(String, String
     if let Some(raw) = request.query("job") {
         let id: u64 = raw
             .parse()
-            .map_err(|_| Response::bad_request("job must be an integer"))?;
-        return inner
-            .scheduler
-            .files(id)
-            .ok_or_else(|| Response::not_found("job has no artifacts (not done, or no such job)"));
+            .map_err(|_| Response::error(400, "job must be an integer"))?;
+        return inner.scheduler.files(id).ok_or_else(|| {
+            Response::error(404, "job has no artifacts (not done, or no such job)")
+        });
     }
     inner
         .scheduler
         .latest_files()
-        .ok_or_else(|| Response::not_found("no completed job yet; POST /jobs first"))
+        .ok_or_else(|| Response::error(404, "no completed job yet; POST /jobs first"))
 }
 
 fn artifact(inner: &Inner, request: &Request, name: &str, content_type: &'static str) -> Response {
     match job_files(inner, request) {
         Ok(files) => match files.iter().find(|(n, _)| n == name) {
             Some((_, content)) => Response::ok(content_type, content.as_bytes().to_vec()),
-            None => Response::not_found("artifact not found"),
+            None => Response::error(404, "artifact not found"),
         },
         Err(response) => response,
     }
@@ -546,7 +493,7 @@ fn ledger(inner: &Inner, request: &Request) -> Response {
         Err(response) => return response,
     };
     let Some((_, jsonl)) = files.iter().find(|(n, _)| n == "ledger.jsonl") else {
-        return Response::not_found("artifact not found");
+        return Response::error(404, "artifact not found");
     };
     match request.query("exhibit") {
         None => Response::ok("application/jsonl", jsonl.as_bytes().to_vec()),
@@ -582,13 +529,13 @@ fn exhibit(inner: &Inner, request: &Request, id: &str) -> Response {
         "md" => "text/markdown; charset=utf-8",
         "json" => "application/json",
         "txt" | "csv" | "gp" => "text/plain; charset=utf-8",
-        other => return Response::bad_request(&format!("unknown format {other:?}")),
+        other => return Response::error(400, &format!("unknown format {other:?}")),
     };
     if !id
         .chars()
         .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
     {
-        return Response::bad_request("invalid exhibit id");
+        return Response::error(400, "invalid exhibit id");
     }
     artifact(inner, request, &format!("{id}.{format}"), content_type)
 }
@@ -601,18 +548,18 @@ fn country(inner: &Inner, request: &Request, cc: &str) -> Response {
         Err(response) => return response,
     };
     let Some((_, doc)) = files.iter().find(|(n, _)| n == "countries.json") else {
-        return Response::not_found("artifact not found");
+        return Response::error(404, "artifact not found");
     };
     let parsed: serde_json::Value = match serde_json::from_str(doc) {
         Ok(parsed) => parsed,
-        Err(_) => return Response::not_found("artifact not found"),
+        Err(_) => return Response::error(404, "artifact not found"),
     };
     let code = cc.to_ascii_uppercase();
     match parsed.get(&code) {
         Some(entry) => {
             Response::json(serde_json::json!({ "country": code, "sketches": entry }).to_string())
         }
-        None => Response::not_found("no observations for that country"),
+        None => Response::error(404, "no observations for that country"),
     }
 }
 
@@ -622,7 +569,7 @@ fn survival(inner: &Inner, request: &Request) -> Response {
     let name = request.query("scenario").unwrap_or("omnibus");
     let scenario = match ChaosSpec::parse(Some(name), None) {
         Ok(spec) => spec.expect("a named scenario").scenario,
-        Err(message) => return Response::bad_request(&message),
+        Err(message) => return Response::error(400, &message),
     };
     let matrix = {
         let mut cache = inner.survival.lock().expect("survival cache");
@@ -645,6 +592,6 @@ fn survival(inner: &Inner, request: &Request) -> Response {
                 .expect("serialise"),
         ),
         "md" => Response::markdown(markdown::survival_matrix(&matrix)),
-        other => Response::bad_request(&format!("unknown format {other:?}")),
+        other => Response::error(400, &format!("unknown format {other:?}")),
     }
 }

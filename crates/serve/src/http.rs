@@ -9,7 +9,7 @@
 //! connection in a `Conn`, which bounds how long a peer may take to
 //! send its request ([`READ_DEADLINE`]) and to take each response.
 
-use bb_trace::telemetry::Counter;
+use bb_trace::telemetry::{Counter, Gauge};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 /// Largest accepted request body; protects the scheduler from
 /// accidental uploads (job specs are a few dozen bytes).
-const MAX_BODY: usize = 1 << 20;
+pub const MAX_BODY: usize = 1 << 20;
 
 /// Largest accepted request head: the request line plus every header
 /// line, terminators included. Longer heads are answered 431 after
@@ -251,70 +251,12 @@ impl Response {
         }
     }
 
-    /// 400 with a plain-text reason.
-    pub fn bad_request(msg: &str) -> Self {
+    /// An error `status` with a plain-text reason, `"{message}\n"`.
+    pub fn error(status: u16, message: &str) -> Self {
         Response {
-            status: 400,
+            status,
             content_type: "text/plain; charset=utf-8",
-            body: format!("{msg}\n").into_bytes(),
-        }
-    }
-
-    /// 404 with a plain-text reason.
-    pub fn not_found(msg: &str) -> Self {
-        Response {
-            status: 404,
-            content_type: "text/plain; charset=utf-8",
-            body: format!("{msg}\n").into_bytes(),
-        }
-    }
-
-    /// 405 for a method the route does not support.
-    pub fn method_not_allowed() -> Self {
-        Response {
-            status: 405,
-            content_type: "text/plain; charset=utf-8",
-            body: b"method not allowed\n".to_vec(),
-        }
-    }
-
-    /// 413 for a declared body length over the cap.
-    pub fn payload_too_large() -> Self {
-        Response {
-            status: 413,
-            content_type: "text/plain; charset=utf-8",
-            body: format!("request body exceeds {MAX_BODY} bytes\n").into_bytes(),
-        }
-    }
-
-    /// 408 for a request not complete by the read deadline.
-    pub fn request_timeout() -> Self {
-        Response {
-            status: 408,
-            content_type: "text/plain; charset=utf-8",
-            body: format!(
-                "request not complete within {} s\n",
-                READ_DEADLINE.as_secs()
-            )
-            .into_bytes(),
-        }
-    }
-
-    /// 431 for a request line plus headers over the cap.
-    pub fn header_fields_too_large() -> Self {
-        Response {
-            status: 431,
-            content_type: "text/plain; charset=utf-8",
-            body: format!("request head exceeds {MAX_HEAD} bytes\n").into_bytes(),
-        }
-    }
-
-    /// 500 with a plain-text reason (e.g. a caught handler panic).
-    pub fn internal_error(msg: &str) -> Self {
-        Response {
-            status: 500,
-            content_type: "text/plain; charset=utf-8",
-            body: format!("{msg}\n").into_bytes(),
+            body: format!("{message}\n").into_bytes(),
         }
     }
 
@@ -463,28 +405,20 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// A pool of `size` workers (at least 1).
-    pub fn new(size: usize) -> Self {
-        Self::instrumented(size, None, None)
-    }
-
-    /// A pool whose workers maintain a busy gauge and survive panicking
-    /// jobs. A panic that escapes a job is caught at the worker loop (a
-    /// backstop — handlers catch their own panics to answer 500, but a
-    /// panic anywhere else must not shrink the pool permanently), counted
-    /// into `panics`, and the worker returns to the queue.
-    pub fn instrumented(
-        size: usize,
-        busy: Option<Arc<bb_trace::telemetry::Gauge>>,
-        panics: Option<Arc<bb_trace::telemetry::Counter>>,
-    ) -> Self {
+    /// A pool of `size` workers (at least 1) that maintain the `busy`
+    /// gauge and survive panicking jobs. A panic that escapes a job is
+    /// caught at the worker loop (a backstop — handlers catch their own
+    /// panics to answer 500, but a panic anywhere else must not shrink
+    /// the pool permanently), counted into `panics`, and the worker
+    /// returns to the queue.
+    pub fn new(size: usize, busy: Arc<Gauge>, panics: Arc<Counter>) -> Self {
         let (sender, receiver) = mpsc::channel::<Box<dyn FnOnce() + Send>>();
         let receiver = Arc::new(Mutex::new(receiver));
         let workers = (0..size.max(1))
             .map(|_| {
                 let receiver = Arc::clone(&receiver);
-                let busy = busy.clone();
-                let panics = panics.clone();
+                let busy = Arc::clone(&busy);
+                let panics = Arc::clone(&panics);
                 thread::spawn(move || loop {
                     let job = match receiver.lock() {
                         Ok(rx) => rx.recv(),
@@ -492,18 +426,12 @@ impl ThreadPool {
                     };
                     match job {
                         Ok(job) => {
-                            if let Some(busy) = &busy {
-                                busy.add(1);
-                            }
+                            busy.add(1);
                             let outcome =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                            if let Some(busy) = &busy {
-                                busy.add(-1);
-                            }
+                            busy.add(-1);
                             if outcome.is_err() {
-                                if let Some(panics) = &panics {
-                                    panics.inc();
-                                }
+                                panics.inc();
                             }
                         }
                         Err(_) => return, // channel closed: pool dropped
@@ -764,7 +692,7 @@ mod tests {
     fn pool_runs_jobs_and_joins_on_drop() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let counter = Arc::new(AtomicUsize::new(0));
-        let pool = ThreadPool::new(3);
+        let pool = ThreadPool::new(3, Arc::default(), Arc::default());
         for _ in 0..10 {
             let counter = Arc::clone(&counter);
             pool.execute(move || {
@@ -778,12 +706,12 @@ mod tests {
     #[test]
     fn pool_workers_survive_panicking_jobs() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let panics = Arc::new(bb_trace::telemetry::Counter::default());
+        let panics = Arc::new(Counter::default());
         let done = Arc::new(AtomicUsize::new(0));
         // 2 workers, 4 panicking jobs: without the catch, both workers
         // would be dead after two jobs and the remaining work would hang
         // the drop-join forever.
-        let pool = ThreadPool::instrumented(2, None, Some(Arc::clone(&panics)));
+        let pool = ThreadPool::new(2, Arc::default(), Arc::clone(&panics));
         for i in 0..8 {
             let done = Arc::clone(&done);
             pool.execute(move || {

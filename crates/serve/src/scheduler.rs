@@ -1,7 +1,7 @@
 //! The in-process job scheduler.
 //!
 //! One worker thread drains a FIFO queue of [`RunSpec`]s. For each job
-//! it first consults the [`ResultCache`] under the job's manifest key:
+//! it first reads the [`ResultCache`] entry under the job's manifest key:
 //! a valid entry is served as-is (`from_cache: true`, no recomputation —
 //! the cache-hit counter is the test surface for that guarantee); a miss
 //! runs the checkpointed streaming fold via [`runner::run_job`] under
@@ -20,11 +20,14 @@
 //! cached resubmissions share one copy. The read-only endpoints
 //! (`/metrics`, `/ledger`, `/exhibits/{id}`, `/countries/{cc}`) look
 //! there first and otherwise read the job's entry back from the result
-//! cache with [`ResultCache::read`], which verifies every digest but is
-//! not a lookup: reads never move the hit or miss counters. A read-back
-//! that fails verification counts a rejection and serves nothing; the
-//! next identical job recomputes. Memory therefore grows with the jobs
-//! served only by each job's view and SSE replay.
+//! cache with [`ResultCache::read`], which verifies every digest. Each
+//! cache outcome is counted once, in the `serve.cache.*` counters of
+//! [`ServeTelemetry`]: the worker counts a hit or a miss per job, and a
+//! rejection from either the worker or a read-back; a reader's read-back
+//! is not a lookup and never moves the hit or miss counts. A read-back
+//! that fails verification serves nothing; the next identical job
+//! recomputes. Memory therefore grows with the jobs served only by each
+//! job's view and SSE replay.
 
 use crate::cache::{cache_key, Miss, ResultCache};
 use crate::runner;
@@ -308,17 +311,17 @@ impl Scheduler {
 
     /// Cache hits (jobs answered without recomputation).
     pub fn cache_hits(&self) -> u64 {
-        self.shared.cache.hits()
+        self.shared.telemetry.cache_hits.get()
     }
 
     /// Cache misses (jobs that had to compute).
     pub fn cache_misses(&self) -> u64 {
-        self.shared.cache.misses()
+        self.shared.telemetry.cache_misses.get()
     }
 
     /// Cache entries rejected for failed digest verification.
     pub fn cache_rejected(&self) -> u64 {
-        self.shared.cache.rejected()
+        self.shared.telemetry.cache_rejected.get()
     }
 
     /// Total jobs ever submitted.
@@ -390,10 +393,8 @@ fn worker_loop(shared: &Shared) {
             )
         };
         let feed = set_state(shared, index, JobState::Running);
-        // `lookup` bumps the cache's own counters; mirror the outcome
-        // into the live time series (a digest mismatch reads as a miss
-        // *and* a rejection, matching the cache's counting).
-        let outcome = match shared.cache.lookup(key) {
+        // A digest mismatch counts as a miss *and* a rejection.
+        let outcome = match shared.cache.read(key) {
             Ok(files) => {
                 telemetry.cache_hit();
                 Ok((files, true))

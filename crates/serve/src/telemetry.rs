@@ -80,9 +80,13 @@ pub struct ServeTelemetry {
     pub jobs_completed: Arc<Counter>,
     /// Jobs that reached `failed`.
     pub jobs_failed: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    cache_rejected: Arc<Counter>,
+    /// Jobs answered from the result cache.
+    pub cache_hits: Arc<Counter>,
+    /// Jobs that found no servable cache entry and computed.
+    pub cache_misses: Arc<Counter>,
+    /// Cache entries that failed digest verification, on a job's lookup
+    /// or on a read-back.
+    pub cache_rejected: Arc<Counter>,
     access: Option<Mutex<File>>,
 }
 

@@ -117,6 +117,13 @@ fn head_answers_every_get_route_with_headers_and_no_body() {
     let (status, _, body) = exchange(addr, "HEAD", "/no/such/route");
     assert_eq!((status, body.as_str()), (404, ""));
 
+    // The SSE routes too: the event-stream head alone, or the 404.
+    let (status, headers, body) = exchange(addr, "HEAD", "/debug/hold");
+    assert_eq!((status, body.as_str()), (200, ""));
+    assert!(headers.contains("text/event-stream"), "{headers}");
+    let (status, _, body) = exchange(addr, "HEAD", "/jobs/99/events");
+    assert_eq!((status, body.as_str()), (404, ""));
+
     // Non-GET routes keep rejecting other methods.
     let (status, _, _) = exchange(addr, "PUT", "/jobs");
     assert_eq!(status, 405);
@@ -229,10 +236,11 @@ fn access_log_is_parseable_jsonl_with_monotonic_request_ids() {
     get(addr, "/version");
     get(addr, "/no/such/route");
     exchange(addr, "HEAD", "/healthz");
+    get(addr, "/jobs/99/events");
 
     let text = fs::read_to_string(&log_path).expect("access log exists");
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 4, "{text}");
+    assert_eq!(lines.len(), 5, "{text}");
     let mut ids = Vec::new();
     for line in &lines {
         let parsed: serde_json::Value = serde_json::from_str(line).expect(line);
@@ -246,7 +254,7 @@ fn access_log_is_parseable_jsonl_with_monotonic_request_ids() {
     let mut sorted = ids.clone();
     sorted.sort_unstable();
     sorted.dedup();
-    assert_eq!(sorted.len(), 4, "request ids are unique: {ids:?}");
+    assert_eq!(sorted.len(), 5, "request ids are unique: {ids:?}");
     assert!(
         lines[2].contains("\"route\": \"(unmatched)\""),
         "{}",
@@ -263,6 +271,14 @@ fn access_log_is_parseable_jsonl_with_monotonic_request_ids() {
         "HEAD writes no body: {}",
         lines[3]
     );
+    // The SSE route's 404 logs the body it wrote, `no such job\n`.
+    for field in [
+        "\"route\": \"/jobs/{id}/events\"",
+        "\"status\": 404",
+        "\"bytes\": 12",
+    ] {
+        assert!(lines[4].contains(field), "{field} missing in {}", lines[4]);
+    }
 }
 
 #[test]

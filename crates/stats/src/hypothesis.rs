@@ -186,6 +186,13 @@ mod tests {
         let t = binomial_test(450, 640, 0.5, Tail::Greater);
         assert!(t.p_value < 1e-20, "p = {}", t.p_value);
         assert!(t.p_value > 0.0);
+        // At the paper's panel size (Table 1: 12,046 pairs) the tail
+        // leaves f64's range: 66.0 % still has a p, 69.7 % underflows to
+        // exactly 0, which bb-report prints as `< 1e-300`.
+        let t = binomial_test(7_950, 12_046, 0.5, Tail::Greater);
+        assert!(t.p_value > 0.0 && t.p_value < 1e-270, "p = {}", t.p_value);
+        let t = binomial_test(8_400, 12_046, 0.5, Tail::Greater);
+        assert_eq!(t.p_value, 0.0);
     }
 
     #[test]
