@@ -17,40 +17,28 @@
 //! run's, and [`publish::write_run`] writes either. `experiments.md` is
 //! also printed on stdout.
 //!
-//! `--threads`/`--shards` parallelise world generation through
-//! `bb-engine`; the output is bit-identical for every plan. `--users U`
-//! switches to the streaming scale path: the panel is never materialised —
-//! `~U` users are folded shard by shard into `bb_study::StreamStudy`
-//! sketches, and the headline exhibits (Fig. 1, Fig. 2, Fig. 7) are
-//! rendered from the merged sketches in bounded memory. The run-identity
-//! flags (`--seed`, `--scale`, `--days`, `--fcc`, `--users`, `--chaos`,
-//! `--severity`) become one `bb_dataset::RunSpec`, the identity every
-//! surface — batch, `serve`, `coordinator` — pins in its checkpoints.
+//! `USAGE` (`reproduce --help`) documents every subcommand and flag. One
+//! reader, [`Flags`], reads them all: each subcommand lists the flags it
+//! accepts, and each flag has one rule whichever subcommand takes it. A
+//! flag outside the list, a flag given twice and an empty value are
+//! usage errors, refused before any work starts. Exit codes: 0 after
+//! `--help`, 2 for a usage error, 1 for a runtime failure and 83 for the
+//! `--fail-after-shard` crash. The run-identity flags become one
+//! `bb_dataset::RunSpec`, the identity every surface — batch, `serve`,
+//! `coordinator` — pins in its checkpoints.
 //!
-//! `--metrics PATH` writes the merged `bb-trace` registry — collection
-//! heuristic counters, a pure function of the seed and therefore
-//! byte-identical for every shard/thread plan — plus a plan-dependent
-//! `.runtime.json` sidecar (wall times, steal counts). `--ledger PATH`
-//! writes the provenance event log (JSONL, also plan-invariant):
-//! one event per exhibit with input/drop accounting, one `match_audit`
-//! per natural experiment, one `sign_test` per reported test.
-//! `--chrome-trace PATH` writes a plan-dependent Chrome trace-event
-//! file of the harness phases, loadable in Perfetto. `--quiet`
-//! suppresses the per-phase progress lines on stderr.
-//!
-//! `--checkpoint DIR` commits every completed shard to `DIR` (atomic
-//! tmp-file + rename, fsync'd manifest) and `--resume` restores the
-//! committed shards of a matching earlier run instead of recomputing
-//! them; mismatched or corrupt state is rejected and recomputed, never
-//! merged. A resumed run's outputs are byte-identical to a cold run
-//! under any `--threads`/`--shards` plan. `DIR/status.json` records the
-//! `checkpoint.skipped` / `checkpoint.recomputed` /
-//! `checkpoint.rejected` counters of the most recent run.
-//! `--fail-after-shard N` is the crash-injection test hook: a progress
-//! observer that aborts the process with exit code 83 once this process
-//! has computed N shards, each of which is durable before it is reported.
+//! `--users U` never materialises the panel: `~U` users are folded shard
+//! by shard into `bb_study::StreamStudy` sketches, and the headline
+//! exhibits (Fig. 1, Fig. 2, Fig. 7) are rendered from the merged
+//! sketches in bounded memory. The metrics registry holds collection
+//! heuristic counters, a pure function of the seed. Every artifact is
+//! byte-identical under any `--threads`/`--shards` plan and across a
+//! crash and `--resume`; only the `.runtime.json` sidecar and the Chrome
+//! trace depend on the plan. `--fail-after-shard N` counts the shards
+//! this process computed, each of which is durable before it is
+//! reported.
 
-use bb_bench::federation::CoordinatorArgs;
+use bb_bench::federation::{CoordinatorArgs, WorkerOptions};
 use bb_bench::publish::{self, Folded, Outputs, Sweeps};
 use bb_bench::REPRO_SEED;
 use bb_dataset::{Dataset, RunSpec};
@@ -62,8 +50,10 @@ use bb_netsim::chaos::ChaosSpec;
 use bb_serve::{Server, ServerConfig};
 use bb_study::StreamStudy;
 use bb_trace::Timings;
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -239,6 +229,23 @@ stats and exit):
   -h, --help      print this help
 ";
 
+/// The flags each subcommand accepts, as `USAGE` lists them; the unit
+/// test below holds every list to its `USAGE` section.
+const BATCH: &str = "--seed --scale --days --fcc --out --sweep --chaos --severity \
+    --chaos-sweep --threads --shards --users --metrics --ledger --chrome-trace \
+    --checkpoint --resume --fail-after-shard --quiet";
+const SERVE: &str = "--port --cache-dir --days --fcc --seed --users --threads --shards \
+    --access-log --quiet";
+const COORDINATOR: &str = "--listen --users --workers --shards --seed --days --fcc --chaos \
+    --severity --lease-timeout --io-deadline --checkpoint --resume --out --metrics --ledger \
+    --quiet";
+const WORKER: &str = "--connect --die-on-assign --max-reconnects --backoff-cap --backoff-seed \
+    --io-deadline --quiet";
+const CHAOSNET: &str = "--upstream --seed --cut --stall --delay --cut-bytes --delay-ms --quiet";
+
+/// The flags that take no value; every other flag takes the next token.
+const SWITCHES: &str = "--quiet --resume --chaos-sweep";
+
 /// Exit code of the `--fail-after-shard` injected crash: distinguishable
 /// from real failures (1) and usage errors (2) so the recovery tests can
 /// assert the abort actually came from the hook.
@@ -255,10 +262,10 @@ macro_rules! progress {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let rest = || argv.iter().skip(1).cloned();
+    let rest = argv.get(1..).unwrap_or_default();
     match argv.first().map(String::as_str) {
         Some("coordinator") => {
-            if let Some((spec, args, outputs)) = parsed(CoordinatorCli::try_parse(rest())) {
+            if let Some((spec, args, outputs)) = parsed(rest, COORDINATOR, coordinator) {
                 announce_chaos(&spec, args.quiet);
                 let folded = bb_bench::federation::run_coordinator(&spec, &args)
                     .unwrap_or_else(|err| fail(&format!("coordinator: {err}")));
@@ -266,23 +273,23 @@ fn main() {
             }
         }
         Some("worker") => {
-            if let Some(args) = parsed(WorkerCli::try_parse(rest())) {
-                bb_bench::federation::run_worker_process(&args.connect, &args.options, args.quiet)
+            if let Some((connect, options, quiet)) = parsed(rest, WORKER, worker) {
+                bb_bench::federation::run_worker_process(&connect, &options, quiet)
                     .unwrap_or_else(|err| fail(&format!("worker: {err}")));
             }
         }
         Some("chaosnet") => {
-            if let Some(args) = parsed(ChaosnetCli::try_parse(rest())) {
+            if let Some(args) = parsed(rest, CHAOSNET, chaosnet) {
                 run_chaosnet(&args);
             }
         }
         Some("serve") => {
-            if let Some((config, quiet)) = parsed(ServeCli::try_parse(rest())) {
+            if let Some((config, quiet)) = parsed(rest, SERVE, serve) {
                 run_serve(config, quiet);
             }
         }
         _ => {
-            if let Some(args) = parsed(Args::try_parse(argv.iter().cloned())) {
+            if let Some(args) = parsed(&argv, BATCH, batch) {
                 announce_chaos(&args.spec, args.outputs.quiet);
                 match args.spec.users {
                     Some(_) => run_streaming(&args),
@@ -419,167 +426,123 @@ struct Args {
     fail_after_shard: Option<u64>,
 }
 
-/// Parser for the `serve` subcommand: the gateway's config, plus
-/// `--quiet`.
-struct ServeCli;
-
-impl ServeCli {
-    /// Parse the flags after `serve`. `Ok(None)` means `--help`.
-    fn try_parse(
-        mut it: impl Iterator<Item = String>,
-    ) -> Result<Option<(ServerConfig, bool)>, String> {
-        let paper = RunSpec::paper(REPRO_SEED);
-        let mut config = ServerConfig {
-            port: 8080,
-            cache_dir: PathBuf::from("serve-cache"),
-            days: paper.days,
-            fcc_users: paper.fcc_users,
-            plan: ShardPlan::serial(),
-            default_seed: paper.seed,
-            default_users: 2000,
-            access_log: None,
-            sse_keepalive: Duration::from_secs(10),
-            debug_routes: false,
+/// The batch run the [`BATCH`] flags describe.
+fn batch(flags: &Flags) -> Result<Args, String> {
+    let spec = flags.spec(RunSpec::paper(REPRO_SEED))?;
+    let sweeps = Sweeps {
+        seeds: flags.num("--sweep", "a seed count")?.unwrap_or(0),
+        chaos: flags.on("--chaos-sweep"),
+    };
+    if spec.users.is_some() && (sweeps.chaos || sweeps.seeds > 0) {
+        let flag = if sweeps.chaos {
+            "--chaos-sweep"
+        } else {
+            "--sweep"
         };
-        let (mut threads, mut shards, mut quiet) = (1, None, false);
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--port" => {
-                    config.port = num(&flag, &take(&mut it, &flag)?, "a port in [0, 65535]")?;
-                }
-                "--cache-dir" => config.cache_dir = PathBuf::from(non_empty(&flag, &mut it)?),
-                "--days" => config.days = positive(&flag, &mut it, "an integer")?,
-                "--fcc" => config.fcc_users = num(&flag, &take(&mut it, &flag)?, "an integer")?,
-                "--seed" => config.default_seed = num(&flag, &take(&mut it, &flag)?, "an integer")?,
-                "--users" => config.default_users = positive(&flag, &mut it, "an integer")?,
-                "--threads" => threads = positive(&flag, &mut it, "an integer")?,
-                "--shards" => shards = Some(positive(&flag, &mut it, "an integer")?),
-                "--access-log" => {
-                    config.access_log = Some(PathBuf::from(non_empty(&flag, &mut it)?));
-                }
-                "--quiet" => quiet = true,
-                "--help" | "-h" => return Ok(None),
-                other => return Err(format!("unknown serve flag {other:?}")),
-            }
-        }
-        config.plan = shard_plan(shards, threads)?;
-        // Jobs vary only the seed, chaos and a JSON-capped user count, so
-        // a window and FCC cohort the default job can lay out fit them all.
-        RunSpec {
-            users: Some(config.default_users),
-            days: config.days,
-            fcc_users: config.fcc_users,
-            ..RunSpec::paper(config.default_seed)
-        }
-        .validate()?;
-        Ok(Some((config, quiet)))
+        return Err(format!(
+            "{flag} needs the materialised experiment battery; drop --users"
+        ));
+    }
+    let (checkpoint, resume) = flags.checkpoint()?;
+    let fail_after_shard = flags.positive("--fail-after-shard", "a shard count")?;
+    if fail_after_shard.is_some() && checkpoint.is_none() {
+        return Err("--fail-after-shard requires --checkpoint DIR".into());
+    }
+    Ok(Args {
+        spec,
+        outputs: flags.outputs()?,
+        sweeps,
+        plan: flags.plan()?,
+        chrome_trace: flags.path("--chrome-trace")?,
+        checkpoint,
+        resume,
+        fail_after_shard,
+    })
+}
+
+/// The defaults of a streaming run: the paper's, with 2000 users.
+fn stream_defaults() -> RunSpec {
+    RunSpec {
+        users: Some(2000),
+        ..RunSpec::paper(REPRO_SEED)
     }
 }
 
-/// Parser for the `coordinator` subcommand: the run it streams, how it
+/// The gateway's config the [`SERVE`] flags describe, plus `--quiet`.
+fn serve(flags: &Flags) -> Result<(ServerConfig, bool), String> {
+    // Jobs vary only the seed, chaos and a JSON-capped user count, so
+    // a window and FCC cohort the default job can lay out fit them all.
+    let spec = flags.spec(stream_defaults())?;
+    let config = ServerConfig {
+        port: flags.num("--port", "a port in [0, 65535]")?.unwrap_or(8080),
+        cache_dir: flags
+            .path("--cache-dir")?
+            .unwrap_or_else(|| PathBuf::from("serve-cache")),
+        days: spec.days,
+        fcc_users: spec.fcc_users,
+        plan: flags.plan()?,
+        default_seed: spec.seed,
+        default_users: spec.users.expect("the streaming defaults set a user count"),
+        access_log: flags.path("--access-log")?,
+        sse_keepalive: Duration::from_secs(10),
+        debug_routes: false,
+    };
+    Ok((config, flags.on("--quiet")))
+}
+
+/// The run the [`COORDINATOR`] flags stream, how the coordinator
 /// executes it, and where the artifacts go.
-struct CoordinatorCli;
-
-impl CoordinatorCli {
-    /// Parse the flags after `coordinator`. `Ok(None)` means `--help`.
-    fn try_parse(
-        mut it: impl Iterator<Item = String>,
-    ) -> Result<Option<(RunSpec, CoordinatorArgs, Outputs)>, String> {
-        let mut identity = SpecFlags::new(RunSpec {
-            users: Some(2000),
-            ..RunSpec::paper(REPRO_SEED)
-        });
-        let mut args = CoordinatorArgs {
-            listen: String::from("127.0.0.1:0"),
-            shards: 0,
-            lease_timeout: Duration::from_secs(30),
-            io_deadline: Duration::from_secs(30),
-            checkpoint: None,
-            resume: false,
-            quiet: false,
-        };
-        let mut outputs = Outputs {
-            out: PathBuf::from("results"),
-            metrics: None,
-            ledger: None,
-            quiet: false,
-        };
-        let mut workers: usize = 2;
-        let mut shards: Option<usize> = None;
-        while let Some(flag) = it.next() {
-            if identity.take(&flag, &mut it)? {
-                continue;
-            }
-            match flag.as_str() {
-                "--listen" => args.listen = non_empty(&flag, &mut it)?,
-                "--workers" => workers = positive(&flag, &mut it, "an integer")?,
-                "--shards" => shards = Some(positive(&flag, &mut it, "an integer")?),
-                "--lease-timeout" => args.lease_timeout = seconds(&flag, &mut it)?,
-                "--io-deadline" => args.io_deadline = seconds(&flag, &mut it)?,
-                "--checkpoint" => args.checkpoint = Some(PathBuf::from(non_empty(&flag, &mut it)?)),
-                "--resume" => args.resume = true,
-                "--out" => outputs.out = PathBuf::from(take(&mut it, &flag)?),
-                "--metrics" => outputs.metrics = Some(PathBuf::from(take(&mut it, &flag)?)),
-                "--ledger" => outputs.ledger = Some(PathBuf::from(take(&mut it, &flag)?)),
-                "--quiet" => args.quiet = true,
-                "--help" | "-h" => return Ok(None),
-                other => return Err(format!("unknown coordinator flag {other:?}")),
-            }
-        }
-        let spec = identity.finish()?;
-        if args.resume && args.checkpoint.is_none() {
-            return Err("--resume requires --checkpoint DIR".into());
-        }
-        args.shards = match shards {
-            Some(shards) => shards,
-            None => workers.checked_mul(4).ok_or_else(|| {
-                format!("--workers {workers}: the default of 4 shards per worker overflows; pass --shards")
-            })?,
-        };
-        outputs.quiet = args.quiet;
-        Ok(Some((spec, args, outputs)))
-    }
+fn coordinator(flags: &Flags) -> Result<(RunSpec, CoordinatorArgs, Outputs), String> {
+    let spec = flags.spec(stream_defaults())?;
+    let workers: usize = flags.positive("--workers", "an integer")?.unwrap_or(2);
+    let shards = match flags.positive("--shards", "an integer")? {
+        Some(shards) => shards,
+        None => workers.checked_mul(4).ok_or_else(|| {
+            format!(
+                "--workers {workers}: the default of 4 shards per worker overflows; pass --shards"
+            )
+        })?,
+    };
+    let (checkpoint, resume) = flags.checkpoint()?;
+    let outputs = flags.outputs()?;
+    let args = CoordinatorArgs {
+        listen: flags.text("--listen")?.unwrap_or("127.0.0.1:0").into(),
+        shards,
+        lease_timeout: flags
+            .seconds("--lease-timeout")?
+            .unwrap_or(Duration::from_secs(30)),
+        io_deadline: flags
+            .seconds("--io-deadline")?
+            .unwrap_or(Duration::from_secs(30)),
+        checkpoint,
+        resume,
+        quiet: outputs.quiet,
+    };
+    Ok((spec, args, outputs))
 }
 
-/// Configuration of the `worker` subcommand.
-struct WorkerCli {
-    connect: String,
-    options: bb_bench::federation::WorkerOptions,
-    quiet: bool,
-}
-
-impl WorkerCli {
-    /// Parse the flags after `worker`. `Ok(None)` means `--help`.
-    fn try_parse(mut it: impl Iterator<Item = String>) -> Result<Option<WorkerCli>, String> {
-        let mut connect: Option<String> = None;
-        let mut options = bb_bench::federation::WorkerOptions::default();
-        let mut quiet = false;
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--connect" => connect = Some(non_empty(&flag, &mut it)?),
-                "--die-on-assign" => {
-                    options.die_on_assign = Some(positive(&flag, &mut it, "an assignment count")?);
-                }
-                "--max-reconnects" => {
-                    options.max_reconnects = num(&flag, &take(&mut it, &flag)?, "a retry count")?;
-                }
-                "--backoff-cap" => options.backoff_cap = seconds(&flag, &mut it)?,
-                "--backoff-seed" => {
-                    options.backoff_seed = num(&flag, &take(&mut it, &flag)?, "an integer")?;
-                }
-                "--io-deadline" => options.io_deadline = Some(seconds(&flag, &mut it)?),
-                "--quiet" => quiet = true,
-                "--help" | "-h" => return Ok(None),
-                other => return Err(format!("unknown worker flag {other:?}")),
-            }
-        }
-        let connect = connect.ok_or("worker requires --connect ADDR")?;
-        Ok(Some(WorkerCli {
-            connect,
-            options,
-            quiet,
-        }))
-    }
+/// The coordinator address, options and `--quiet` of the [`WORKER`]
+/// flags.
+fn worker(flags: &Flags) -> Result<(String, WorkerOptions, bool), String> {
+    let connect = flags
+        .text("--connect")?
+        .ok_or("worker requires --connect ADDR")?;
+    let defaults = WorkerOptions::default();
+    let options = WorkerOptions {
+        die_on_assign: flags.positive("--die-on-assign", "an assignment count")?,
+        max_reconnects: flags
+            .num("--max-reconnects", "a retry count")?
+            .unwrap_or(defaults.max_reconnects),
+        backoff_cap: flags
+            .seconds("--backoff-cap")?
+            .unwrap_or(defaults.backoff_cap),
+        backoff_seed: flags
+            .num("--backoff-seed", "an integer")?
+            .unwrap_or(defaults.backoff_seed),
+        io_deadline: flags.seconds("--io-deadline")?.or(defaults.io_deadline),
+        ..defaults
+    };
+    Ok((connect.into(), options, flags.on("--quiet")))
 }
 
 /// Configuration of the `chaosnet` subcommand.
@@ -594,54 +557,34 @@ struct ChaosnetCli {
     quiet: bool,
 }
 
-impl ChaosnetCli {
-    /// Parse the flags after `chaosnet`. `Ok(None)` means `--help`.
-    fn try_parse(mut it: impl Iterator<Item = String>) -> Result<Option<ChaosnetCli>, String> {
-        let mut args = ChaosnetCli {
-            upstream: "127.0.0.1:0".parse().expect("literal addr"),
-            seed: REPRO_SEED,
-            cut_per_mille: 0,
-            stall_per_mille: 0,
-            delay_per_mille: 0,
-            cut_bytes_max: 4096,
-            delay_ms_max: 50,
-            quiet: false,
-        };
-        let mut upstream_set = false;
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--upstream" => {
-                    let addr = take(&mut it, &flag)?;
-                    args.upstream = addr
-                        .parse()
-                        .map_err(|e| format!("--upstream {addr:?}: {e}"))?;
-                    upstream_set = true;
-                }
-                "--seed" => args.seed = num(&flag, &take(&mut it, &flag)?, "an integer")?,
-                "--cut" => {
-                    args.cut_per_mille = per_mille(&flag, &take(&mut it, &flag)?)?;
-                }
-                "--stall" => {
-                    args.stall_per_mille = per_mille(&flag, &take(&mut it, &flag)?)?;
-                }
-                "--delay" => {
-                    args.delay_per_mille = per_mille(&flag, &take(&mut it, &flag)?)?;
-                }
-                "--cut-bytes" => args.cut_bytes_max = positive(&flag, &mut it, "a byte count")?,
-                "--delay-ms" => args.delay_ms_max = positive(&flag, &mut it, "milliseconds")?,
-                "--quiet" => args.quiet = true,
-                "--help" | "-h" => return Ok(None),
-                other => return Err(format!("unknown chaosnet flag {other:?}")),
-            }
-        }
-        if !upstream_set {
-            return Err("chaosnet requires --upstream HOST:PORT".into());
-        }
-        if args.cut_per_mille + args.stall_per_mille + args.delay_per_mille > 1000 {
-            return Err("--cut + --stall + --delay must not exceed 1000".into());
-        }
-        Ok(Some(args))
+/// The proxy the [`CHAOSNET`] flags describe.
+fn chaosnet(flags: &Flags) -> Result<ChaosnetCli, String> {
+    let upstream = flags
+        .text("--upstream")?
+        .ok_or("chaosnet requires --upstream HOST:PORT")?;
+    let per_mille = "a per-mille value in [0, 1000]";
+    let args = ChaosnetCli {
+        upstream: upstream
+            .parse()
+            .map_err(|e| format!("--upstream {upstream:?}: {e}"))?,
+        seed: flags.num("--seed", "an integer")?.unwrap_or(REPRO_SEED),
+        cut_per_mille: flags.num("--cut", per_mille)?.unwrap_or(0),
+        stall_per_mille: flags.num("--stall", per_mille)?.unwrap_or(0),
+        delay_per_mille: flags.num("--delay", per_mille)?.unwrap_or(0),
+        cut_bytes_max: flags
+            .positive("--cut-bytes", "a byte count")?
+            .unwrap_or(4096),
+        delay_ms_max: flags.positive("--delay-ms", "milliseconds")?.unwrap_or(50),
+        quiet: flags.on("--quiet"),
+    };
+    let total = args
+        .cut_per_mille
+        .saturating_add(args.stall_per_mille)
+        .saturating_add(args.delay_per_mille);
+    if total > 1000 {
+        return Err("--cut + --stall + --delay must not exceed 1000".into());
     }
+    Ok(args)
 }
 
 /// The `chaosnet` subcommand: a standalone flaky-network proxy between
@@ -687,15 +630,6 @@ fn run_chaosnet(args: &ChaosnetCli) {
             stats.bytes_forwarded
         );
     }
-}
-
-/// `--cut`/`--stall`/`--delay` take per-mille probabilities in [0, 1000].
-fn per_mille(flag: &str, value: &str) -> Result<u64, String> {
-    let n: u64 = num(flag, value, "a per-mille value in [0, 1000]")?;
-    if n > 1000 {
-        return Err(format!("{flag} must be at most 1000, got {n}"));
-    }
-    Ok(n)
 }
 
 /// The `serve` subcommand: start the gateway and run until killed.
@@ -765,109 +699,112 @@ mod signals {
     }
 }
 
-/// The next token after `flag`, or a "missing value" error.
-fn take(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
-    it.next().ok_or_else(|| format!("missing value for {flag}"))
+/// One command line's flags, each given at most once, read through one
+/// accessor per rule.
+struct Flags {
+    values: BTreeMap<&'static str, String>,
 }
 
-/// Parse `raw` as the value of `flag`, describing the expected shape on error.
-fn num<T: std::str::FromStr>(flag: &str, raw: &str, wants: &str) -> Result<T, String> {
-    raw.parse()
-        .map_err(|_| format!("{flag} takes {wants}, got {raw:?}"))
-}
-
-/// The value of `flag`: a number of at least 1.
-fn positive<T: std::str::FromStr + Default + PartialEq>(
-    flag: &str,
-    it: &mut impl Iterator<Item = String>,
-    wants: &str,
-) -> Result<T, String> {
-    let n: T = num(flag, &take(it, flag)?, wants)?;
-    if n == T::default() {
-        return Err(format!("{flag} must be at least 1"));
+impl Flags {
+    /// Read `argv` against the `accepted` flag list. `Ok(None)` means
+    /// `--help`; a flag outside the list, a flag given twice and a
+    /// missing value are errors. A switch ([`SWITCHES`]) takes no value;
+    /// every other flag takes the next token.
+    fn parse(argv: &[String], accepted: &'static str) -> Result<Option<Flags>, String> {
+        let mut values = BTreeMap::new();
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            if arg == "--help" || arg == "-h" {
+                return Ok(None);
+            }
+            let flag = accepted
+                .split_whitespace()
+                .find(|flag| flag == arg)
+                .ok_or_else(|| format!("unknown flag {arg:?}"))?;
+            let value = if SWITCHES.split_whitespace().any(|s| s == flag) {
+                String::new()
+            } else {
+                it.next()
+                    .cloned()
+                    .ok_or_else(|| format!("missing value for {flag}"))?
+            };
+            if values.insert(flag, value).is_some() {
+                return Err(format!("{flag} given more than once"));
+            }
+        }
+        Ok(Some(Flags { values }))
     }
-    Ok(n)
-}
 
-/// The value of `flag`: a whole number of seconds, at least 1.
-fn seconds(flag: &str, it: &mut impl Iterator<Item = String>) -> Result<Duration, String> {
-    positive(flag, it, "a whole number of seconds").map(Duration::from_secs)
-}
-
-/// The value of `flag`, which must not be empty.
-fn non_empty(flag: &str, it: &mut impl Iterator<Item = String>) -> Result<String, String> {
-    let value = take(it, flag)?;
-    if value.is_empty() {
-        return Err(format!("{flag} must not be empty"));
+    /// Whether `flag` was given.
+    fn on(&self, flag: &str) -> bool {
+        self.values.contains_key(flag)
     }
-    Ok(value)
-}
 
-/// The shard plan `--shards`/`--threads` imply. Output never depends on
-/// it.
-fn shard_plan(shards: Option<usize>, threads: usize) -> Result<ShardPlan, String> {
-    match shards {
-        Some(shards) => Ok(ShardPlan::new(shards, threads)),
-        None => ShardPlan::for_threads(threads).ok_or_else(|| {
-            format!(
-                "--threads {threads}: the default of 4 shards per thread overflows; pass --shards"
-            )
-        }),
-    }
-}
-
-/// The run-identity flags the batch run and the coordinator share —
-/// `--seed`, `--scale`, `--days`, `--fcc`, `--users`, `--chaos`,
-/// `--severity` — read into a [`RunSpec`].
-struct SpecFlags {
-    spec: RunSpec,
-    scale_set: bool,
-    chaos: Option<String>,
-    severity: Option<f64>,
-}
-
-impl SpecFlags {
-    /// Start from `defaults`.
-    fn new(defaults: RunSpec) -> Self {
-        SpecFlags {
-            spec: defaults,
-            scale_set: false,
-            chaos: None,
-            severity: None,
+    /// The value of `flag`, which must not be empty.
+    fn text(&self, flag: &str) -> Result<Option<&str>, String> {
+        match self.values.get(flag) {
+            Some(value) if value.is_empty() => Err(format!("{flag} must not be empty")),
+            value => Ok(value.map(String::as_str)),
         }
     }
 
-    /// Consume `flag` and its value if it is a run-identity flag;
-    /// `Ok(false)` leaves every other flag to the caller.
-    fn take(&mut self, flag: &str, it: &mut impl Iterator<Item = String>) -> Result<bool, String> {
-        let spec = &mut self.spec;
-        match flag {
-            "--seed" => spec.seed = num(flag, &take(it, flag)?, "an integer")?,
-            "--scale" => {
-                spec.scale = num(flag, &take(it, flag)?, "a number")?;
-                self.scale_set = true;
-            }
-            "--days" => spec.days = positive(flag, it, "an integer")?,
-            "--fcc" => spec.fcc_users = num(flag, &take(it, flag)?, "an integer")?,
-            "--users" => spec.users = Some(positive(flag, it, "an integer")?),
-            "--chaos" => self.chaos = Some(take(it, flag)?),
-            "--severity" => {
-                self.severity = Some(num(flag, &take(it, flag)?, "a number in [0, 1]")?);
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
+    /// The value of `flag` as a path.
+    fn path(&self, flag: &str) -> Result<Option<PathBuf>, String> {
+        Ok(self.text(flag)?.map(PathBuf::from))
     }
 
-    /// The validated spec. A streaming run sizes its world from the user
-    /// count, so a `--scale` there would be ignored yet still pinned into
-    /// the checkpoint identity: it is refused instead, and so is a world
-    /// too large to lay out.
-    fn finish(self) -> Result<RunSpec, String> {
-        let mut spec = self.spec;
-        spec.chaos = ChaosSpec::parse(self.chaos.as_deref(), self.severity)
-            .map_err(|e| format!("--chaos/--severity: {e}"))?;
-        if self.scale_set && spec.users.is_some() {
+    /// The value of `flag` parsed, describing the expected shape on error.
+    fn num<T: FromStr>(&self, flag: &str, wants: &str) -> Result<Option<T>, String> {
+        let Some(raw) = self.text(flag)? else {
+            return Ok(None);
+        };
+        raw.parse()
+            .map(Some)
+            .map_err(|_| format!("{flag} takes {wants}, got {raw:?}"))
+    }
+
+    /// The value of `flag`: a number of at least 1.
+    fn positive<T: FromStr + Default + PartialEq>(
+        &self,
+        flag: &str,
+        wants: &str,
+    ) -> Result<Option<T>, String> {
+        match self.num(flag, wants)? {
+            Some(n) if n == T::default() => Err(format!("{flag} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
+    /// The value of `flag`: a whole number of seconds, at least 1.
+    fn seconds(&self, flag: &str) -> Result<Option<Duration>, String> {
+        let secs = self.positive(flag, "a whole number of seconds")?;
+        Ok(secs.map(Duration::from_secs))
+    }
+
+    /// The run-identity flags — `--seed`, `--scale`, `--days`, `--fcc`,
+    /// `--users`, `--chaos`, `--severity` — over `defaults`, validated.
+    /// A streaming run sizes its world from the user count, so a
+    /// `--scale` there would be ignored yet still pinned into the
+    /// checkpoint identity: it is refused instead, and so is a world too
+    /// large to lay out.
+    fn spec(&self, defaults: RunSpec) -> Result<RunSpec, String> {
+        let scale = self.num("--scale", "a number")?;
+        let chaos = self.text("--chaos")?;
+        let severity = self.num("--severity", "a number in [0, 1]")?;
+        let spec = RunSpec {
+            seed: self.num("--seed", "an integer")?.unwrap_or(defaults.seed),
+            scale: scale.unwrap_or(defaults.scale),
+            days: self
+                .positive("--days", "an integer")?
+                .unwrap_or(defaults.days),
+            fcc_users: self
+                .num("--fcc", "an integer")?
+                .unwrap_or(defaults.fcc_users),
+            users: self.positive("--users", "an integer")?.or(defaults.users),
+            chaos: ChaosSpec::parse(chaos, severity)
+                .map_err(|e| format!("--chaos/--severity: {e}"))?,
+        };
+        if scale.is_some() && spec.users.is_some() {
             return Err(
                 "--scale sizes the materialised panel; a streaming run takes --users".into(),
             );
@@ -875,74 +812,41 @@ impl SpecFlags {
         spec.validate()?;
         Ok(spec)
     }
-}
 
-impl Args {
-    /// Parse the batch flags. `Ok(None)` means `--help`.
-    fn try_parse(mut it: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
-        let mut identity = SpecFlags::new(RunSpec::paper(REPRO_SEED));
-        let mut args = Args {
-            spec: identity.spec,
-            outputs: Outputs {
-                out: PathBuf::from("results"),
-                metrics: None,
-                ledger: None,
-                quiet: false,
-            },
-            sweeps: Sweeps::default(),
-            plan: ShardPlan::serial(),
-            chrome_trace: None,
-            checkpoint: None,
-            resume: false,
-            fail_after_shard: None,
-        };
-        let (mut threads, mut shards) = (1, None);
-        while let Some(flag) = it.next() {
-            if identity.take(&flag, &mut it)? {
-                continue;
-            }
-            match flag.as_str() {
-                "--out" => args.outputs.out = PathBuf::from(take(&mut it, &flag)?),
-                "--sweep" => {
-                    args.sweeps.seeds = num(&flag, &take(&mut it, &flag)?, "a seed count")?;
-                }
-                "--chaos-sweep" => args.sweeps.chaos = true,
-                "--threads" => threads = positive(&flag, &mut it, "an integer")?,
-                "--shards" => shards = Some(positive(&flag, &mut it, "an integer")?),
-                "--metrics" => args.outputs.metrics = Some(PathBuf::from(take(&mut it, &flag)?)),
-                "--ledger" => args.outputs.ledger = Some(PathBuf::from(take(&mut it, &flag)?)),
-                "--chrome-trace" => {
-                    args.chrome_trace = Some(PathBuf::from(take(&mut it, &flag)?));
-                }
-                "--checkpoint" => args.checkpoint = Some(PathBuf::from(take(&mut it, &flag)?)),
-                "--resume" => args.resume = true,
-                "--fail-after-shard" => {
-                    args.fail_after_shard = Some(positive(&flag, &mut it, "a shard count")?);
-                }
-                "--quiet" => args.outputs.quiet = true,
-                "--help" | "-h" => return Ok(None),
-                other => return Err(format!("unknown flag {other:?}")),
-            }
+    /// The shard plan `--shards`/`--threads` imply. Output never depends
+    /// on it.
+    fn plan(&self) -> Result<ShardPlan, String> {
+        let threads = self.positive("--threads", "an integer")?.unwrap_or(1);
+        match self.positive("--shards", "an integer")? {
+            Some(shards) => Ok(ShardPlan::new(shards, threads)),
+            None => ShardPlan::for_threads(threads).ok_or_else(|| {
+                format!(
+                    "--threads {threads}: the default of 4 shards per thread overflows; pass --shards"
+                )
+            }),
         }
-        args.spec = identity.finish()?;
-        args.plan = shard_plan(shards, threads)?;
-        if args.spec.users.is_some() && (args.sweeps.chaos || args.sweeps.seeds > 0) {
-            let flag = if args.sweeps.chaos {
-                "--chaos-sweep"
-            } else {
-                "--sweep"
-            };
-            return Err(format!(
-                "{flag} needs the materialised experiment battery; drop --users"
-            ));
-        }
-        if args.resume && args.checkpoint.is_none() {
+    }
+
+    /// Where the artifacts go: `--out`, `--metrics`, `--ledger`, `--quiet`.
+    fn outputs(&self) -> Result<Outputs, String> {
+        Ok(Outputs {
+            out: self
+                .path("--out")?
+                .unwrap_or_else(|| PathBuf::from("results")),
+            metrics: self.path("--metrics")?,
+            ledger: self.path("--ledger")?,
+            quiet: self.on("--quiet"),
+        })
+    }
+
+    /// `--checkpoint DIR`, and whether `--resume` restores from it.
+    fn checkpoint(&self) -> Result<(Option<PathBuf>, bool), String> {
+        let dir = self.path("--checkpoint")?;
+        let resume = self.on("--resume");
+        if resume && dir.is_none() {
             return Err("--resume requires --checkpoint DIR".into());
         }
-        if args.fail_after_shard.is_some() && args.checkpoint.is_none() {
-            return Err("--fail-after-shard requires --checkpoint DIR".into());
-        }
-        Ok(Some(args))
+        Ok((dir, resume))
     }
 }
 
@@ -994,10 +898,14 @@ where
     }
 }
 
-/// A parsed command line, or `None` once `--help` has printed the usage
-/// text; a parse error is a [`usage_error`].
-fn parsed<T>(result: Result<Option<T>, String>) -> Option<T> {
-    match result {
+/// The config `build` makes of `argv`'s `accepted` flags, or `None` once
+/// `--help` has printed the usage text; an error is a [`usage_error`].
+fn parsed<T>(
+    argv: &[String],
+    accepted: &'static str,
+    build: fn(&Flags) -> Result<T, String>,
+) -> Option<T> {
+    match Flags::parse(argv, accepted).and_then(|flags| flags.map(|f| build(&f)).transpose()) {
         Ok(None) => {
             print!("{USAGE}");
             None
@@ -1042,4 +950,50 @@ fn write_chrome_trace(args: &Args, timings: &Timings) {
         "wrote chrome trace to {} (open in Perfetto or chrome://tracing)",
         path.display()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The flags a `USAGE` section documents, `--help` aside, each with
+    /// whether its line shows a metavar, sorted.
+    fn documented(section: &str) -> Vec<(&'static str, bool)> {
+        let block = USAGE
+            .split("\n\n")
+            .find(|block| block.starts_with(section))
+            .unwrap_or_else(|| panic!("no {section:?} section in USAGE"));
+        let mut flags: Vec<(&str, bool)> = block
+            .lines()
+            .filter(|line| line.starts_with("  --"))
+            .map(|line| {
+                let mut words = line.split_whitespace();
+                let flag = words.next().expect("a flag starts the line");
+                let metavar = words
+                    .next()
+                    .is_some_and(|word| word.chars().all(|c| c.is_ascii_uppercase()));
+                (flag, metavar)
+            })
+            .collect();
+        flags.sort_unstable();
+        flags
+    }
+
+    #[test]
+    fn each_subcommand_accepts_exactly_the_flags_its_usage_documents() {
+        for (section, accepted) in [
+            ("options:", BATCH),
+            ("serve options", SERVE),
+            ("coordinator options", COORDINATOR),
+            ("worker options", WORKER),
+            ("chaosnet options", CHAOSNET),
+        ] {
+            let mut listed: Vec<(&str, bool)> = accepted
+                .split_whitespace()
+                .map(|flag| (flag, !SWITCHES.split_whitespace().any(|s| s == flag)))
+                .collect();
+            listed.sort_unstable();
+            assert_eq!(listed, documented(section), "{section}");
+        }
+    }
 }

@@ -25,7 +25,11 @@ fn tmpdir(name: &str) -> PathBuf {
 
 #[test]
 fn bad_arguments_exit_2_with_usage_not_a_panic() {
+    // A usage error writes nothing: the directory starts empty and must
+    // stay empty.
     let dir = tmpdir("cli-bad-args");
+    std::fs::remove_dir_all(&dir).expect("clear test dir");
+    std::fs::create_dir(&dir).expect("create test dir");
     let cases: &[&[&str]] = &[
         &["--frobnicate"],                                  // unknown flag
         &["--threads"],                                     // missing value
@@ -70,9 +74,42 @@ fn bad_arguments_exit_2_with_usage_not_a_panic() {
             "1",
         ],
         &["coordinator", "--workers", OVERFLOWING, "--users", "50"],
+        // The other subcommands' rules.
+        &["coordinator", "--listen", ""],
+        &["coordinator", "--lease-timeout", "0"],
+        &["coordinator", "--resume"],
+        &["worker"],
+        &["worker", "--connect", ""],
+        &["worker", "--connect", "127.0.0.1:1", "--backoff-cap", "0"],
+        &["worker", "--connect", "127.0.0.1:1", "--users", "5"],
+        &["chaosnet"],
+        &["chaosnet", "--upstream", "nowhere"],
+        &["chaosnet", "--upstream", "127.0.0.1:1", "--cut", "1001"],
+        &[
+            "chaosnet",
+            "--upstream",
+            "127.0.0.1:1",
+            "--cut",
+            "600",
+            "--stall",
+            "600",
+        ],
+        &["chaosnet", "--upstream", "127.0.0.1:1", "--delay-ms", "0"],
     ];
-    for args in cases {
-        let out = reproduce(args, &dir);
+    // Empty values and repeated flags, each given to a run that would
+    // otherwise be short.
+    let short = ["--users", "100", "--days", "1", "--fcc", "5"];
+    let refused: &[&[&str]] = &[
+        &["--out", ""],
+        &["--metrics", ""],
+        &["--ledger", ""],
+        &["--chrome-trace", ""],
+        &["--checkpoint", ""],
+        &["--seed", "1", "--seed", "2"],
+    ];
+    let refused = refused.iter().map(|flags| [&short[..], flags].concat());
+    for args in cases.iter().map(|args| args.to_vec()).chain(refused) {
+        let out = reproduce(&args, &dir);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(
             out.status.code(),
@@ -94,6 +131,11 @@ fn bad_arguments_exit_2_with_usage_not_a_panic() {
             "{args:?}: still panicking, stderr: {stderr}"
         );
     }
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read test dir")
+        .map(|entry| entry.expect("dir entry").file_name())
+        .collect();
+    assert!(left.is_empty(), "usage errors wrote {left:?}");
 }
 
 #[test]
@@ -205,6 +247,15 @@ fn help_prints_usage_on_stdout_and_exits_0() {
         assert!(
             stdout.contains("--cache-dir"),
             "{flag}: serve flags documented"
+        );
+    }
+    for sub in ["coordinator", "worker", "chaosnet"] {
+        let out = reproduce(&[sub, "--help"], &dir);
+        assert_eq!(out.status.code(), Some(0), "{sub}: {:?}", out.status);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains(&format!("reproduce {sub}")),
+            "{sub}: {stdout}"
         );
     }
 }

@@ -48,17 +48,21 @@ pub const FORMAT_VERSION: u32 = 1;
 /// use: write `path.tmp`, `fsync`, rename over the target, best-effort
 /// directory fsync. A concurrent reader sees the old file or the new
 /// file in full, never a prefix — which is what makes sidecars like
-/// `status.json` safe to poll over HTTP while a run rewrites them.
+/// `status.json` safe to poll over HTTP while a run rewrites them. A
+/// failed write removes its staging file and leaves the target as it was.
 pub fn atomic_write(path: &Path, content: &str) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(content.as_bytes())?;
-        file.sync_all()?;
+    let mut file = fs::File::create(&tmp)?;
+    let written = file
+        .write_all(content.as_bytes())
+        .and_then(|()| file.sync_all());
+    drop(file);
+    if let Err(err) = written.and_then(|()| fs::rename(&tmp, path)) {
+        let _ = fs::remove_file(&tmp);
+        return Err(err);
     }
-    fs::rename(&tmp, path)?;
     // Persist the rename itself. Directory fsync is best-effort: some
     // filesystems refuse it, and the rename is still atomic there.
     if let Some(parent) = path.parent() {

@@ -25,7 +25,7 @@
 use std::fmt;
 
 use crate::ecdf::EcdfSketch;
-use bb_trace::{EventLog, Log2Histogram, Registry, Value};
+use bb_trace::{Log2Histogram, Registry};
 
 /// FNV-1a 64-bit hash — the checkpoint checksum primitive.
 ///
@@ -87,11 +87,6 @@ impl SnapshotWriter {
 
     /// Write `key <decimal>` for any unsigned count.
     pub fn u64(&mut self, key: &str, v: u64) {
-        self.line(key, &v.to_string());
-    }
-
-    /// Write `key <decimal>` for a signed integer.
-    pub fn i64(&mut self, key: &str, v: i64) {
         self.line(key, &v.to_string());
     }
 
@@ -246,14 +241,6 @@ impl<'a> SnapshotReader<'a> {
         rest.trim()
             .parse::<u64>()
             .map_err(|_| self.invalid(format!("{key}: not a u64: {rest:?}")))
-    }
-
-    /// Consume `key <i64>`.
-    pub fn take_i64(&mut self, key: &str) -> Result<i64, SnapshotError> {
-        let rest = self.take(key)?;
-        rest.trim()
-            .parse::<i64>()
-            .map_err(|_| self.invalid(format!("{key}: not an i64: {rest:?}")))
     }
 
     /// Consume `key <i128>`.
@@ -510,95 +497,6 @@ impl Snapshot for Registry {
     }
 }
 
-impl Snapshot for EventLog {
-    const KIND: &'static str = "EventLog";
-
-    fn write_body(&self, w: &mut SnapshotWriter) {
-        w.u64("events", self.len() as u64);
-        for event in self.events() {
-            w.str("event", event.kind());
-            w.u64("fields", event.fields().count() as u64);
-            for (key, value) in event.fields() {
-                let tag = match value {
-                    Value::U64(_) => "u",
-                    Value::I64(_) => "i",
-                    Value::F64(_) => "f",
-                    Value::Str(_) => "s",
-                    Value::Bool(_) => "b",
-                    Value::Hist(_) => "h",
-                    Value::Counts(_) => "c",
-                };
-                w.line("field", &format!("{tag} {}", escape(key)));
-                match value {
-                    Value::U64(v) => w.u64("val", *v),
-                    Value::I64(v) => w.i64("val", *v),
-                    Value::F64(v) => w.f64("val", *v),
-                    Value::Str(v) => w.str("val", v),
-                    Value::Bool(v) => w.u64("val", u64::from(*v)),
-                    Value::Hist(h) => h.write_snapshot(w),
-                    Value::Counts(pairs) => {
-                        w.u64("len", pairs.len() as u64);
-                        for (label, count) in pairs {
-                            w.line("-", &format!("{count} {}", escape(label)));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn read_body(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let mut log = EventLog::new();
-        let n_events = r.take_u64("events")?;
-        for _ in 0..n_events {
-            let kind = r.take_str("event")?;
-            let n_fields = r.take_u64("fields")?;
-            let mut builder = log.emit(bb_trace::intern(&kind));
-            for _ in 0..n_fields {
-                let header = r.take("field")?;
-                let (tag, key_tok) = header
-                    .split_once(' ')
-                    .ok_or_else(|| r.invalid(format!("bad field header {header:?}")))?;
-                let key = bb_trace::intern(
-                    &unescape(key_tok)
-                        .ok_or_else(|| r.invalid(format!("bad field key in {header:?}")))?,
-                );
-                builder = match tag {
-                    "u" => builder.u64(key, r.take_u64("val")?),
-                    "i" => builder.i64(key, r.take_i64("val")?),
-                    "f" => builder.f64(key, r.take_f64("val")?),
-                    "s" => builder.str(key, r.take_str("val")?),
-                    "b" => match r.take_u64("val")? {
-                        0 => builder.bool(key, false),
-                        1 => builder.bool(key, true),
-                        other => return Err(r.invalid(format!("bool must be 0 or 1, got {other}"))),
-                    },
-                    "h" => builder.hist(key, Log2Histogram::read_snapshot(r)?),
-                    "c" => {
-                        let len = r.take_u64("len")?;
-                        let mut pairs = Vec::new();
-                        for _ in 0..len {
-                            let rest = r.take("-")?;
-                            let (count_tok, label_tok) = rest
-                                .split_once(' ')
-                                .ok_or_else(|| r.invalid(format!("bad counts line {rest:?}")))?;
-                            let count = count_tok
-                                .parse::<u64>()
-                                .map_err(|_| r.invalid(format!("bad count in {rest:?}")))?;
-                            let label = unescape(label_tok)
-                                .ok_or_else(|| r.invalid(format!("bad label in {rest:?}")))?;
-                            pairs.push((label, count));
-                        }
-                        builder.counts(key, pairs)
-                    }
-                    other => return Err(r.invalid(format!("unknown field tag {other:?}"))),
-                };
-            }
-        }
-        Ok(log)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // EcdfSketch delegates to its inner QuantileSketch (whose impl lives next
 // to its private fields in `crate::quantile`).
@@ -687,27 +585,12 @@ mod tests {
     }
 
     #[test]
-    fn registry_and_eventlog_roundtrip() {
+    fn registry_roundtrips() {
         let mut reg = Registry::new();
         reg.add("alpha", 3);
         reg.observe("gaps", 7.0, 1.0);
         let back = Registry::from_snapshot_str(&reg.to_snapshot_string()).unwrap();
         assert_eq!(back, reg);
         assert_eq!(back.to_json(), reg.to_json());
-
-        let mut log = EventLog::new();
-        let mut h = Log2Histogram::new();
-        h.push(2.0, 1.0);
-        log.emit("exhibit")
-            .str("id", "fig 1\nnote")
-            .u64("n", 9)
-            .i64("d", -2)
-            .f64("p", 0.1 + 0.2)
-            .bool("kept", true)
-            .hist("dist", h)
-            .counts("rej", vec![("lat ms".into(), 2), ("price".into(), 0)]);
-        let back = EventLog::from_snapshot_str(&log.to_snapshot_string()).unwrap();
-        assert_eq!(back, log);
-        assert_eq!(back.to_jsonl(), log.to_jsonl());
     }
 }

@@ -92,3 +92,19 @@ fn concurrent_readers_never_observe_a_torn_document() {
     writer.join().expect("writer thread");
     assert!(reads > 0, "reader never ran while the writer was active");
 }
+
+/// A write that fails after staging — here the rename, onto a non-empty
+/// directory — returns the error and removes its staging file.
+#[test]
+fn a_failed_write_leaves_no_staging_file() {
+    let dir = tmpdir("atomic-fail");
+    let target = dir.join("taken");
+    fs::create_dir(&target).expect("occupy the target");
+    fs::write(target.join("kept"), "x").expect("fill the target");
+    let err = atomic_write(&target, "content").expect_err("rename over a directory fails");
+    assert!(
+        !dir.join("taken.tmp").exists(),
+        "staging file left behind after {err}"
+    );
+    assert!(target.join("kept").exists(), "the target is untouched");
+}

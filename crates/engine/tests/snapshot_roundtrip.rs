@@ -13,7 +13,7 @@
 
 use bb_engine::snapshot::roundtrip;
 use bb_engine::{BottomK, EcdfSketch, ExactMoments, Log2Histogram, QuantileSketch, Snapshot};
-use bb_trace::{EventLog, Registry};
+use bb_trace::Registry;
 use proptest::prelude::*;
 
 fn assert_roundtrips<T: Snapshot + PartialEq + std::fmt::Debug>(value: &T) {
@@ -125,7 +125,6 @@ fn empty_accumulators_roundtrip() {
     assert_roundtrips(&ExactMoments::new());
     assert_roundtrips(&BottomK::new(7, 8));
     assert_roundtrips(&Registry::new());
-    assert_roundtrips(&EventLog::new());
     assert_roundtrips(&Vec::<ExactMoments>::new());
     assert_roundtrips(&Option::<QuantileSketch>::None);
 }
@@ -191,31 +190,6 @@ fn reservoir_at_and_below_capacity_roundtrips() {
     }
     assert_eq!(exact.len(), 8);
     assert_roundtrips(&exact);
-}
-
-#[test]
-fn event_log_roundtrips_every_value_kind() {
-    let mut hist = Log2Histogram::new();
-    hist.push(0.4, 0.1);
-    hist.push(-2.0, 0.1);
-    let mut log = EventLog::new();
-    log.emit("exhibit")
-        .str("id", "fig1a")
-        .u64("n", 1234)
-        .i64("delta", -5)
-        .f64("ratio", 0.1 + 0.2)
-        .bool("ok", true)
-        .hist("walls", hist.clone())
-        .counts(
-            "drops",
-            vec![("nan".to_string(), 3), ("neg".to_string(), 1)],
-        );
-    log.emit("sign_test")
-        .f64("p", 1.94e-25)
-        .bool("holds", false);
-    assert_roundtrips(&log);
-    let back = roundtrip(&log).unwrap();
-    assert_eq!(back.to_jsonl(), log.to_jsonl());
 }
 
 #[test]

@@ -6,9 +6,9 @@
 //! exhibit ran, how many units went in, which caliper rejected which
 //! candidates, what n/positives fed each sign test. Like the registry it
 //! is zero-dependency and byte-stable: events serialise to JSONL with
-//! fields in emission order, floats in shortest-roundtrip form, and logs
-//! merge by appending in shard order. Because every field is a pure
-//! function of the (plan-invariant) dataset, a ledger written by
+//! fields in emission order and floats in shortest-roundtrip form.
+//! Because every field is a pure function of the (plan-invariant)
+//! dataset, a ledger written by
 //! `reproduce --ledger` is byte-identical for any `(shards, threads)`
 //! plan — pinned next to the metrics invariance tests.
 
@@ -251,9 +251,9 @@ impl Drop for EventBuilder<'_> {
 /// A tail subscriber: called with each event as it lands in the log.
 pub type EventTail = Arc<dyn Fn(&Event) + Send + Sync>;
 
-/// Ordered provenance ledger: append-only, mergeable in shard order,
-/// serialised as byte-stable JSONL. An optional [`EventTail`] subscriber
-/// observes each event as it is appended (emit or merge) — the serve
+/// Ordered provenance ledger: append-only, serialised as byte-stable
+/// JSONL. An optional [`EventTail`] subscriber observes each event as it
+/// is emitted — the serve
 /// gateway sources its SSE ledger stream from it. The tail is pure
 /// observation: it never alters the recorded events, and logs compare
 /// equal (and clone/serialise identically) regardless of subscription.
@@ -323,18 +323,6 @@ impl EventLog {
         self.events.iter()
     }
 
-    /// Append `other`'s events after `self`'s. Callers merge shards in
-    /// shard-index order, which keeps the ledger plan-invariant for the
-    /// same reason the engine's sketch merges are.
-    pub fn merge(&mut self, other: Self) {
-        if let Some(tail) = &self.tail {
-            for event in &other.events {
-                tail(event);
-            }
-        }
-        self.events.extend(other.events);
-    }
-
     /// One JSON object per line, fields in emission order, trailing
     /// newline. Byte-stable: equal logs serialise to equal bytes.
     pub fn to_jsonl(&self) -> String {
@@ -370,6 +358,8 @@ mod tests {
              \"p_value\": 0.5, \"kept\": true, \
              \"dist\": {\"nonpositive\": 1, \"buckets\": [[2, 1]]}}\n"
         );
+        // Byte-stability: same events, same bytes.
+        assert_eq!(log.clone().to_jsonl(), log.to_jsonl());
     }
 
     #[test]
@@ -399,21 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_appends_in_order() {
-        let mut a = EventLog::new();
-        a.emit("first").u64("n", 1);
-        let mut b = EventLog::new();
-        b.emit("second").u64("n", 2);
-        a.merge(b);
-        let kinds: Vec<_> = a.events().map(Event::kind).collect();
-        assert_eq!(kinds, ["first", "second"]);
-        // Byte-stability: same events, same bytes.
-        let again = a.clone();
-        assert_eq!(a.to_jsonl(), again.to_jsonl());
-    }
-
-    #[test]
-    fn tail_observes_emits_and_merges_without_changing_the_log() {
+    fn tail_observes_emits_without_changing_the_log() {
         use std::sync::Mutex;
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
@@ -425,26 +401,21 @@ mod tests {
             sink.lock().unwrap().push(out);
         }));
         log.emit("emitted").u64("n", 1);
-        let mut other = EventLog::new();
-        other.emit("merged").u64("n", 2);
-        log.merge(other);
 
         let frames = seen.lock().unwrap().clone();
-        assert_eq!(frames.len(), 2, "no replay of pre-subscription events");
+        assert_eq!(frames.len(), 1, "no replay of pre-subscription events");
         assert!(frames[0].contains("\"emitted\""));
-        assert!(frames[1].contains("\"merged\""));
         // The tail is pure observation: the serialised log is exactly
         // what an unsubscribed log would have recorded.
         let mut plain = EventLog::new();
         plain.emit("before_subscribe").u64("n", 0);
         plain.emit("emitted").u64("n", 1);
-        plain.emit("merged").u64("n", 2);
         assert_eq!(log, plain);
         assert_eq!(log.to_jsonl(), plain.to_jsonl());
 
         log.clear_tail();
         log.emit("after_clear").u64("n", 3);
-        assert_eq!(seen.lock().unwrap().len(), 2);
+        assert_eq!(seen.lock().unwrap().len(), 1);
     }
 
     #[test]

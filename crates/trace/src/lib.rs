@@ -13,8 +13,8 @@
 //!   engine's sketches, serialised to byte-stable JSON (`--metrics`).
 //! - [`EventLog`]: an ordered provenance ledger for **analysis events**
 //!   (exhibit inputs, matching audits, sign-test parameters). Like the
-//!   registry it is a pure function of the dataset, merged in shard
-//!   order, and serialised to byte-stable JSONL (`--ledger`).
+//!   registry it is a pure function of the dataset, serialised to
+//!   byte-stable JSONL (`--ledger`).
 //! - [`Timings`]: named wall-clock spans for the **runtime** side (phase
 //!   durations), as a hierarchical span tree exportable to Chrome
 //!   trace-event JSON (`--chrome-trace`). Plan- and machine-dependent by
